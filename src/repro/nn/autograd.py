@@ -166,11 +166,21 @@ class Tensor:
             return Tensor(data, requires_grad=False)
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``fresh=True`` promises that ``grad`` is a newly computed array
+        nothing else references, so a C-contiguous float64 first
+        contribution is adopted as the gradient buffer instead of copied
+        (the copy would have the same layout and values).
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
             if np.shape(grad) == self.data.shape:
+                if fresh and grad.flags.c_contiguous and grad.dtype == self.data.dtype:
+                    self.grad = grad
+                    return
                 # First contribution: one copy instead of zeros + add (the
                 # values are identical — 0 + g == g).
                 self.grad = np.array(grad, dtype=self.data.dtype)
@@ -198,18 +208,24 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = _as_array(grad)
 
+        # Depth-first post-order over the graph, parents in recorded order
+        # (the order gradient contributions accumulate in).  Iterative: a
+        # recursive closure would reference itself, and that cycle would
+        # keep the whole graph alive until the cyclic collector ran.
         ordering: List[Tensor] = []
-        visited = set()
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited and parent.requires_grad:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                ordering.append(node)
 
-        def visit(node: "Tensor") -> None:
-            if id(node) in visited or not node.requires_grad:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            ordering.append(node)
-
-        visit(self)
         self._accumulate(grad)
         for node in reversed(ordering):
             if node._backward is not None and node.grad is not None:
@@ -234,7 +250,7 @@ class Tensor:
         data = -self.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -250,8 +266,8 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
+            self._accumulate(_unbroadcast(grad * other.data, self.shape), fresh=True)
+            other._accumulate(_unbroadcast(grad * self.data, other.shape), fresh=True)
 
         return Tensor._make(data, (self, other), backward)
 
@@ -262,9 +278,9 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
+            self._accumulate(_unbroadcast(grad / other.data, self.shape), fresh=True)
             other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape)
+                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape), fresh=True
             )
 
         return Tensor._make(data, (self, other), backward)
@@ -278,7 +294,7 @@ class Tensor:
         data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -293,10 +309,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 grad_self = grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(grad_self, self.shape))
+                self._accumulate(_unbroadcast(grad_self, self.shape), fresh=True)
             if other.requires_grad:
                 grad_other = np.swapaxes(self.data, -1, -2) @ grad
-                other._accumulate(_unbroadcast(grad_other, other.shape))
+                other._accumulate(_unbroadcast(grad_other, other.shape), fresh=True)
 
         return Tensor._make(data, (self, other), backward)
 
@@ -315,7 +331,7 @@ class Tensor:
                 axes = tuple(a % self.ndim for a in axes)
                 for a in sorted(axes):
                     expanded = np.expand_dims(expanded, a)
-            self._accumulate(np.broadcast_to(expanded, self.shape).copy())
+            self._accumulate(np.broadcast_to(expanded, self.shape).copy(), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -343,7 +359,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             expanded = grad if keepdims else np.expand_dims(grad, axis)
-            self._accumulate(mask * expanded)
+            self._accumulate(mask * expanded, fresh=True)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -380,7 +396,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             np.add.at(full, key, grad)
-            self._accumulate(full)
+            self._accumulate(full, fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -404,7 +420,7 @@ class Tensor:
         data = np.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data)
+            self._accumulate(grad * data, fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -412,7 +428,7 @@ class Tensor:
         data = np.log(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -420,7 +436,7 @@ class Tensor:
         data = np.sqrt(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / np.maximum(data, 1e-12))
+            self._accumulate(grad * 0.5 / np.maximum(data, 1e-12), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -438,7 +454,7 @@ class Tensor:
         data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -446,7 +462,7 @@ class Tensor:
         data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data * (1.0 - data))
+            self._accumulate(grad * data * (1.0 - data), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -454,7 +470,7 @@ class Tensor:
         data = np.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2))
+            self._accumulate(grad * (1.0 - data ** 2), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -469,7 +485,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             d_inner = c * (1.0 + 3 * 0.044715 * x ** 2)
             derivative = 0.5 * (1.0 + tanh_inner) + 0.5 * x * (1.0 - tanh_inner ** 2) * d_inner
-            self._accumulate(grad * derivative)
+            self._accumulate(grad * derivative, fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -480,7 +496,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             derivative = sig * (1.0 + self.data * (1.0 - sig))
-            self._accumulate(grad * derivative)
+            self._accumulate(grad * derivative, fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -489,7 +505,7 @@ class Tensor:
         data = np.logaddexp(0.0, self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / (1.0 + np.exp(-self.data)))
+            self._accumulate(grad / (1.0 + np.exp(-self.data)), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -503,7 +519,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             dot = (grad * data).sum(axis=axis, keepdims=True)
-            self._accumulate(data * (grad - dot))
+            self._accumulate(data * (grad - dot), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -514,7 +530,7 @@ class Tensor:
         softmax = np.exp(data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True))
+            self._accumulate(grad - softmax * grad.sum(axis=axis, keepdims=True), fresh=True)
 
         return Tensor._make(data, (self,), backward)
 
@@ -559,8 +575,8 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     data = np.where(condition, a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(grad * condition, a.shape))
-        b._accumulate(_unbroadcast(grad * (~condition), b.shape))
+        a._accumulate(_unbroadcast(grad * condition, a.shape), fresh=True)
+        b._accumulate(_unbroadcast(grad * (~condition), b.shape), fresh=True)
 
     return Tensor._make(data, (a, b), backward)
 

@@ -69,24 +69,23 @@ def conv2d(
     out_h, out_w = _conv2d_output_size(height, width, (kh, kw), stride, padding)
 
     weight_matrix = weight.data.reshape(out_channels, -1)  # (F, C*kh*kw)
-    # When no backward closure can be recorded (no_grad, or no parent
-    # requires grad — exactly the cases where Tensor._make drops the
-    # closure) nothing retains ``cols`` past this call, so the im2col
-    # columns go into a per-thread scratch buffer reused across
-    # same-shape forwards instead of a fresh allocation.
     needs_grad = is_grad_enabled() and (
         x.requires_grad
         or weight.requires_grad
         or (bias is not None and bias.requires_grad)
     )
-    out, cols = kernels.conv2d_forward(
-        x.data,
-        weight_matrix,
-        None if bias is None else bias.data,
-        (kh, kw),
-        stride,
-        padding,
-        reuse_scratch=not needs_grad,
+    bias_data = None if bias is None else bias.data
+    if not needs_grad:
+        # No backward closure can be recorded (no_grad, or no parent
+        # requires grad), so nothing retains the im2col columns past this
+        # call: they go into a per-thread scratch buffer reused across
+        # same-shape forwards instead of a fresh allocation.
+        out, _ = kernels.conv2d_forward(
+            x.data, weight_matrix, bias_data, (kh, kw), stride, padding, reuse_scratch=True
+        )
+        return Tensor(out.reshape(batch, out_channels, out_h, out_w))
+    out, conv_backward = kernels.conv2d_train_forward(
+        x.data, weight_matrix, bias_data, (kh, kw), stride, padding, weight.requires_grad
     )
     out = out.reshape(batch, out_channels, out_h, out_w)
 
@@ -94,17 +93,13 @@ def conv2d(
 
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(batch, out_channels, out_h * out_w)
-        if weight.requires_grad:
-            # One GEMM over the (sample, position) axes — no (N, F, K)
-            # intermediate like a broadcast matmul + sum would allocate.
-            grad_weight = np.tensordot(grad_flat, cols, axes=([0, 2], [0, 2]))
-            weight._accumulate(grad_weight.reshape(weight.shape))
+        grad_weight, grad_x = conv_backward(grad_flat, x.requires_grad)
+        if grad_weight is not None:
+            weight._accumulate(grad_weight.reshape(weight.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_flat.sum(axis=(0, 2)))
-        if x.requires_grad:
-            grad_cols = np.matmul(weight_matrix.T, grad_flat)
-            grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
-            x._accumulate(grad_x)
+            bias._accumulate(grad_flat.sum(axis=(0, 2)), fresh=True)
+        if grad_x is not None:
+            x._accumulate(grad_x, fresh=True)
 
     return Tensor._make(out, parents, backward)
 
@@ -236,9 +231,9 @@ def _rowstable_matmul_2d(x: Tensor, weight: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad @ weight.data)
+            x._accumulate(grad @ weight.data, fresh=True)
         if weight.requires_grad:
-            weight._accumulate(grad.T @ x.data)
+            weight._accumulate(grad.T @ x.data, fresh=True)
 
     return Tensor._make(out, (x, weight), backward)
 

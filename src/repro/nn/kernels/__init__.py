@@ -238,6 +238,11 @@ def warmup() -> Tuple[str, ...]:
             cols = rng.standard_normal((3, 2 * 3 * 3, out_h * out_w))
             check("im2col", lambda k: k(x, (3, 3), stride, padding))
             check("col2im", lambda k: k(cols, x.shape, (3, 3), stride, padding))
+            grad = rng.standard_normal((3, 4, out_h * out_w))
+            check(
+                "col2im",
+                lambda k: k(grad, x.shape, (3, 3), stride, padding, weight_matrix),
+            )
             check(
                 "conv2d_forward",
                 lambda k: k(x, weight_matrix, bias, (3, 3), stride, padding)[0],
@@ -246,6 +251,39 @@ def warmup() -> Tuple[str, ...]:
             "conv2d_forward",
             lambda k: k(x, weight_matrix, None, (3, 3), 1, 1)[0],
         )
+
+        def conv_grads(backward, probe, weights, kernel, stride, padding):
+            # A backend's conv2d_backward reads the rows its own forward
+            # kept; the reference pair reads the columns.
+            if backward is reference.conv2d_backward:
+                _, saved = reference.conv2d_forward(probe, weights, None, kernel, stride, padding)
+            else:
+                _, saved = kernels["conv2d_forward"](
+                    probe, weights, None, kernel, stride, padding, rows=True
+                )
+            out_h, out_w = reference.conv2d_output_size(
+                probe.shape[2], probe.shape[3], kernel, stride, padding
+            )
+            grad = np.random.default_rng(1).standard_normal(
+                (probe.shape[0], weights.shape[0], out_h * out_w)
+            )
+            grad_weight, grad_x = backward(
+                grad, saved, weights, probe.shape, kernel, stride, padding
+            )
+            return np.concatenate([grad_weight.ravel(), grad_x.ravel()])
+
+        if "conv2d_forward" not in kernels:
+            # The backward is only valid paired with this backend's forward.
+            kernels.pop("conv2d_backward", None)
+        for batch, channels, kernel, stride, padding in (
+            (3, 2, (3, 3), 1, 1), (3, 2, (3, 3), 2, 1), (3, 4, (1, 1), 2, 0), (1, 2, (3, 3), 1, 0),
+        ):
+            probe = rng.standard_normal((batch, channels, 9, 9))
+            weights = rng.standard_normal((4, channels * kernel[0] * kernel[1]))
+            check(
+                "conv2d_backward",
+                lambda k: conv_grads(k, probe, weights, kernel, stride, padding),
+            )
         scale = rng.standard_normal(2)
         shift = rng.standard_normal(2)
         check("bn_fold", lambda k: k(x, scale, shift))
@@ -254,6 +292,28 @@ def warmup() -> Tuple[str, ...]:
         bn_mean = rng.standard_normal(2)
         bn_var = rng.random(2) + 0.5
         check("bn_infer", lambda k: k(x, bn_weight, bn_bias, bn_mean, bn_var, 1e-5))
+        bn_probe = x.copy()
+        bn_probe[0, 0, 0, :3] = (0.0, -0.0, np.nan)
+        bn_other = rng.standard_normal(x.shape)
+        bn_std = rng.random(2) + 0.5
+        check("bn_normalize", lambda k: np.stack(k(bn_probe, bn_std, bn_weight, bn_bias)))
+        for weight_terms in (True, False):
+            check(
+                "bn_grad_terms",
+                lambda k: np.stack([
+                    term for term in k(
+                        bn_probe, bn_other, x, bn_weight, bn_std, bn_std ** 2, weight_terms
+                    ) if term is not None
+                ]),
+            )
+        check(
+            "bn_grad_input",
+            lambda k: k(bn_probe.copy(), bn_mean, bn_other, bn_var, None),
+        )
+        check(
+            "bn_grad_input",
+            lambda k: k(bn_probe, bn_mean, bn_other, bn_var, x.copy()),
+        )
         relu_probe = x.copy()
         relu_probe[0, 0, 0, :3] = (0.0, -0.0, np.nan)
         check("relu", lambda k: k(relu_probe))
@@ -355,15 +415,21 @@ def im2col(x, kernel, stride, padding, out=None):
     return impl(x, kernel, stride, padding, out)
 
 
-def col2im(cols, input_shape, kernel, stride, padding):
-    """Registry-dispatched col2im (compiled when active, else reference)."""
+def col2im(cols, input_shape, kernel, stride, padding, weight_matrix=None):
+    """Registry-dispatched col2im (compiled when active, else reference).
+
+    ``weight_matrix`` makes it the conv input gradient: ``cols`` is then
+    the ``(N, F, L)`` output gradient (see :func:`reference.col2im`).
+    """
     impl = active("col2im")
     if impl is None:
-        return reference.col2im(cols, input_shape, kernel, stride, padding)
-    return impl(cols, input_shape, kernel, stride, padding)
+        return reference.col2im(cols, input_shape, kernel, stride, padding, weight_matrix)
+    return impl(cols, input_shape, kernel, stride, padding, weight_matrix)
 
 
-def conv2d_forward(x, weight_matrix, bias, kernel, stride, padding, reuse_scratch=False):
+def conv2d_forward(
+    x, weight_matrix, bias, kernel, stride, padding, reuse_scratch=False, rows=False
+):
     """Registry-dispatched conv forward returning ``(out, cols)``.
 
     ``reuse_scratch=True`` routes the im2col columns into the per-thread
@@ -371,11 +437,20 @@ def conv2d_forward(x, weight_matrix, bias, kernel, stride, padding, reuse_scratc
     (no backward closure), which :func:`repro.nn.functional.conv2d`
     guarantees by checking grad mode and ``requires_grad``.
 
+    ``rows=True`` asks the active backend forward for the transposed
+    ``(N, L, K)`` rows its ``conv2d_backward`` reads instead of the
+    columns (see :func:`conv2d_train_forward`, the only caller); the memo
+    is bypassed.
+
     Inside an :func:`im2col_memo` scope, a repeated forward on the *same*
     input array reuses its memoised columns and runs only the GEMM + bias
     (``np.matmul`` per-sample semantics — the identical accumulation the
     backends perform).
     """
+    if rows:
+        return active("conv2d_forward")(
+            x, weight_matrix, bias, kernel, stride, padding, rows=True
+        )
     memo = _MEMO.scope
     if memo is not None:
         key = (x.shape, kernel, stride, padding)
@@ -408,6 +483,42 @@ def conv2d_forward(x, weight_matrix, bias, kernel, stride, padding, reuse_scratc
     return result
 
 
+def conv2d_train_forward(x, weight_matrix, bias, kernel, stride, padding, weight_grad):
+    """Grad-mode conv forward paired with the backward that reads what it kept.
+
+    Returns ``(out, backward)`` where ``backward(grad, input_grad)`` maps
+    the ``(N, F, L)`` output gradient to ``(grad_weight, grad_x)``;
+    ``grad_weight`` is ``None`` unless ``weight_grad``.  A backend that
+    provides ``conv2d_backward`` keeps the forward's im2col *rows*
+    ``(N, L, K)`` — the operand the weight-gradient GEMM reads — instead
+    of the columns; otherwise both halves fall back together to the
+    columns and the reference backward.  The pair is fixed here, at
+    forward time, so switching tiers between forward and backward can
+    never hand one layout to the other's kernel.  Without ``weight_grad``
+    nothing is kept and the columns go to the scratch pool.
+    """
+    backward = active("conv2d_backward")
+    rows = weight_grad and backward is not None and active("conv2d_forward") is not None
+    out, saved = conv2d_forward(
+        x, weight_matrix, bias, kernel, stride, padding,
+        reuse_scratch=not weight_grad, rows=rows,
+    )
+    if not rows:
+        backward = reference.conv2d_backward
+    if not weight_grad:
+        saved = None
+    input_shape = x.shape
+
+    def run(grad, input_grad):
+        # The input gradient's scatter goes through the registry's col2im.
+        return backward(
+            grad, saved, weight_matrix, input_shape, kernel, stride, padding,
+            input_grad, col2im,
+        )
+
+    return out, run
+
+
 def bn_fold(x, scale, shift):
     """Registry-dispatched folded batch-norm ``x * scale + shift``."""
     impl = active("bn_fold")
@@ -422,6 +533,32 @@ def bn_infer(x, weight, bias, mean, var, eps):
     if impl is None:
         return reference.bn_infer(x, weight, bias, mean, var, eps)
     return impl(x, weight, bias, mean, var, eps)
+
+
+def bn_normalize(centered, std, weight, bias):
+    """Registry-dispatched training batch-norm output pass."""
+    impl = active("bn_normalize")
+    if impl is None:
+        return reference.bn_normalize(centered, std, weight, bias)
+    return impl(centered, std, weight, bias)
+
+
+def bn_grad_terms(grad, normalised, centered, weight, std, std_sq, weight_terms=True):
+    """Registry-dispatched training batch-norm backward terms."""
+    impl = active("bn_grad_terms")
+    if impl is None:
+        return reference.bn_grad_terms(
+            grad, normalised, centered, weight, std, std_sq, weight_terms
+        )
+    return impl(grad, normalised, centered, weight, std, std_sq, weight_terms)
+
+
+def bn_grad_input(grad_var_centered, var_mean, grad_centered, mean, accum=None):
+    """Registry-dispatched training batch-norm input-gradient accumulation."""
+    impl = active("bn_grad_input")
+    if impl is None:
+        return reference.bn_grad_input(grad_var_centered, var_mean, grad_centered, mean, accum)
+    return impl(grad_var_centered, var_mean, grad_centered, mean, accum)
 
 
 def relu(x):

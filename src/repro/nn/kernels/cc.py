@@ -21,6 +21,12 @@ Bit-identity notes:
   Python wrapper finishes with ``np.matmul``.
 - ``col2im`` accumulates taps in the same ``(i, j)`` row-major order as
   the reference loop, and integer kernels are exact by construction.
+- The training path issues only the GEMMs NumPy itself issues: the
+  forward's NoTrans dgemm per sample (keeping the transposed im2col rows
+  for ``conv2d_backward``), ``np.matmul``'s Trans-weight dgemm per sample
+  for the input gradient, and ``np.tensordot``'s NoTrans GEMM (through
+  ``np.dot``) for the weight gradient.  A transposed-operand GEMM
+  substituted for any of them rounds differently.
 """
 
 from __future__ import annotations
@@ -240,37 +246,46 @@ void repro_im2col(const double *x, double *cols,
                       c, h, w, kh, kw, stride, pad, oh, ow);
 }
 
-/* Adjoint scatter-add into a zero-initialised padded buffer (N,C,hp,wp).
- * Taps accumulate in (i, j) row-major order for every output element,
- * matching the reference loop's floating-point addition order. */
-void repro_col2im(const double *cols, double *padded,
-                  int64_t n, int64_t c, int64_t hp, int64_t wp,
-                  int64_t kh, int64_t kw, int64_t stride,
-                  int64_t oh, int64_t ow)
+/* Adjoint scatter-add of one sample's columns (C*kh*kw, oh*ow) into its
+ * zero-initialised padded plane stack (C, hp, wp).  Taps accumulate in
+ * (i, j) row-major order for every output element, matching the
+ * reference loop's floating-point addition order. */
+static void col2im_sample(const double *cols, double *padded,
+                          int64_t c, int64_t hp, int64_t wp,
+                          int64_t kh, int64_t kw, int64_t stride,
+                          int64_t oh, int64_t ow)
 {
     const int64_t ncols = oh * ow;
     const int64_t plane = hp * wp;
-    for (int64_t b = 0; b < n; b++) {
-        for (int64_t ch = 0; ch < c; ch++) {
-            double *dst = padded + (b * c + ch) * plane;
-            for (int64_t i = 0; i < kh; i++) {
-                for (int64_t j = 0; j < kw; j++) {
-                    const double *src = cols + ((b * c + ch) * kh * kw + i * kw + j) * ncols;
-                    for (int64_t oy = 0; oy < oh; oy++) {
-                        double *line = dst + (i + oy * stride) * wp + j;
-                        const double *srow = src + oy * ow;
-                        if (stride == 1) {
-                            for (int64_t ox = 0; ox < ow; ox++)
-                                line[ox] += srow[ox];
-                        } else {
-                            for (int64_t ox = 0; ox < ow; ox++)
-                                line[ox * stride] += srow[ox];
-                        }
+    for (int64_t ch = 0; ch < c; ch++) {
+        double *dst = padded + ch * plane;
+        for (int64_t i = 0; i < kh; i++) {
+            for (int64_t j = 0; j < kw; j++) {
+                const double *src = cols + (ch * kh * kw + i * kw + j) * ncols;
+                for (int64_t oy = 0; oy < oh; oy++) {
+                    double *line = dst + (i + oy * stride) * wp + j;
+                    const double *srow = src + oy * ow;
+                    if (stride == 1) {
+                        for (int64_t ox = 0; ox < ow; ox++)
+                            line[ox] += srow[ox];
+                    } else {
+                        for (int64_t ox = 0; ox < ow; ox++)
+                            line[ox * stride] += srow[ox];
                     }
                 }
             }
         }
     }
+}
+
+void repro_col2im(const double *cols, double *padded,
+                  int64_t n, int64_t c, int64_t hp, int64_t wp,
+                  int64_t kh, int64_t kw, int64_t stride,
+                  int64_t oh, int64_t ow)
+{
+    for (int64_t b = 0; b < n; b++)
+        col2im_sample(cols + b * c * kh * kw * oh * ow, padded + b * c * hp * wp,
+                      c, hp, wp, kh, kw, stride, oh, ow);
 }
 
 /* Fused forward: per sample, im2col straight into the cols buffer and a
@@ -302,6 +317,80 @@ void repro_conv2d_forward(const double *x, const double *wmat, const double *bia
                     row[l] += bv;
             }
         }
+    }
+}
+
+/* src (rows, cols) -> dst (cols, rows).  Eight source rows at a time:
+ * eight sequential read streams, and each destination write fills 64
+ * contiguous bytes.  Pure data movement. */
+static void transpose_block(const double *src, double *dst, int64_t rows, int64_t cols)
+{
+    int64_t i = 0;
+    for (; i + 8 <= rows; i += 8) {
+        const double *s0 = src + i * cols;
+        const double *s1 = s0 + cols, *s2 = s1 + cols, *s3 = s2 + cols;
+        const double *s4 = s3 + cols, *s5 = s4 + cols, *s6 = s5 + cols, *s7 = s6 + cols;
+        double *d = dst + i;
+        for (int64_t j = 0; j < cols; j++, d += rows) {
+            d[0] = s0[j]; d[1] = s1[j]; d[2] = s2[j]; d[3] = s3[j];
+            d[4] = s4[j]; d[5] = s5[j]; d[6] = s6[j]; d[7] = s7[j];
+        }
+    }
+    for (; i < rows; i++)
+        for (int64_t j = 0; j < cols; j++)
+            dst[j * rows + i] = src[i * cols + j];
+}
+
+/* Grad-mode forward for a weight that needs a gradient: per sample,
+ * im2col into the reused (K, L) block, the same NoTrans dgemm as
+ * repro_conv2d_forward, then the block's (L, K) transpose into rows
+ * (N, L, K) while it is still cache-hot.  rows is exactly the operand
+ * np.tensordot would build from the columns in the backward pass. */
+void repro_conv2d_forward_rows(const double *x, const double *wmat, const double *bias,
+                               double *block, double *rows, double *out,
+                               int64_t n, int64_t c, int64_t h, int64_t w,
+                               int64_t f, int64_t kh, int64_t kw,
+                               int64_t stride, int64_t pad, int64_t oh, int64_t ow)
+{
+    const int64_t kdim = c * kh * kw;
+    const int64_t ncols = oh * ow;
+    for (int64_t b = 0; b < n; b++) {
+        im2col_sample(x + b * c * h * w, block, c, h, w, kh, kw, stride, pad, oh, ow);
+        dgemm64(101, 111, 111, f, ncols, kdim, 1.0,
+                wmat, kdim, block, ncols,
+                0.0, out + b * f * ncols, ncols);
+        transpose_block(block, rows + b * ncols * kdim, kdim, ncols);
+    }
+    if (bias) {
+        for (int64_t b = 0; b < n; b++) {
+            for (int64_t ff = 0; ff < f; ff++) {
+                const double bv = bias[ff];
+                double *row = out + (b * f + ff) * ncols;
+                for (int64_t l = 0; l < ncols; l++)
+                    row[l] += bv;
+            }
+        }
+    }
+}
+
+/* Conv input gradient: per sample the dgemm np.matmul(W.T, grad) issues
+ * (CblasTrans=112 on the row-major (F, K) weight, lda = K) into the reused
+ * (K, L) block, scattered straight into that sample's padded planes,
+ * zeroed just before. */
+void repro_col2im_gemm(const double *wmat, const double *grad,
+                       double *block, double *padded,
+                       int64_t n, int64_t c, int64_t hp, int64_t wp,
+                       int64_t f, int64_t kh, int64_t kw, int64_t stride,
+                       int64_t oh, int64_t ow)
+{
+    const int64_t kdim = c * kh * kw;
+    const int64_t ncols = oh * ow;
+    for (int64_t b = 0; b < n; b++) {
+        dgemm64(101, 112, 111, kdim, ncols, f, 1.0,
+                wmat, kdim, grad + b * f * ncols, ncols,
+                0.0, block, ncols);
+        memset(padded + b * c * hp * wp, 0, (size_t)(c * hp * wp) * sizeof(double));
+        col2im_sample(block, padded + b * c * hp * wp, c, hp, wp, kh, kw, stride, oh, ow);
     }
 }
 
@@ -343,6 +432,76 @@ void repro_bn_infer(const double *x, const double *weight, const double *bias,
             for (int64_t i = 0; i < s; i++) {
                 const double t = src[i] * sc;
                 dst[i] = t + sh;
+            }
+        }
+    }
+}
+
+/* Training batch-norm output pass on (N, C, S): normalised = centered / std,
+ * out = normalised * weight + bias, every op rounding once (no FMA). */
+void repro_bn_normalize(const double *centered, const double *std,
+                        const double *weight, const double *bias,
+                        double *normalised, double *out,
+                        int64_t n, int64_t c, int64_t s)
+{
+    for (int64_t b = 0; b < n; b++) {
+        for (int64_t ch = 0; ch < c; ch++) {
+            const double sd = std[ch], w = weight[ch], bv = bias[ch];
+            const int64_t base = (b * c + ch) * s;
+            for (int64_t i = 0; i < s; i++) {
+                const double v = centered[base + i] / sd;
+                const double t = v * w;
+                normalised[base + i] = v;
+                out[base + i] = t + bv;
+            }
+        }
+    }
+}
+
+/* Training batch-norm backward terms, one pass over grad: with
+ * g = grad * weight, weight_terms = grad * normalised (skipped when NULL),
+ * grad_centered = g / std, std_terms = ((-g) * centered) / std_sq. */
+void repro_bn_grad_terms(const double *grad, const double *normalised,
+                         const double *centered, const double *weight,
+                         const double *std, const double *std_sq,
+                         double *weight_terms, double *grad_centered, double *std_terms,
+                         int64_t n, int64_t c, int64_t s)
+{
+    for (int64_t b = 0; b < n; b++) {
+        for (int64_t ch = 0; ch < c; ch++) {
+            const double w = weight[ch], sd = std[ch], sq = std_sq[ch];
+            const int64_t base = (b * c + ch) * s;
+            if (weight_terms) {
+                for (int64_t i = 0; i < s; i++)
+                    weight_terms[base + i] = grad[base + i] * normalised[base + i];
+            }
+            for (int64_t i = 0; i < s; i++) {
+                const double g = grad[base + i] * w;
+                const double t = (-g) * centered[base + i];
+                grad_centered[base + i] = g / sd;
+                std_terms[base + i] = t / sq;
+            }
+        }
+    }
+}
+
+/* x's four batch-norm gradient terms, added one rounding at a time in the
+ * graph's order: accum += gvc (unless accum is gvc itself), += var_mean[c],
+ * += grad_centered, += mean[c]. */
+void repro_bn_grad_input(const double *gvc, const double *var_mean,
+                         const double *grad_centered, const double *mean,
+                         double *accum, int64_t add_gvc,
+                         int64_t n, int64_t c, int64_t s)
+{
+    for (int64_t b = 0; b < n; b++) {
+        for (int64_t ch = 0; ch < c; ch++) {
+            const double vm = var_mean[ch], m = mean[ch];
+            const int64_t base = (b * c + ch) * s;
+            for (int64_t i = 0; i < s; i++) {
+                double v = add_gvc ? accum[base + i] + gvc[base + i] : gvc[base + i];
+                v = v + vm;
+                v = v + grad_centered[base + i];
+                accum[base + i] = v + m;
             }
         }
     }
@@ -479,10 +638,20 @@ def _bind(library_path: str) -> ctypes.CDLL:
     lib.repro_col2im.restype = None
     lib.repro_conv2d_forward.argtypes = [_ptr] * 5 + [_i64] * 11
     lib.repro_conv2d_forward.restype = None
+    lib.repro_conv2d_forward_rows.argtypes = [_ptr] * 6 + [_i64] * 11
+    lib.repro_conv2d_forward_rows.restype = None
+    lib.repro_col2im_gemm.argtypes = [_ptr] * 4 + [_i64] * 10
+    lib.repro_col2im_gemm.restype = None
     lib.repro_bn_fold.argtypes = [_ptr] * 4 + [_i64] * 3
     lib.repro_bn_fold.restype = None
     lib.repro_bn_infer.argtypes = [_ptr] * 5 + [ctypes.c_double, _ptr] + [_i64] * 3
     lib.repro_bn_infer.restype = None
+    lib.repro_bn_normalize.argtypes = [_ptr] * 6 + [_i64] * 3
+    lib.repro_bn_normalize.restype = None
+    lib.repro_bn_grad_terms.argtypes = [_ptr] * 9 + [_i64] * 3
+    lib.repro_bn_grad_terms.restype = None
+    lib.repro_bn_grad_input.argtypes = [_ptr] * 5 + [_i64] * 4
+    lib.repro_bn_grad_input.restype = None
     lib.repro_relu.argtypes = [_ptr, _ptr, _i64]
     lib.repro_relu.restype = None
     lib.repro_delta_table.argtypes = [_ptr, _i64, _i64, _ptr]
@@ -515,8 +684,13 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
     c_im2col = lib.repro_im2col
     c_col2im = lib.repro_col2im
     c_conv2d = lib.repro_conv2d_forward
+    c_conv2d_rows = lib.repro_conv2d_forward_rows
+    c_col2im_gemm = lib.repro_col2im_gemm
     c_bn_fold = lib.repro_bn_fold
     c_bn_infer = lib.repro_bn_infer
+    c_bn_normalize = lib.repro_bn_normalize
+    c_bn_grad_terms = lib.repro_bn_grad_terms
+    c_bn_grad_input = lib.repro_bn_grad_input
     c_relu = lib.repro_relu
     c_delta_table = lib.repro_delta_table
     output_size = reference.conv2d_output_size
@@ -536,44 +710,97 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
         )
         return out
 
-    def col2im(cols, input_shape, kernel, stride, padding):
+    def col2im(cols, input_shape, kernel, stride, padding, weight_matrix=None):
         batch, channels, height, width = input_shape
         kh, kw = kernel
         out_h, out_w = output_size(height, width, kernel, stride, padding)
-        cols = _f64(cols)
-        padded = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding))
-        c_col2im(
-            _data(cols), _data(padded), batch, channels,
-            padded.shape[2], padded.shape[3], kh, kw, stride, out_h, out_w,
-        )
+        padded_shape = (batch, channels, height + 2 * padding, width + 2 * padding)
+        if weight_matrix is not None and not (
+            has_gemm
+            and min(weight_matrix.shape + (out_h * out_w,)) > 1
+            and cols.flags.c_contiguous and cols.dtype == np.float64
+            and weight_matrix.flags.c_contiguous and weight_matrix.dtype == np.float64
+        ):
+            # np.matmul takes a gemv or strided path here; keep its call.
+            cols, weight_matrix = np.matmul(weight_matrix.T, cols), None
+        if weight_matrix is None:
+            cols = _f64(cols)
+            padded = np.zeros(padded_shape)
+            c_col2im(
+                _data(cols), _data(padded), batch, channels,
+                padded.shape[2], padded.shape[3], kh, kw, stride, out_h, out_w,
+            )
+        else:
+            padded = empty(padded_shape)
+            block = empty((weight_matrix.shape[1], out_h * out_w))
+            c_col2im_gemm(
+                _data(weight_matrix), _data(cols), _data(block), _data(padded),
+                batch, channels, padded.shape[2], padded.shape[3], weight_matrix.shape[0],
+                kh, kw, stride, out_h, out_w,
+            )
         if padding > 0:
             return padded[:, :, padding:-padding, padding:-padding]
         return padded
 
-    def conv2d_forward(x, weight_matrix, bias, kernel, stride, padding, cols_out=None):
+    def conv2d_forward(x, weight_matrix, bias, kernel, stride, padding, cols_out=None,
+                       rows=False):
+        # rows=True (only asked for together with conv2d_backward, which
+        # needs the dgemm) keeps the (N, L, K) transposed columns instead.
         batch, channels, height, width = x.shape
         kh, kw = kernel
         out_h, out_w = output_size(height, width, kernel, stride, padding)
         num_filters = weight_matrix.shape[0]
-        cols = cols_out
-        if cols is None:
-            cols = empty((batch, channels * kh * kw, out_h * out_w))
+        kdim, positions = channels * kh * kw, out_h * out_w
         if not has_gemm:
-            im2col(x, kernel, stride, padding, out=cols)
+            cols = im2col(x, kernel, stride, padding, out=cols_out)
             out = np.matmul(weight_matrix, cols)
             if bias is not None:
                 out += bias.reshape(1, -1, 1)
             return out, cols
         x = _f64(x)
         weight_matrix = _f64(weight_matrix)
-        out = empty((batch, num_filters, out_h * out_w))
-        bias_ptr = None if bias is None else _data(_f64(bias))
+        out = empty((batch, num_filters, positions))
+        if bias is not None:
+            bias = _f64(bias)
+        bias_ptr = None if bias is None else _data(bias)
+        if rows:
+            kept = empty((batch, positions, kdim))
+            block = empty((kdim, positions))
+            c_conv2d_rows(
+                _data(x), _data(weight_matrix), bias_ptr, _data(block),
+                _data(kept), _data(out), batch, channels, height, width, num_filters,
+                kh, kw, stride, padding, out_h, out_w,
+            )
+            return out, kept
+        cols = cols_out
+        if cols is None:
+            cols = empty((batch, kdim, positions))
         c_conv2d(
             _data(x), _data(weight_matrix), bias_ptr, _data(cols), _data(out),
             batch, channels, height, width, num_filters,
             kh, kw, stride, padding, out_h, out_w,
         )
         return out, cols
+
+    def conv2d_backward(grad, rows, weight_matrix, input_shape, kernel, stride, padding,
+                        input_grad=True, col2im_impl=None):
+        grad_weight = None
+        if rows is not None:
+            # np.tensordot's GEMM on its own operands: the (F, N*L) copy of
+            # grad, and in place of its transposed copy of the columns the
+            # rows the forward kept.  With one sample tensordot passes a
+            # transposed view (a Trans GEMM), so the rows are laid out the
+            # same way.
+            batch, num_filters, positions = grad.shape
+            lhs = grad.transpose(1, 0, 2).reshape(num_filters, batch * positions)
+            rhs = rows.reshape(batch * positions, -1) if batch > 1 else np.asfortranarray(rows[0])
+            grad_weight = np.dot(lhs, rhs)
+        # The input gradient reads only the weights: the reference path.
+        _, grad_x = reference.conv2d_backward(
+            grad, None, weight_matrix, input_shape, kernel, stride, padding,
+            input_grad, col2im_impl or col2im,
+        )
+        return grad_weight, grad_x
 
     def bn_fold(x, scale, shift):
         x = _f64(x)
@@ -604,6 +831,61 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
         )
         return out
 
+    def channels_layout(full, *vectors):
+        """``(N, C, S)`` of ``full`` if every operand suits the C passes."""
+        if not all(a.flags.c_contiguous and a.dtype == np.float64 for a in full):
+            return None
+        shape = full[0].shape
+        if any(a.shape != shape for a in full) or any(v.size != shape[1] for v in vectors):
+            return None
+        spatial = 1
+        for dim in shape[2:]:
+            spatial *= dim
+        return shape[0], shape[1], spatial
+
+    def bn_normalize(centered, std, weight, bias):
+        std, weight, bias = _f64(std), _f64(weight), _f64(bias)
+        layout = channels_layout((centered,), std, weight, bias)
+        if layout is None:
+            return reference.bn_normalize(centered, std, weight, bias)
+        normalised = empty_like(centered)
+        out = empty_like(centered)
+        c_bn_normalize(
+            _data(centered), _data(std), _data(weight), _data(bias),
+            _data(normalised), _data(out), *layout,
+        )
+        return normalised, out
+
+    def bn_grad_terms(grad, normalised, centered, weight, std, std_sq, weight_terms=True):
+        weight, std, std_sq = _f64(weight), _f64(std), _f64(std_sq)
+        layout = channels_layout((grad, normalised, centered), weight, std, std_sq)
+        if layout is None:
+            return reference.bn_grad_terms(
+                grad, normalised, centered, weight, std, std_sq, weight_terms
+            )
+        terms = empty_like(grad) if weight_terms else None
+        grad_centered = empty_like(grad)
+        std_terms = empty_like(grad)
+        c_bn_grad_terms(
+            _data(grad), _data(normalised), _data(centered), _data(weight),
+            _data(std), _data(std_sq), None if terms is None else _data(terms),
+            _data(grad_centered), _data(std_terms), *layout,
+        )
+        return terms, grad_centered, std_terms
+
+    def bn_grad_input(grad_var_centered, var_mean, grad_centered, mean, accum=None):
+        var_mean, mean = _f64(var_mean), _f64(mean)
+        arrays = (grad_var_centered, grad_centered) + (() if accum is None else (accum,))
+        layout = channels_layout(arrays, var_mean, mean)
+        if layout is None:
+            return reference.bn_grad_input(grad_var_centered, var_mean, grad_centered, mean, accum)
+        target = grad_var_centered if accum is None else accum
+        c_bn_grad_input(
+            _data(grad_var_centered), _data(var_mean), _data(grad_centered), _data(mean),
+            _data(target), int(accum is not None), *layout,
+        )
+        return target
+
     def relu(x):
         x = _f64(x)
         out = empty_like(x)
@@ -622,16 +904,22 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
         c_delta_table(_data(values), 1, num_bits, _data(column))
         return column
 
-    return {
+    kernels = {
         "im2col": im2col,
         "col2im": col2im,
         "conv2d_forward": conv2d_forward,
         "bn_fold": bn_fold,
         "bn_infer": bn_infer,
+        "bn_normalize": bn_normalize,
+        "bn_grad_terms": bn_grad_terms,
+        "bn_grad_input": bn_grad_input,
         "relu": relu,
         "delta_table": delta_table,
         "delta_column": delta_column,
     }
+    if has_gemm:
+        kernels["conv2d_backward"] = conv2d_backward
+    return kernels
 
 
 def load() -> Optional[Dict[str, Callable]]:

@@ -106,7 +106,10 @@ def _build(numba) -> Dict[str, Callable]:
         im2col_jit(x, kh, kw, stride, padding, out_h, out_w, out)
         return out
 
-    def col2im(cols, input_shape, kernel, stride, padding):
+    def col2im(cols, input_shape, kernel, stride, padding, weight_matrix=None):
+        if weight_matrix is not None:
+            # No BLAS under njit: the reference's np.matmul, then the JIT scatter.
+            cols = np.matmul(weight_matrix.T, cols)
         batch, channels, height, width = input_shape
         kh, kw = kernel
         out_h, out_w = reference.conv2d_output_size(height, width, kernel, stride, padding)

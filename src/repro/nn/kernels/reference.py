@@ -13,11 +13,20 @@ Accumulation-order contract (see docs/ENGINES.md):
   so per-sample outputs are independent of how many samples are stacked.
 - ``conv2d_forward`` adds the bias *after* the GEMM in a separate pass —
   one extra rounding per element, never fused into the GEMM epilogue.
+- ``conv2d_backward`` computes the weight gradient as one GEMM over the
+  (sample, position) axes — ``np.tensordot``'s ``(F, N·L) @ (N·L, K)``
+  product — and the input gradient as one ``W.T @ grad[n]`` GEMM per
+  sample (``np.matmul`` broadcast semantics) followed by ``col2im``.
 - ``col2im`` accumulates kernel taps in ``(i, j)`` row-major order; every
   output element sees its contributions in exactly that order.
 - ``bn_fold`` computes ``x * scale`` (one rounding) then ``+ shift``
   (a second rounding); compiled versions must not contract this into an
   FMA, which would round once and break bit-identity.
+- ``bn_normalize`` / ``bn_grad_terms`` / ``bn_grad_input`` are the
+  elementwise chains of training-mode batch norm (the reductions between
+  them stay in NumPy); each op rounds once, in the composed graph's order,
+  and ``bn_grad_input`` adds ``x``'s gradient terms one at a time, in the
+  order the graph accumulates them.
 - ``delta_table`` / ``delta_column`` are pure int64 arithmetic — exact by
   construction in any backend.
 """
@@ -84,8 +93,17 @@ def col2im(
     kernel: Tuple[int, int],
     stride: int,
     padding: int,
+    weight_matrix: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Scatter-add columns back into image space (adjoint of :func:`im2col`)."""
+    """Scatter-add columns back into image space (adjoint of :func:`im2col`).
+
+    With ``weight_matrix`` ``(F, K)``, ``cols`` is an ``(N, F, L)`` output
+    gradient and the columns scattered are its per-sample products
+    ``weight_matrix.T @ cols[n]`` (``np.matmul`` semantics): the conv
+    input gradient in one call, which a backend may fuse.
+    """
+    if weight_matrix is not None:
+        cols = np.matmul(weight_matrix.T, cols)
     batch, channels, height, width = input_shape
     kh, kw = kernel
     out_h, out_w = conv2d_output_size(height, width, kernel, stride, padding)
@@ -126,6 +144,39 @@ def conv2d_forward(
     return out, cols
 
 
+def conv2d_backward(
+    grad: np.ndarray,
+    cols: Optional[np.ndarray],
+    weight_matrix: np.ndarray,
+    input_shape: Tuple[int, int, int, int],
+    kernel: Tuple[int, int],
+    stride: int,
+    padding: int,
+    input_grad: bool = True,
+    col2im_impl=None,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Backward convolution: ``(grad_weight, grad_x)`` from the saved columns.
+
+    ``grad`` is the ``(N, F, L)`` output gradient and ``cols`` the
+    forward's im2col matrix, or ``None`` when no weight gradient is wanted
+    (``grad_weight`` is then ``None``); ``input_grad=False`` skips the
+    input gradient, computed by ``col2im`` with the weight operand.
+    ``col2im_impl`` lets the registry route that call through its own
+    dispatcher (bit-identical by contract).
+    """
+    grad_weight = None
+    if cols is not None:
+        # One GEMM over the (sample, position) axes — no (N, F, K)
+        # intermediate like a broadcast matmul + sum would allocate.
+        grad_weight = np.tensordot(grad, cols, axes=([0, 2], [0, 2]))
+    grad_x = None
+    if input_grad:
+        grad_x = (col2im_impl or col2im)(
+            grad, input_shape, kernel, stride, padding, weight_matrix
+        )
+    return grad_weight, grad_x
+
+
 def bn_fold(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Folded inference batch-norm: ``x * scale + shift`` per channel.
 
@@ -158,6 +209,73 @@ def bn_infer(
     scale = weight * inv_std
     shift = bias - mean * scale
     return bn_fold(x, scale, shift)
+
+
+def _channel(vector: np.ndarray, ndim: int) -> np.ndarray:
+    """A per-channel vector shaped to broadcast over axis 1."""
+    return vector.reshape((1, vector.size) + (1,) * (ndim - 2))
+
+
+def bn_normalize(
+    centered: np.ndarray, std: np.ndarray, weight: np.ndarray, bias: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Training batch-norm output: ``(normalised, normalised * weight + bias)``.
+
+    ``centered`` is ``x - mean``; ``std``, ``weight`` and ``bias`` are
+    per-channel vectors.  Divide, multiply and add each round once.
+    """
+    normalised = centered / _channel(std, centered.ndim)
+    return normalised, normalised * _channel(weight, centered.ndim) + _channel(bias, centered.ndim)
+
+
+def bn_grad_terms(
+    grad: np.ndarray,
+    normalised: np.ndarray,
+    centered: np.ndarray,
+    weight: np.ndarray,
+    std: np.ndarray,
+    std_sq: np.ndarray,
+    weight_terms: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """The full-size terms of training batch norm's backward.
+
+    With ``g = grad * weight``: ``grad * normalised`` (summed into the
+    weight gradient; ``None`` unless ``weight_terms``), ``g / std`` (the
+    gradient of ``x - mean``) and ``-g * centered / std_sq`` (summed into
+    the gradient of ``std``).
+    """
+    ndim = grad.ndim
+    grad_normalised = grad * _channel(weight, ndim)
+    return (
+        grad * normalised if weight_terms else None,
+        grad_normalised / _channel(std, ndim),
+        -grad_normalised * centered / _channel(std_sq, ndim),
+    )
+
+
+def bn_grad_input(
+    grad_var_centered: np.ndarray,
+    var_mean: np.ndarray,
+    grad_centered: np.ndarray,
+    mean: np.ndarray,
+    accum: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Accumulate training batch norm's four ``x`` gradient terms.
+
+    Adds, one rounding each and in this order, ``grad_var_centered``, the
+    per-channel ``var_mean``, ``grad_centered`` and the per-channel
+    ``mean`` into ``accum``; without ``accum`` the sum builds in place in
+    ``grad_var_centered``.  Returns the accumulated array.
+    """
+    ndim = grad_centered.ndim
+    if accum is None:
+        accum = grad_var_centered
+    else:
+        accum += grad_var_centered
+    accum += _channel(var_mean, ndim)
+    accum += grad_centered
+    accum += _channel(mean, ndim)
+    return accum
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -195,8 +313,12 @@ KERNELS = {
     "im2col": im2col,
     "col2im": col2im,
     "conv2d_forward": conv2d_forward,
+    "conv2d_backward": conv2d_backward,
     "bn_fold": bn_fold,
     "bn_infer": bn_infer,
+    "bn_normalize": bn_normalize,
+    "bn_grad_terms": bn_grad_terms,
+    "bn_grad_input": bn_grad_input,
     "relu": relu,
     "delta_table": delta_table,
     "delta_column": delta_column,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init, kernels
-from repro.nn.autograd import Tensor, is_grad_enabled
+from repro.nn.autograd import Tensor, _unbroadcast, is_grad_enabled
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
@@ -35,18 +35,7 @@ class _BatchNorm(Module):
         axes = self._reduce_axes(x)
         shape = self._shape_for_broadcast(x)
         if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            self.running_mean[...] = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean.data.reshape(-1)
-            )
-            self.running_var[...] = (
-                (1 - self.momentum) * self.running_var + self.momentum * var.data.reshape(-1)
-            )
-            normalised = (x - mean) / ((var + self.eps) ** 0.5)
-            weight = self.weight.reshape(shape)
-            bias = self.bias.reshape(shape)
-            return normalised * weight + bias
+            return _batch_norm_train(self, x, axes, shape)
         # Inference mode: the statistics are constants, so the whole layer
         # folds to ``x * scale + shift`` — two full-size passes instead of
         # four.  scale/shift are built from *per-channel* tensor ops, so
@@ -82,6 +71,74 @@ class _BatchNorm(Module):
         scale = self.weight.reshape(shape) * inv_std
         shift = self.bias.reshape(shape) - Tensor(self.running_mean.reshape(shape)) * scale
         return x * scale + shift
+
+
+def _batch_norm_train(layer: "_BatchNorm", x: Tensor, axes: tuple, shape: tuple) -> Tensor:
+    """Training-mode batch norm as one autograd node.
+
+    Bit-identical to composing the layer from Tensor primitives::
+
+        mean = x.mean(axes, keepdims=True)
+        var = x.var(axes, keepdims=True)
+        out = (x - mean) / ((var + eps) ** 0.5) * weight + bias
+
+    The forward evaluates that op sequence once (the composition computes
+    the mean and ``x - mean`` twice, with identical results).  The
+    backward replays the composed nodes' NumPy ops in the order the
+    graph's reverse-topological traversal would run them: the bias, then
+    the weight, then ``x``'s four contributions, added in the
+    composition's order — the centered term of the variance path, the
+    variance-mean term, the centered term and the mean term.  Per-channel
+    sums keep ``_unbroadcast``'s axis-by-axis reductions; the full-size
+    elementwise chains between them dispatch through the kernel registry
+    (``bn_normalize``, ``bn_grad_terms``, ``bn_grad_input``).
+    """
+    weight, bias = layer.weight, layer.bias
+    data = x.data
+    inv_count = 1.0 / int(np.prod([data.shape[a] for a in axes]))
+    mean = data.sum(axis=axes, keepdims=True) * inv_count
+    centered = data + (-mean)
+    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+    momentum = layer.momentum
+    layer.running_mean[...] = (
+        (1 - momentum) * layer.running_mean + momentum * mean.reshape(-1)
+    )
+    layer.running_var[...] = (
+        (1 - momentum) * layer.running_var + momentum * var.reshape(-1)
+    )
+    shifted_var = var + layer.eps
+    std = shifted_var ** 0.5
+    scale = weight.data
+    normalised, out = kernels.bn_normalize(centered, std, scale, bias.data)
+
+    def backward(grad: np.ndarray) -> None:
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, shape).reshape(bias.shape))
+        if not x.requires_grad:
+            if weight.requires_grad:
+                weight._accumulate(
+                    _unbroadcast(grad * normalised, shape).reshape(weight.shape), fresh=True
+                )
+            return
+        weight_terms, grad_centered, std_terms = kernels.bn_grad_terms(
+            grad, normalised, centered, scale, std, std ** 2, weight.requires_grad
+        )
+        if weight.requires_grad:
+            weight._accumulate(_unbroadcast(weight_terms, shape).reshape(weight.shape), fresh=True)
+        grad_std = _unbroadcast(std_terms, shape)
+        grad_var = grad_std * 0.5 * shifted_var ** (0.5 - 1)
+        # The variance path: d(sum of squares) reaches ``centered * centered``
+        # once per operand, so its gradient is t + t.
+        grad_var_centered = (grad_var * inv_count) * centered
+        grad_var_centered += grad_var_centered
+        var_mean = -_unbroadcast(grad_var_centered, shape) * inv_count
+        mean_term = -_unbroadcast(grad_centered, shape) * inv_count
+        if x.grad is None:
+            x.grad = kernels.bn_grad_input(grad_var_centered, var_mean, grad_centered, mean_term)
+        else:
+            kernels.bn_grad_input(grad_var_centered, var_mean, grad_centered, mean_term, x.grad)
+
+    return Tensor._make(out, (x, weight, bias), backward)
 
 
 class BatchNorm2d(_BatchNorm):

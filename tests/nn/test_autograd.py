@@ -1,5 +1,8 @@
 """Tests for the reverse-mode autodiff engine, including numerical checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,20 @@ class TestGraphComposition:
             return hidden.matmul(Tensor(w2)).softmax(axis=-1) * readout
 
         check_gradient(network, x, rtol=1e-3)
+
+    def test_backward_leaves_graph_to_reference_counting(self):
+        """No reference cycle: the graph dies with its last outside reference."""
+        gc.disable()
+        try:
+            x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+            hidden = (x * 2.0).relu()
+            probe = weakref.ref(hidden.data)
+            loss = (hidden * hidden).sum()
+            loss.backward()
+            del hidden, loss
+            assert probe() is None
+        finally:
+            gc.enable()
 
 
 class TestNoGrad:

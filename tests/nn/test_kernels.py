@@ -45,7 +45,7 @@ def rich_inputs(seed=0):
 class TestRegistry:
     def test_kernel_names_match_reference(self):
         assert set(kernels.KERNEL_NAMES) == set(reference.KERNELS)
-        assert len(kernels.KERNEL_NAMES) == 8
+        assert len(kernels.KERNEL_NAMES) == 12
 
     def test_get_kernel_returns_callable_for_every_name(self):
         for name in kernels.KERNEL_NAMES:
@@ -68,13 +68,20 @@ class TestRegistry:
         assert set(first) <= set(kernels.KERNEL_NAMES)
 
 
+def pin_default_off(monkeypatch):
+    """Drop a process-wide ``REPRO_DEFAULT_ENGINE`` so the default is off."""
+    monkeypatch.delenv("REPRO_DEFAULT_ENGINE", raising=False)
+
+
 class TestActivation:
-    def test_inactive_by_default(self):
+    def test_inactive_by_default(self, fresh_registry):
+        pin_default_off(fresh_registry)
         assert not kernels.compiled_active()
         assert kernels.active("im2col") is None
 
     @needs_backend
-    def test_use_compiled_activates_in_scope_only(self):
+    def test_use_compiled_activates_in_scope_only(self, fresh_registry):
+        pin_default_off(fresh_registry)
         with kernels.use("compiled") as enabled:
             assert enabled
             assert kernels.compiled_active()
@@ -141,6 +148,22 @@ class TestBitIdentity:
             reference.col2im(cols, shape, (3, 3), stride, padding),
         )
 
+    @pytest.mark.parametrize(
+        "kernel,stride,padding", [((1, 1), 2, 0), ((3, 3), 1, 1), ((3, 3), 2, 1)]
+    )
+    def test_col2im_with_weight_operand(self, kernel, stride, padding):
+        """The conv input gradient: per-sample W.T @ grad, then the scatter."""
+        shape = (3, 3, 7, 6)
+        out_h, out_w = reference.conv2d_output_size(7, 6, kernel, stride, padding)
+        rng = np.random.default_rng(9)
+        weight_matrix = rng.standard_normal((5, 3 * kernel[0] * kernel[1]))
+        grad = rng.standard_normal((3, 5, out_h * out_w))
+        grad[1, 2, :3] = (-0.0, np.nan, 5e-324)
+        self.assert_bytes_equal(
+            kernels.get_kernel("col2im")(grad, shape, kernel, stride, padding, weight_matrix),
+            reference.col2im(grad, shape, kernel, stride, padding, weight_matrix),
+        )
+
     @pytest.mark.parametrize("with_bias", [True, False])
     def test_conv2d_forward(self, with_bias):
         x = rich_inputs()
@@ -155,6 +178,33 @@ class TestBitIdentity:
         )
         self.assert_bytes_equal(got_out, want_out)
         self.assert_bytes_equal(got_cols, want_cols)
+
+    @pytest.mark.parametrize(
+        "kernel,stride,padding", [((1, 1), 2, 0), ((3, 3), 1, 1), ((3, 3), 2, 1)]
+    )
+    @pytest.mark.parametrize("batch", [4, 3, 1], ids=["full", "odd", "single"])
+    def test_conv2d_backward(self, kernel, stride, padding, batch):
+        """The backend pair (forward rows + backward) against the reference pair."""
+        backward = kernels.get_kernel("conv2d_backward")
+        if backward is reference.conv2d_backward:
+            pytest.skip("backend does not provide conv2d_backward")
+        x = rich_inputs()[:batch]
+        rng = np.random.default_rng(5)
+        weight_matrix = rng.standard_normal((5, 3 * kernel[0] * kernel[1]))
+        weight_matrix[0, 0] = -0.0
+        out_h, out_w = reference.conv2d_output_size(7, 6, kernel, stride, padding)
+        grad = rng.standard_normal((batch, 5, out_h * out_w))
+        grad[0, 0, :3] = (-0.0, np.nan, 5e-324)
+        _, rows = kernels.get_kernel("conv2d_forward")(
+            x, weight_matrix, None, kernel, stride, padding, rows=True
+        )
+        _, cols = reference.conv2d_forward(x, weight_matrix, None, kernel, stride, padding)
+        got = backward(grad, rows, weight_matrix, x.shape, kernel, stride, padding)
+        want = reference.conv2d_backward(
+            grad, cols, weight_matrix, x.shape, kernel, stride, padding
+        )
+        self.assert_bytes_equal(got[0], want[0])
+        self.assert_bytes_equal(got[1], want[1])
 
     def test_bn_fold(self):
         x = rich_inputs()
@@ -174,6 +224,50 @@ class TestBitIdentity:
             kernels.get_kernel("bn_infer")(x, weight, bias, mean, var, 1e-5),
             reference.bn_infer(x, weight, bias, mean, var, 1e-5),
         )
+
+    @staticmethod
+    def bn_train_operands(seed):
+        rng = np.random.default_rng(seed)
+        centered = rich_inputs(seed)
+        other = rng.standard_normal(centered.shape)
+        weight, std = rng.standard_normal(3), rng.random(3) + 0.1
+        return rng, centered, other, weight, std
+
+    def test_bn_normalize(self):
+        rng, centered, _, weight, std = self.bn_train_operands(10)
+        bias = rng.standard_normal(3)
+        for got, want in zip(
+            kernels.get_kernel("bn_normalize")(centered, std, weight, bias),
+            reference.bn_normalize(centered, std, weight, bias),
+        ):
+            self.assert_bytes_equal(got, want)
+
+    @pytest.mark.parametrize("weight_terms", [True, False])
+    def test_bn_grad_terms(self, weight_terms):
+        _, grad, normalised, weight, std = self.bn_train_operands(11)
+        centered = normalised * std.reshape(1, 3, 1, 1)
+        got = kernels.get_kernel("bn_grad_terms")(
+            grad, normalised, centered, weight, std, std ** 2, weight_terms
+        )
+        want = reference.bn_grad_terms(
+            grad, normalised, centered, weight, std, std ** 2, weight_terms
+        )
+        assert (got[0] is None) == (not weight_terms)
+        for g, w in zip(got, want):
+            if w is not None:
+                self.assert_bytes_equal(g, w)
+
+    @pytest.mark.parametrize("accumulate", [False, True], ids=["first", "onto_existing"])
+    def test_bn_grad_input(self, accumulate):
+        rng, terms, grad_centered, var_mean, mean = self.bn_train_operands(12)
+        accum = rng.standard_normal(terms.shape) if accumulate else None
+        got = kernels.get_kernel("bn_grad_input")(
+            terms.copy(), var_mean, grad_centered, mean, None if accum is None else accum.copy()
+        )
+        want = reference.bn_grad_input(
+            terms.copy(), var_mean, grad_centered, mean, None if accum is None else accum.copy()
+        )
+        self.assert_bytes_equal(got, want)
 
     def test_relu_preserves_signed_zero_and_nan(self):
         x = rich_inputs()
@@ -354,7 +448,8 @@ class TestIm2colMemo:
             x1, w, None, (3, 3), 1, 1
         )[0].tobytes()
 
-    def test_noop_outside_compiled_tier(self):
+    def test_noop_outside_compiled_tier(self, fresh_registry):
+        pin_default_off(fresh_registry)
         with kernels.im2col_memo() as scope:
             assert scope is None
 
