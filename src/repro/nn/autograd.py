@@ -441,17 +441,14 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def relu(self) -> "Tensor":
+        # Multiply-by-mask arithmetic with a bool mask: it upcasts to
+        # exactly 0.0/1.0, so signed zeros and NaN come out as with a float
+        # mask, without materialising one.  With the compiled tier active
+        # the forward mask multiply runs as a single C/JIT pass.
+        data = kernels.relu(self.data)
         if not (_GRAD_MODE.enabled and self.requires_grad):
-            # Same multiply-by-mask arithmetic (bool upcasts to 0.0/1.0,
-            # preserving signed zeros exactly), minus the float mask
-            # materialisation and graph bookkeeping.  With the compiled
-            # tier active the mask multiply runs as a single C/JIT pass.
-            impl = kernels.active("relu")
-            if impl is not None:
-                return Tensor(impl(self.data))
-            return Tensor(self.data * (self.data > 0))
-        mask = (self.data > 0).astype(np.float64)
-        data = self.data * mask
+            return Tensor(data)
+        mask = self.data > 0
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask, fresh=True)

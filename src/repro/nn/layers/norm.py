@@ -65,12 +65,7 @@ class _BatchNorm(Module):
                 scale_vec = self.weight.data * inv_std_vec
                 shift_vec = self.bias.data - self.running_mean * scale_vec
                 return Tensor(fused(x.data, scale_vec, shift_vec))
-        inv_std = Tensor(
-            (1.0 / np.sqrt(self.running_var + self.eps)).reshape(shape)
-        )
-        scale = self.weight.reshape(shape) * inv_std
-        shift = self.bias.reshape(shape) - Tensor(self.running_mean.reshape(shape)) * scale
-        return x * scale + shift
+        return _batch_norm_eval(self, x, shape)
 
 
 def _batch_norm_train(layer: "_BatchNorm", x: Tensor, axes: tuple, shape: tuple) -> Tensor:
@@ -137,6 +132,42 @@ def _batch_norm_train(layer: "_BatchNorm", x: Tensor, axes: tuple, shape: tuple)
             x.grad = kernels.bn_grad_input(grad_var_centered, var_mean, grad_centered, mean_term)
         else:
             kernels.bn_grad_input(grad_var_centered, var_mean, grad_centered, mean_term, x.grad)
+
+    return Tensor._make(out, (x, weight, bias), backward)
+
+
+def _batch_norm_eval(layer: "_BatchNorm", x: Tensor, shape: tuple) -> Tensor:
+    """Inference-mode batch norm as one autograd node.
+
+    Bit-identical to the Tensor-primitive composition::
+
+        scale = weight.reshape(shape) * inv_std
+        shift = bias.reshape(shape) - running_mean * scale
+        out = x * scale + shift
+
+    The backward replays that graph's NumPy ops: the shift's per-channel
+    gradient (the bias gradient) and its path into ``scale``, ``x``'s
+    single term, then ``scale``'s second term and the weight gradient.
+    ``x`` gets one contribution, so its accumulation order is unchanged.
+    """
+    weight, bias = layer.weight, layer.bias
+    inv_std = (1.0 / np.sqrt(layer.running_var + layer.eps)).reshape(shape)
+    running_mean = layer.running_mean.reshape(shape)
+    scale = weight.data.reshape(shape) * inv_std
+    shift = bias.data.reshape(shape) + (-(running_mean * scale))
+    data = x.data
+    out = data * scale + shift
+
+    def backward(grad: np.ndarray) -> None:
+        if weight.requires_grad or bias.requires_grad:
+            grad_shift = _unbroadcast(grad, shape)
+            if bias.requires_grad:
+                bias._accumulate(grad_shift.reshape(bias.shape))
+        if x.requires_grad:
+            x._accumulate(grad * scale, fresh=True)
+        if weight.requires_grad:
+            grad_scale = -grad_shift * running_mean + _unbroadcast(grad * data, shape)
+            weight._accumulate((grad_scale * inv_std).reshape(weight.shape), fresh=True)
 
     return Tensor._make(out, (x, weight, bias), backward)
 

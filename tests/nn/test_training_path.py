@@ -1,10 +1,11 @@
 """Bit-identity of the fast training step.
 
-Training-mode batch norm runs as one fused autograd node and the conv
-backward dispatches through the kernel registry (``conv2d_backward``),
-whose C implementation keeps im2col *rows* instead of columns.  Both are
-pure speed-ups: every trained weight must stay byte-identical to the
-Tensor-primitive composition and the ``tensordot`` backward they replace.
+Batch norm runs as one fused autograd node in training and inference
+mode, and the conv backward dispatches through the kernel registry
+(``conv2d_backward``), whose C implementation keeps im2col *rows* instead
+of columns.  All are pure speed-ups: every trained weight and gradient
+must stay byte-identical to the Tensor-primitive composition and the
+``tensordot`` backward they replace.
 These tests build those oracles in-test and compare bytes.
 """
 
@@ -47,6 +48,14 @@ def composed_batch_norm(layer, x, axes, shape):
     )
     normalised = (x - mean) / ((var + layer.eps) ** 0.5)
     return normalised * layer.weight.reshape(shape) + layer.bias.reshape(shape)
+
+
+def composed_eval_batch_norm(layer, x, shape):
+    """Inference-mode batch norm composed from Tensor primitives."""
+    inv_std = Tensor((1.0 / np.sqrt(layer.running_var + layer.eps)).reshape(shape))
+    scale = layer.weight.reshape(shape) * inv_std
+    shift = layer.bias.reshape(shape) - Tensor(layer.running_mean.reshape(shape)) * scale
+    return x * scale + shift
 
 
 def oracle_conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -148,16 +157,31 @@ class TestFusedBatchNorm:
         assert fused.running_mean.tobytes() == composed.running_mean.tobytes()
         assert fused.running_var.tobytes() == composed.running_var.tobytes()
 
-    def test_eval_mode_is_untouched(self):
-        layer = BatchNorm2d(3)
-        layer.running_mean[...] = [0.5, -1.0, 2.0]
-        layer.running_var[...] = [1.5, 0.25, 4.0]
-        layer.eval()
-        x = Tensor(np.random.default_rng(13).standard_normal((2, 3, 4, 4)))
-        before = layer.running_mean.copy()
-        out = layer(x)
-        assert layer.running_mean.tobytes() == before.tobytes()
-        assert out.shape == x.shape
+    @pytest.mark.parametrize("frozen", [None, "weight", "bias", "x"])
+    @pytest.mark.parametrize("cls,x_shape,axes,shape", CASES)
+    def test_eval_node_matches_composed_graph(self, cls, x_shape, axes, shape, frozen):
+        """Inference mode with gradients (the attack's gradient pass)."""
+        results = []
+        for fused in (True, False):
+            rng = np.random.default_rng(13)
+            layer = cls(x_shape[1])
+            layer.weight.data = rng.standard_normal(x_shape[1])
+            layer.bias.data = rng.standard_normal(x_shape[1])
+            layer.running_mean[...] = rng.standard_normal(x_shape[1])
+            layer.running_var[...] = rng.random(x_shape[1]) + 0.2
+            layer.eval()
+            if frozen in ("weight", "bias"):
+                getattr(layer, frozen).requires_grad = False
+            x = Tensor(rng.standard_normal(x_shape), requires_grad=frozen != "x")
+            out = layer(x) if fused else composed_eval_batch_norm(layer, x, shape)
+            loss = (out * Tensor(rng.standard_normal(x_shape))).sum() + (x * x).sum()
+            if loss.requires_grad:
+                loss.backward()
+            results.append([
+                out.data, x.grad, layer.weight.grad, layer.bias.grad,
+                layer.running_mean.copy(),
+            ])
+        self.assert_same(*results)
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +249,11 @@ class TestConvBackwardPairing:
                     x_data, weight_matrix, None, (3, 3), 1, 1, False
                 )
                 grad_weight, grad_x = run(rng.standard_normal((2, 3, 25)), True)
+            kept = [
+                cell.cell_contents for cell in run.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)
+            ]
+            assert all(array is weight_matrix for array in kept)
             assert grad_weight is None
             assert grad_x.shape == x_data.shape
 
