@@ -1,8 +1,9 @@
 """Differentiable neural-network operations built on the autograd engine.
 
 Convolutions and pooling are implemented as custom graph nodes using
-im2col/col2im so that the heavy lifting stays inside vectorised numpy calls;
-everything else (normalisation, attention, losses) is composed from the
+im2col/col2im so that the heavy lifting stays inside vectorised numpy calls
+(batch norm is a custom node too, in :mod:`repro.nn.layers.norm`);
+everything else (layer norm, attention, losses) is composed from the
 :class:`~repro.nn.autograd.Tensor` primitives inside the layer classes.
 
 The convolution primitives dispatch through the kernel registry
