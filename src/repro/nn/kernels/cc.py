@@ -288,6 +288,20 @@ void repro_col2im(const double *cols, double *padded,
                       c, hp, wp, kh, kw, stride, oh, ow);
 }
 
+/* The conv bias as its own pass after the GEMM: one extra rounding per
+ * element, never fused into the GEMM epilogue. */
+static void add_bias(double *out, const double *bias, int64_t n, int64_t f, int64_t ncols)
+{
+    for (int64_t b = 0; b < n; b++) {
+        for (int64_t ff = 0; ff < f; ff++) {
+            const double bv = bias[ff];
+            double *row = out + (b * f + ff) * ncols;
+            for (int64_t l = 0; l < ncols; l++)
+                row[l] += bv;
+        }
+    }
+}
+
 /* Fused forward: per sample, im2col straight into the cols buffer and a
  * dgemm on the still-cache-warm columns, then a separate bias pass.
  * Requires a dgemm pointer (caller checks repro_has_dgemm first). */
@@ -308,16 +322,8 @@ void repro_conv2d_forward(const double *x, const double *wmat, const double *bia
                 wmat, kdim, cols_b, ncols,
                 0.0, out + b * f * ncols, ncols);
     }
-    if (bias) {
-        for (int64_t b = 0; b < n; b++) {
-            for (int64_t ff = 0; ff < f; ff++) {
-                const double bv = bias[ff];
-                double *row = out + (b * f + ff) * ncols;
-                for (int64_t l = 0; l < ncols; l++)
-                    row[l] += bv;
-            }
-        }
-    }
+    if (bias)
+        add_bias(out, bias, n, f, ncols);
 }
 
 /* src (rows, cols) -> dst (cols, rows).  Eight source rows at a time:
@@ -361,16 +367,8 @@ void repro_conv2d_forward_rows(const double *x, const double *wmat, const double
                 0.0, out + b * f * ncols, ncols);
         transpose_block(block, rows + b * ncols * kdim, kdim, ncols);
     }
-    if (bias) {
-        for (int64_t b = 0; b < n; b++) {
-            for (int64_t ff = 0; ff < f; ff++) {
-                const double bv = bias[ff];
-                double *row = out + (b * f + ff) * ncols;
-                for (int64_t l = 0; l < ncols; l++)
-                    row[l] += bv;
-            }
-        }
-    }
+    if (bias)
+        add_bias(out, bias, n, f, ncols);
 }
 
 /* Conv input gradient: per sample the dgemm np.matmul(W.T, grad) issues

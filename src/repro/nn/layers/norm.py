@@ -38,10 +38,9 @@ class _BatchNorm(Module):
             return _batch_norm_train(self, x, axes, shape)
         # Inference mode: the statistics are constants, so the whole layer
         # folds to ``x * scale + shift`` — two full-size passes instead of
-        # four.  scale/shift are built from *per-channel* tensor ops, so
-        # gradients still reach weight and bias through the graph, and the
-        # elementwise form is per-sample independent (stacked-evaluation
-        # safe).
+        # four.  scale/shift are per-channel, so the elementwise form is
+        # per-sample independent (stacked-evaluation safe); with gradients
+        # on, ``_batch_norm_eval`` carries them to x, weight and bias.
         if not (
             is_grad_enabled()
             and (x.requires_grad or self.weight.requires_grad or self.bias.requires_grad)
