@@ -23,9 +23,6 @@ reproduction defines:
   :class:`JobQueue` (:mod:`~repro.experiments.queue`), a warm
   :class:`VictimRegistry` (:mod:`~repro.experiments.registry`) and a
   :class:`ServiceClient` for submit/status/cancel/results;
-* :mod:`~repro.experiments.distributed` — :class:`DistributedBackend`,
-  executing work units in TCP-connected worker processes (same-host or
-  multi-host) with serial-identical results;
 * :mod:`~repro.experiments.fsck` — offline integrity checking behind
   ``python -m repro fsck``: :func:`fsck_store` / :func:`fsck_queue`
   verify every checksummed file and quarantine corruption,
@@ -50,7 +47,6 @@ from repro.experiments.checkpoint import (
     ChunkCheckpoint,
     checkpoint_chunks,
 )
-from repro.experiments.distributed import DistributedBackend
 from repro.experiments.fsck import (
     FsckIssue,
     FsckReport,
@@ -125,7 +121,6 @@ __all__ = [
     "ComparisonSpec",
     "DefenseConfig",
     "DefenseMatrixSpec",
-    "DistributedBackend",
     "ExecutionBackend",
     "ExperimentContext",
     "ExperimentResult",

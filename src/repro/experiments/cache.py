@@ -93,9 +93,8 @@ class VictimCache:
         the attached :class:`~repro.experiments.registry.VictimRegistry`,
         a seeded in-process state, and finally local training.  Every path
         yields a bit-identical triple (training is deterministic in the
-        key), so a stale manifest — e.g. a registry segment evicted or a
-        remote host without the exporter's ``/dev/shm`` — safely falls
-        through to the next resolution.
+        key), so a stale manifest — e.g. a registry segment evicted by its
+        owner — safely falls through to the next resolution.
         """
         key = VictimKey(spec.key, seed, training_epochs)
         cached = self._victims.get(key)
@@ -126,9 +125,8 @@ class VictimCache:
         """Materialise from a shared-memory manifest; ``None`` on any miss.
 
         A manifest whose segment is unusable — gone entirely (evicted by
-        its owner, or never present because this worker runs on another
-        host), torn mid-export, or failing to mmap — returns ``None`` so
-        the caller falls through to the next resolution and ultimately to
+        its owner), torn mid-export, or failing to mmap — returns ``None``
+        so the caller falls through to the next resolution and ultimately to
         deterministic retraining.  Catching ``OSError`` broadly (not just
         ``FileNotFoundError``) is what makes shared-memory failure a
         degradation instead of a crash, and it covers injected

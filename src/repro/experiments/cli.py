@@ -18,9 +18,6 @@ Subcommands
 ``submit KIND`` / ``status JOB`` / ``cancel JOB`` / ``jobs``
     Client side of the daemon: queue a spec (same spec-building flags as
     ``run``), poll or cancel a job, list the queue.
-``worker``
-    Join a distributed run (or a daemon using ``--backend distributed``)
-    as a TCP worker process, possibly from another host.
 ``migrate-store``
     Move a legacy flat results directory into the sharded layout,
     upgrading checksum-less legacy envelopes to the checksummed schema
@@ -55,14 +52,13 @@ from repro.experiments.specs import (
 )
 from repro.experiments.store import ShardedResultStore, open_store
 from repro.nn.quantization import VICTIM_PRECISIONS
-from repro.utils.resilience import ResilienceConfig
 from repro.utils.validation import ENGINES
 
 DEFAULT_STORE = "benchmarks/results"
 DEFAULT_QUEUE = "benchmarks/queue"
 
 #: Backends selectable from the command line.
-BACKEND_CHOICES = ("serial", "thread", "process", "distributed")
+BACKEND_CHOICES = ("serial", "thread", "process")
 
 
 def _objective_config(args: argparse.Namespace) -> ObjectiveConfig:
@@ -295,45 +291,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """Failure-model flags shared by ``run``, ``serve`` and ``worker``.
-
-    Each flag overrides one field of
-    :class:`~repro.utils.resilience.ResilienceConfig`; unset flags fall
-    back to the ``REPRO_*`` environment and then the built-in defaults,
-    and the resolved config JSON round-trips via ``to_dict``/``from_dict``
-    exactly like spec payloads do.
-    """
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="SECONDS",
-        help="absolute wall-clock budget per distributed chunk "
-             "(0 disables; default REPRO_CHUNK_TIMEOUT or 600)",
-    )
-    parser.add_argument(
-        "--max-chunk-retries", type=int, default=None, metavar="N",
-        help="requeues one chunk survives before quarantine fails the run "
-             "(default REPRO_MAX_CHUNK_RETRIES or 3)",
-    )
-    parser.add_argument(
-        "--fallback-backend", default=None,
-        choices=("serial", "thread", "process", "none"),
-        help="backend a stalled distributed run degrades to "
-             "('none' disables; default REPRO_FALLBACK_BACKEND or none)",
-    )
-
-
-def _resilience_from_args(args: argparse.Namespace) -> ResilienceConfig:
-    """The resolved failure-model config: CLI flags over env over defaults."""
-    fallback = args.fallback_backend
-    if fallback == "none":
-        fallback = ""  # from_env treats "" as an explicit disable
-    return ResilienceConfig.from_env(
-        chunk_timeout=args.chunk_timeout,
-        max_chunk_retries=args.max_chunk_retries,
-        fallback_backend=fallback,
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -348,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--store", default=DEFAULT_STORE, help="result store directory")
     run.add_argument("--save-as", default=None, help="store entry name (default: kind)")
     run.add_argument("--report", action="store_true", help="print the rendered report too")
-    _add_resilience_arguments(run)
 
     lst = sub.add_parser("list", help="list experiment kinds and stored results")
     lst.add_argument("--store", default=DEFAULT_STORE)
@@ -379,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="fail any job still running after this wall-clock "
                             "budget (checkpoints are kept for resume)")
-    _add_resilience_arguments(serve)
 
     submit = sub.add_parser("submit", help="queue an experiment on a running daemon")
     _add_spec_arguments(submit)
@@ -407,13 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     jobs = sub.add_parser("jobs", help="list a running daemon's jobs")
     jobs.add_argument("--queue", default=DEFAULT_QUEUE)
-
-    worker = sub.add_parser("worker", help="join a distributed run as a TCP worker")
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument("--port", type=int, required=True)
-    worker.add_argument("--once", action="store_true",
-                        help="exit after serving one run instead of reconnecting")
-    _add_resilience_arguments(worker)
 
     migrate = sub.add_parser("migrate-store",
                              help="move a flat results directory into the sharded layout")
@@ -466,11 +414,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     name = args.save_as or spec.kind
     store = open_store(args.store)
     runner = ExperimentRunner(
-        backend=make_backend(
-            args.backend,
-            max_workers=args.workers,
-            resilience=_resilience_from_args(args),
-        ),
+        backend=make_backend(args.backend, max_workers=args.workers),
         store=store,
     )
     print(f"running {spec.kind!r} on the {args.backend} backend "
@@ -538,7 +482,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         registry_max_entries=args.registry_max_entries,
         host=args.host,
         port=DEFAULT_PORT if args.port is None else args.port,
-        resilience=_resilience_from_args(args),
         max_pending=args.max_pending,
         watchdog_timeout=args.watchdog_timeout,
     )
@@ -646,14 +589,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.distributed import run_worker
-
-    return run_worker(
-        args.host, args.port, once=args.once, resilience=_resilience_from_args(args)
-    )
-
-
 def cmd_migrate(args: argparse.Namespace) -> int:
     from repro.experiments.fsck import fsck_store
 
@@ -738,7 +673,6 @@ _COMMANDS = {
     "status": cmd_status,
     "cancel": cmd_cancel,
     "jobs": cmd_jobs,
-    "worker": cmd_worker,
     "migrate-store": cmd_migrate,
     "fsck": cmd_fsck,
     "health": cmd_health,

@@ -296,26 +296,12 @@ BACKENDS = {
 }
 
 
-def make_backend(
-    name: str, max_workers: Optional[int] = None, resilience=None
-) -> ExecutionBackend:
-    """Build a backend by name: ``serial``, ``thread``, ``process`` or ``distributed``.
-
-    ``distributed`` is resolved lazily from
-    :mod:`repro.experiments.distributed` (it pulls in sockets and worker
-    process management the local backends never need) and is the only
-    backend consuming the optional
-    :class:`~repro.utils.resilience.ResilienceConfig` — the local backends
-    have no failure model to parameterise.
-    """
-    if name == "distributed":
-        from repro.experiments.distributed import DistributedBackend
-
-        return DistributedBackend(num_workers=max_workers, resilience=resilience)
+def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBackend:
+    """Build a backend by name: ``serial``, ``thread`` or ``process``."""
     try:
         backend_cls = BACKENDS[name]
     except KeyError as exc:
-        known = ", ".join(sorted([*BACKENDS, "distributed"]))
+        known = ", ".join(sorted(BACKENDS))
         raise ValueError(f"unknown backend {name!r}; known backends: {known}") from exc
     if backend_cls is SerialBackend:
         return backend_cls()

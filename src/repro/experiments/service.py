@@ -46,7 +46,7 @@ from repro.experiments.runner import ExperimentRunner, make_backend
 from repro.experiments.specs import spec_from_dict
 from repro.experiments.store import open_store
 from repro.testing import chaos
-from repro.utils.resilience import Deadline, ResilienceConfig, RetryPolicy
+from repro.utils.resilience import Deadline, RetryPolicy
 
 PathLike = Union[str, Path]
 
@@ -129,7 +129,7 @@ class ExperimentService:
     ``queue_dir`` holds job state (and the ``endpoint.json`` discovery
     file); ``store_dir`` is the sharded result store jobs save into.
     ``backend`` names the execution backend jobs run under (``serial``,
-    ``thread``, ``process`` or ``distributed``); backends with a
+    ``thread`` or ``process``); backends with a
     ``registry`` attribute get the service's
     :class:`~repro.experiments.registry.VictimRegistry` attached, so
     consecutive jobs share exported victims.  ``registry_max_bytes`` /
@@ -144,9 +144,7 @@ class ExperimentService:
     ``checkpoint=False``): each job's completed chunks are persisted under
     ``<queue_dir>/checkpoints/<job_id>/`` as they finish, so a daemon
     killed mid-job and restarted resumes the requeued job from its
-    checkpoints instead of rerunning completed chunks.  ``resilience``
-    parameterises the failure model of the execution backend (and defaults
-    to the ``REPRO_*`` environment).
+    checkpoints instead of rerunning completed chunks.
 
     Overload protection: ``max_pending`` bounds the pending queue depth —
     a submission past the bound is *shed* with an ``overloaded`` response
@@ -169,7 +167,6 @@ class ExperimentService:
         registry_max_entries: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        resilience: Optional[ResilienceConfig] = None,
         checkpoint: bool = True,
         max_pending: Optional[int] = None,
         watchdog_timeout: Optional[float] = None,
@@ -177,7 +174,6 @@ class ExperimentService:
         self.queue = JobQueue(queue_dir, max_pending=max_pending)
         self.recovery = self.queue.recover()
         self.store = open_store(store_dir, sharded=True)
-        self.resilience = resilience or ResilienceConfig.from_env()
         self.watchdog_timeout = watchdog_timeout
         self.registry = VictimRegistry(
             max_bytes=registry_max_bytes,
@@ -186,9 +182,7 @@ class ExperimentService:
         )
         cache = VictimCache()
         cache.attach_registry(self.registry)
-        execution = make_backend(
-            backend, max_workers=max_workers, resilience=self.resilience
-        )
+        execution = make_backend(backend, max_workers=max_workers)
         if hasattr(execution, "registry"):
             execution.registry = self.registry
         #: Where per-job chunk checkpoints live (one subdirectory per job).

@@ -1,21 +1,21 @@
 """Deterministic fault injection: named fault points, seed-keyed plans.
 
-The resilience machinery of the experiment stack (retries, heartbeats,
-chunk requeues, checkpointed recovery, atomic writes) is only trustworthy
+The resilience machinery of the experiment stack (retries, checkpointed
+recovery, atomic writes, checksummed envelopes) is only trustworthy
 if its failure paths can be exercised *deterministically*.  This module
 provides that: production code is instrumented with **named fault
 points** —
 
     from repro.testing import chaos
     ...
-    chaos.fault_point("distributed.send_chunk")
+    chaos.fault_point("checkpoint.write")
 
 — which are inert no-ops (a single ``None`` check) until a
 :class:`FaultPlan` is installed.  A plan is a list of :class:`FaultSpec`
 entries, each naming a point (glob patterns allowed), a fault ``kind``,
 and the traversal window it fires in (``after``/``count`` hit counters),
-so the *n*-th send of a chunk, the *second* store write, or the first
-chunk a worker executes can be failed precisely and repeatably.
+so the *n*-th chunk checkpoint, the *second* store write, or the first
+queue persist can be failed precisely and repeatably.
 
 Fault kinds
 -----------
@@ -26,7 +26,7 @@ Fault kinds
     Raise :class:`ConnectionError` — a peer vanishing mid-protocol.
 ``delay``
     Sleep ``delay`` seconds, then continue — stalls that trip timeouts
-    and heartbeat monitors.
+    and watchdogs.
 ``crash``
     ``os._exit(exit_code)`` — the process dies as if SIGKILLed, with no
     atexit/finally cleanup.  Never fired in a process whose
@@ -34,23 +34,23 @@ Fault kinds
     installed plan cannot take down a test runner by accident.
 ``enospc``
     Raise ``OSError(ENOSPC)`` — the disk-full write failure.
-``drop`` / ``partial_write`` / ``corrupt``
+``partial_write`` / ``corrupt``
     *Cooperative* kinds: :func:`fault_point` returns the kind string and
-    the instrumented site implements the semantics (drop a frame on the
-    floor, write a truncated file, flip a payload bit) because only the
-    site knows how.  ``corrupt`` sites call :func:`corrupt_bytes` to
-    obtain the deterministically bit-flipped payload — the flipped byte
-    and bit are a pure function of the plan ``seed``, the point name and
-    the traversal number, so a corruption scenario is exactly repeatable.
+    the instrumented site implements the semantics (write a truncated
+    file, flip a payload bit) because only the site knows how.
+    ``corrupt`` sites call :func:`corrupt_bytes` to obtain the
+    deterministically bit-flipped payload — the flipped byte and bit are a
+    pure function of the plan ``seed``, the point name and the traversal
+    number, so a corruption scenario is exactly repeatable.
 
 Activation
 ----------
 Programmatic: :func:`install_plan` / :func:`uninstall_plan` or the
 :func:`active_plan` context manager.  Cross-process: set
 ``REPRO_FAULT_PLAN`` to the plan's JSON (or ``@/path/to/plan.json``) —
-spawned workers and daemons inherit the variable, which is how a chaos
-test reaches into a ``python -m repro worker`` subprocess.  Every firing
-is recorded; :func:`fired` returns the log for assertions.
+spawned daemons inherit the variable, which is how a chaos test reaches
+into a ``python -m repro serve`` subprocess.  Every firing is recorded;
+:func:`fired` returns the log for assertions.
 """
 
 from __future__ import annotations
@@ -79,13 +79,12 @@ KINDS = (
     "delay",
     "crash",
     "enospc",
-    "drop",
     "partial_write",
     "corrupt",
 )
 
 #: Kinds :func:`fault_point` returns to the site instead of acting itself.
-COOPERATIVE_KINDS = ("drop", "partial_write", "corrupt")
+COOPERATIVE_KINDS = ("partial_write", "corrupt")
 
 
 class ChaosError(OSError):
@@ -103,10 +102,10 @@ class FaultSpec:
     """One fault: where it fires, what it does, and in which hit window.
 
     ``point`` names a fault point and may be an :mod:`fnmatch` glob
-    (``"distributed.*"``).  The fault fires on traversals ``after``
-    through ``after + count - 1`` of any matching point (1-based,
-    counted per point name), so "the third send" or "every store write
-    from the second on" (``count`` large) are both expressible.
+    (``"store.*"``).  The fault fires on traversals ``after`` through
+    ``after + count - 1`` of any matching point (1-based, counted per
+    point name), so "the third checkpoint" or "every store write from the
+    second on" (``count`` large) are both expressible.
     """
 
     point: str
@@ -325,8 +324,8 @@ def fault_point(name: str) -> Optional[str]:
 
     Returns ``None`` on the (overwhelmingly common) no-fault path.  For a
     matched fault the non-cooperative kinds act here — raise, sleep, or
-    exit — and the cooperative kinds (``drop``, ``partial_write``) return
-    the kind string for the calling site to implement.
+    exit — and the cooperative kinds (``partial_write``, ``corrupt``)
+    return the kind string for the calling site to implement.
     """
     current = _active
     if current is None:
@@ -353,7 +352,7 @@ def fault_point(name: str) -> Optional[str]:
         raise ChaosError(
             f"chaos[{name}]: crash requested but {ALLOW_CRASH_ENV} is unset"
         )
-    return fault.kind  # cooperative: drop / partial_write / corrupt
+    return fault.kind  # cooperative: partial_write / corrupt
 
 
 def corrupt_bytes(data: bytes, point: str) -> bytes:

@@ -5,14 +5,7 @@ subpackage (:mod:`repro.dram`, :mod:`repro.faults`, :mod:`repro.nn`,
 :mod:`repro.core`) can rely on them without creating import cycles.
 """
 
-from repro.utils.resilience import (
-    CircuitBreaker,
-    CircuitOpenError,
-    Deadline,
-    DeadlineExceeded,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.utils.resilience import Deadline, DeadlineExceeded, RetryPolicy
 from repro.utils.rng import RngMixin, derive_rng, spawn_seeds
 from repro.utils.units import (
     CYCLES_PER_MS_DDR4_2400,
@@ -31,11 +24,8 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "CircuitBreaker",
-    "CircuitOpenError",
     "Deadline",
     "DeadlineExceeded",
-    "ResilienceConfig",
     "RetryPolicy",
     "RngMixin",
     "derive_rng",

@@ -2,8 +2,8 @@
 
 Each scenario installs a deterministic :class:`FaultPlan`, runs a cheap
 experiment through the faulted path, and asserts three things: the run
-recovers (or fails with quarantine diagnostics where that is the contract),
-the stored result is byte-identical to the fault-free serial run, and no
+recovers (or detects the fault where that is the contract), the stored
+result is byte-identical to the fault-free serial run, and no
 ``repro_victim_*`` shared-memory segment is left behind in ``/dev/shm``.
 """
 
@@ -31,10 +31,8 @@ from repro.experiments import (
     fsck_queue,
     fsck_store,
 )
-from repro.experiments.distributed import DistributedBackend, PoisonChunkError
 from repro.testing import chaos
 from repro.testing.chaos import ALLOW_CRASH_ENV, PLAN_ENV, FaultPlan, FaultSpec
-from repro.utils.resilience import ResilienceConfig
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
 
@@ -63,70 +61,6 @@ def _serial_bytes(tmp_path, spec, name="exp"):
 
 def _shm_segments():
     return glob.glob("/dev/shm/repro_victim_*")
-
-
-@pytest.mark.slow
-class TestWorkerKilledMidChunk:
-    def test_crashing_workers_degrade_to_byte_identical_serial(
-        self, tmp_path, monkeypatch
-    ):
-        """Every worker crashes on its first chunk; the run must still finish.
-
-        The env-inherited plan kills each spawned worker process on its
-        first ``worker.chunk`` traversal, so the whole fleet (originals
-        and the respawned replacement) dies mid-chunk.  The backend
-        requeues every lost chunk, exhausts its respawn budget, declares a
-        stall and degrades to the serial fallback — producing exactly the
-        fault-free bytes.
-        """
-        spec = _cheap_spec(seed=3)
-        expected = _serial_bytes(tmp_path, spec)
-        plan = FaultPlan.single("worker.chunk", "crash", after=1, count=1)
-        monkeypatch.setenv(PLAN_ENV, plan.to_json())
-        monkeypatch.setenv(ALLOW_CRASH_ENV, "1")
-        backend = DistributedBackend(
-            num_workers=2,
-            resilience=ResilienceConfig.from_env(
-                {},  # ignore the env: the plan variables are for workers
-                connect_timeout=3.0,
-                worker_respawns=1,
-                fallback_backend="serial",
-            ),
-        )
-        store = ResultStore(tmp_path / "dist")
-        ExperimentRunner(store=store, backend=backend).run(spec, save_as="exp")
-        assert backend.last_execution_path == "serial"
-        assert store.path_for("exp").read_text() == expected
-        assert _shm_segments() == []
-
-
-@pytest.mark.slow
-class TestDroppedFrame:
-    def test_dropped_task_frame_is_requeued_and_recovers(self, tmp_path):
-        """A task frame vanishing on the wire must not lose its chunk.
-
-        The cooperative ``drop`` fault swallows the first chunk send; the
-        worker keeps heartbeating while it waits for a task that never
-        arrives, so the backend's per-chunk timeout (not the heartbeat
-        monitor) trips, the chunk is requeued to another worker, and the
-        results stay byte-identical.
-        """
-        spec = _cheap_spec(seed=4)
-        expected = _serial_bytes(tmp_path, spec)
-        backend = DistributedBackend(
-            num_workers=2,
-            resilience=ResilienceConfig.from_env(
-                {}, chunk_timeout=1.5, connect_timeout=15.0
-            ),
-        )
-        store = ResultStore(tmp_path / "dist")
-        plan = FaultPlan.single("distributed.send_chunk", "drop", after=1)
-        with chaos.active_plan(plan) as scope:
-            ExperimentRunner(store=store, backend=backend).run(spec, save_as="exp")
-        assert ("distributed.send_chunk", "drop") in scope.fired
-        assert backend.last_execution_path == "distributed"
-        assert store.path_for("exp").read_text() == expected
-        assert _shm_segments() == []
 
 
 class TestInterruptedStoreWrite:
@@ -234,65 +168,6 @@ class TestDaemonSigkillMidJob:
         finally:
             service.registry.close()
         assert _shm_segments() == []
-
-
-@pytest.mark.slow
-class TestQuarantine:
-    def test_poison_chunk_fails_with_diagnostics(self, tmp_path):
-        """A chunk that kills every courier must quarantine, not loop.
-
-        Every task send disconnects, so the same chunk keeps bouncing;
-        after ``max_chunk_retries`` requeues the run fails with a
-        :class:`PoisonChunkError` whose diagnostics name each attempt's
-        failure.
-        """
-        spec = _cheap_spec(seed=8)
-        backend = DistributedBackend(
-            num_workers=2,
-            resilience=ResilienceConfig.from_env(
-                {},
-                connect_timeout=20.0,
-                max_chunk_retries=1,
-                worker_respawns=3,
-            ),
-        )
-        plan = FaultPlan.single("distributed.send_chunk", "disconnect", count=10_000)
-        with chaos.active_plan(plan):
-            with pytest.raises(PoisonChunkError) as excinfo:
-                ExperimentRunner(backend=backend).run(spec)
-        error = excinfo.value
-        assert error.attempts == 2  # max_chunk_retries=1 allows one retry
-        assert error.diagnostics[error.index]
-        assert any("ConnectionError" in reason for reason in error.diagnostics[error.index])
-        assert _shm_segments() == []
-
-
-class TestGracefulDegradation:
-    def test_no_workers_degrades_down_the_ladder(self, tmp_path):
-        """With no worker ever connecting, the run finishes on the fallback."""
-        spec = _cheap_spec(seed=9)
-        expected = _serial_bytes(tmp_path, spec)
-        backend = DistributedBackend(
-            spawn_workers=False,
-            resilience=ResilienceConfig.from_env(
-                {}, connect_timeout=0.3, fallback_backend="serial"
-            ),
-        )
-        store = ResultStore(tmp_path / "dist")
-        ExperimentRunner(store=store, backend=backend).run(spec, save_as="exp")
-        assert backend.last_execution_path == "serial"
-        assert store.path_for("exp").read_text() == expected
-        assert _shm_segments() == []
-
-    def test_stall_without_fallback_raises(self):
-        backend = DistributedBackend(
-            spawn_workers=False,
-            resilience=ResilienceConfig.from_env(
-                {}, connect_timeout=0.2, fallback_backend=""
-            ),
-        )
-        with pytest.raises(RuntimeError, match="stalled"):
-            ExperimentRunner(backend=backend).run(_cheap_spec(seed=10))
 
 
 class TestSilentCorruption:

@@ -68,6 +68,19 @@ class TestRunAndReport:
         assert "must differ" in capsys.readouterr().err
 
 
+class TestRetiredFailureModelEnv:
+    def test_stale_failure_model_variables_are_ignored(self, tmp_path, monkeypatch):
+        # Variables of the retired multi-host failure model must neither
+        # be validated nor parsed by the local backends.
+        from repro.experiments import ExperimentService
+
+        for name, value in (("FALLBACK_BACKEND", "bogus"), ("CHUNK_TIMEOUT", "abc")):
+            monkeypatch.setenv(f"REPRO_{name}", value)
+        service = ExperimentService(tmp_path / "q", tmp_path / "s", backend="serial", port=0)
+        service.registry.close()
+        assert main(["run", "chip_profile", "--store", str(tmp_path / "store")]) == 0
+
+
 class TestPackageSurface:
     def test_lazy_top_level_exports(self):
         import repro

@@ -61,6 +61,10 @@ class TestBackendFactory:
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
 
+    def test_distributed_backend_is_gone(self):
+        with pytest.raises(ValueError, match=r"known backends: process, serial, thread$"):
+            make_backend("distributed")
+
 
 def _attach_and_crash(manifest):
     """Child-process body: attach the segment, then die without cleanup."""

@@ -3,9 +3,9 @@
 The ``trr_sampling`` and ``refsync_sweep`` specs ride the same rails as the
 older chip experiments: JSON round-trips through ``spec_from_dict``, stable
 spec hashes, byte-identical stored envelopes across serial / thread /
-process / distributed backends, and nan-aware persistence (a refsync cell
-with zero activations has an undefined sampled fraction; it must survive a
-store round-trip as nan and render as ``-`` in reports).
+process backends, and nan-aware persistence (a refsync cell with zero
+activations has an undefined sampled fraction; it must survive a store
+round-trip as nan and render as ``-`` in reports).
 """
 
 import json
@@ -17,7 +17,6 @@ from repro.analysis.figures import render_heatmap, render_sampling_histogram
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
     SPEC_KINDS,
-    DistributedBackend,
     ExperimentRunner,
     ProcessPoolBackend,
     RefsyncSweepSpec,
@@ -139,14 +138,6 @@ class TestBackendDeterminism:
             tmp_path, "process", ProcessPoolBackend(max_workers=2), spec
         )
         assert pooled == serial
-
-    @pytest.mark.slow
-    def test_distributed_matches_serial(self, tmp_path):
-        serial = self._stored_bytes(tmp_path, "serial", None, SMALL_REFSYNC)
-        distributed = self._stored_bytes(
-            tmp_path, "dist", DistributedBackend(num_workers=2), SMALL_REFSYNC
-        )
-        assert distributed == serial
 
     def test_engines_agree_through_specs(self, tmp_path):
         vec = ExperimentRunner().run(SMALL_REFSYNC).payload

@@ -1,15 +1,8 @@
-"""Resilience primitives: retry determinism, deadlines, breakers, config."""
+"""Resilience primitives: retry determinism and deadlines."""
 
 import pytest
 
-from repro.utils.resilience import (
-    CircuitBreaker,
-    CircuitOpenError,
-    Deadline,
-    DeadlineExceeded,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.utils.resilience import Deadline, DeadlineExceeded, RetryPolicy
 
 
 class FakeClock:
@@ -133,137 +126,3 @@ class TestDeadline:
         deadline.extend(2.0)
         clock.advance(1.0)
         assert not deadline.expired()
-
-
-class TestCircuitBreaker:
-    def test_opens_at_threshold_and_recovers(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=10.0, clock=clock)
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        with pytest.raises(CircuitOpenError):
-            breaker.check("worker")
-        clock.advance(10.0)
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow()  # the single half-open probe
-        assert not breaker.allow()  # concurrent probes refused
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-
-    def test_half_open_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-
-    def test_half_open_retrip_restarts_the_full_reset_window(self):
-        # A failed probe must not leave a shortened (or already-elapsed)
-        # window behind: the re-trip restarts reset_timeout from the
-        # moment the probe failed, not from the original trip.
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0, clock=clock)
-        breaker.record_failure()  # trips at t=0
-        clock.advance(5.0)  # t=5: half-open
-        assert breaker.allow()
-        breaker.record_failure()  # probe fails: re-trips at t=5
-        clock.advance(4.9)  # t=9.9: still inside the restarted window
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        clock.advance(0.1)  # t=10: a full reset_timeout after the re-trip
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-
-class TestResilienceConfig:
-    def test_defaults(self):
-        config = ResilienceConfig()
-        assert config.connect_timeout == 60.0
-        assert config.dial_timeout == 30.0
-        assert config.max_chunk_retries == 3
-        assert config.fallback_backend is None
-
-    def test_from_env_reads_repro_variables(self):
-        env = {
-            "REPRO_CONNECT_TIMEOUT": "7.5",
-            "REPRO_DIAL_RETRIES": "9",
-            "REPRO_MAX_CHUNK_RETRIES": "1",
-            "REPRO_FALLBACK_BACKEND": "thread",
-        }
-        config = ResilienceConfig.from_env(env)
-        assert config.connect_timeout == 7.5
-        assert config.dial_retries == 9
-        assert config.max_chunk_retries == 1
-        assert config.fallback_backend == "thread"
-        # Unset fields keep their defaults.
-        assert config.heartbeat_timeout == 30.0
-
-    def test_overrides_beat_env(self):
-        env = {"REPRO_CONNECT_TIMEOUT": "7.5"}
-        config = ResilienceConfig.from_env(env, connect_timeout=1.0)
-        assert config.connect_timeout == 1.0
-        # A None override means "not specified", not "disable".
-        assert ResilienceConfig.from_env(env, connect_timeout=None).connect_timeout == 7.5
-
-    def test_zero_chunk_timeout_disables_the_bound(self):
-        assert ResilienceConfig.from_env({}, chunk_timeout=0).chunk_timeout is None
-        assert ResilienceConfig.from_env({"REPRO_CHUNK_TIMEOUT": "0"}).chunk_timeout is None
-
-    def test_falsy_overrides_still_beat_env(self):
-        # 0 is an explicit value, not "unspecified": it must win over the
-        # environment for every field (and disable where 0 means off).
-        env = {"REPRO_CHUNK_TIMEOUT": "120", "REPRO_MAX_CHUNK_RETRIES": "5"}
-        config = ResilienceConfig.from_env(env, chunk_timeout=0, max_chunk_retries=0)
-        assert config.chunk_timeout is None  # 0 override disables, env ignored
-        assert config.max_chunk_retries == 0  # 0 retries, not env's 5
-        # Only None means "fall through to the environment".
-        assert ResilienceConfig.from_env(env, chunk_timeout=None).chunk_timeout == 120.0
-
-    def test_empty_fallback_disables_degradation(self):
-        env = {"REPRO_FALLBACK_BACKEND": "serial"}
-        assert ResilienceConfig.from_env(env).fallback_backend == "serial"
-        assert ResilienceConfig.from_env(env, fallback_backend="").fallback_backend is None
-        assert ResilienceConfig.from_env(
-            {"REPRO_FALLBACK_BACKEND": ""}
-        ).fallback_backend is None
-
-    def test_round_trip_and_unknown_fields(self):
-        config = ResilienceConfig(connect_timeout=2.0, fallback_backend="serial")
-        assert ResilienceConfig.from_dict(config.to_dict()) == config
-        with pytest.raises(ValueError, match="unknown"):
-            ResilienceConfig.from_dict({"bogus": 1})
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(max_chunk_retries=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(fallback_backend="carrier-pigeon")
-
-    def test_factories(self):
-        config = ResilienceConfig(
-            dial_retries=4, dial_backoff=0.5, retry_seed=9,
-            breaker_threshold=2, breaker_reset=1.5,
-        )
-        policy = config.retry_policy()
-        assert policy.max_attempts == 4
-        assert policy.base_delay == 0.5
-        assert policy.seed == 9
-        breaker = config.breaker()
-        assert breaker.failure_threshold == 2
-        assert breaker.reset_timeout == 1.5
-
-    def test_replace_is_pure(self):
-        config = ResilienceConfig()
-        derived = config.replace(connect_timeout=1.0)
-        assert derived.connect_timeout == 1.0
-        assert config.connect_timeout == 60.0

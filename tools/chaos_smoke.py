@@ -13,33 +13,22 @@ Scenarios:
 1. a sharded-store write torn mid-envelope (retry produces identical bytes);
 2. a job-queue persist torn mid-file (queue reloads consistently);
 3. a chunk execution error mid-job in the daemon (job fails with kept
-   checkpoints; the resubmission *resumes* instead of rerunning);
-4. a distributed run whose first task frame is dropped on the wire
-   (per-chunk timeout requeues it);
-5. a distributed run no worker ever joins (graceful degradation ladder).
+   checkpoints; the resubmission *resumes* instead of rerunning).
 
-Runs in well under a minute; exits non-zero on the first violated
-invariant.
+Runs in a few seconds; exits non-zero on the first violated invariant.
 """
 
 import glob
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
 
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
-sys.path.insert(0, _SRC)
-# Spawned worker subprocesses import repro too.
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    part for part in (_SRC, os.environ.get("PYTHONPATH")) if part
-)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
     DefenseMatrixSpec,
-    DistributedBackend,
     ExperimentRunner,
     ExperimentService,
     JobQueue,
@@ -49,7 +38,6 @@ from repro.experiments import (
 from repro.experiments.shared import SEGMENT_PREFIX
 from repro.testing import chaos
 from repro.testing.chaos import FaultPlan
-from repro.utils.resilience import ResilienceConfig
 
 #: One fixed seed per scenario: the spec (and therefore every expected
 #: byte) is a pure function of the scenario's row in this matrix.
@@ -57,8 +45,6 @@ SCENARIO_SEEDS = {
     "store-partial-write": 21,
     "queue-partial-write": 22,
     "service-checkpoint-resume": 23,
-    "distributed-frame-drop": 24,
-    "distributed-degradation": 25,
 }
 
 
@@ -144,51 +130,6 @@ def main() -> int:
             "resumed job result is byte-identical to serial",
         )
         service.registry.close()
-
-        # 4. Dropped task frame mid-distributed-run: chunk requeued by the
-        # per-chunk timeout, results unchanged.
-        seed = SCENARIO_SEEDS["distributed-frame-drop"]
-        expected = _serial_bytes(root, seed)
-        backend = DistributedBackend(
-            num_workers=2,
-            resilience=ResilienceConfig.from_env({}, chunk_timeout=1.5),
-        )
-        drop_store = ResultStore(root / "drop")
-        with chaos.active_plan(FaultPlan.single("distributed.send_chunk", "drop")) as scope:
-            ExperimentRunner(store=drop_store, backend=backend).run(
-                _spec(seed), save_as="exp"
-            )
-        check(
-            ("distributed.send_chunk", "drop") in scope.fired,
-            "frame-drop fault fired",
-        )
-        check(
-            drop_store.path_for("exp").read_text() == expected,
-            "dropped frame recovers byte-identical to serial",
-        )
-
-        # 5. No worker ever connects: graceful degradation ladder finishes
-        # the run with identical bytes.
-        seed = SCENARIO_SEEDS["distributed-degradation"]
-        expected = _serial_bytes(root, seed)
-        backend = DistributedBackend(
-            spawn_workers=False,
-            resilience=ResilienceConfig.from_env(
-                {}, connect_timeout=0.3, fallback_backend="serial"
-            ),
-        )
-        degraded_store = ResultStore(root / "degraded")
-        ExperimentRunner(store=degraded_store, backend=backend).run(
-            _spec(seed), save_as="exp"
-        )
-        check(
-            backend.last_execution_path == "serial",
-            "stalled run degraded to the serial rung",
-        )
-        check(
-            degraded_store.path_for("exp").read_text() == expected,
-            "degraded run is byte-identical to serial",
-        )
 
         check(
             not glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"),
