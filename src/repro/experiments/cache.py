@@ -243,22 +243,33 @@ class VictimCache:
 class ExperimentContext:
     """Per-process execution state shared across experiments.
 
-    Holds the :class:`VictimCache` plus a generic memo table for other
+    Holds the :class:`VictimCache` plus a small memo table for other
     expensive deterministic artefacts (e.g. the deployment-chip profile
     pair).  The serial backend keeps one context for the runner's whole
     lifetime, so artefacts are shared *across* experiments; each process
-    -pool worker lazily builds its own.
+    -pool worker lazily builds its own.  The memo keeps only the
+    :data:`MEMO_ENTRIES` most recently used artefacts: one spec's work
+    units run back to back and share one build, while a daemon serving
+    many specs does not hold every profile pair (tens of MB each) for its
+    whole life.
     """
+
+    #: Artefacts the memo keeps, least recently used evicted first.
+    MEMO_ENTRIES = 2
 
     def __init__(self, victim_cache: Optional[VictimCache] = None) -> None:
         self.victims = victim_cache or VictimCache()
-        self._memo: Dict[object, object] = {}
+        self._memo: "OrderedDict[object, object]" = OrderedDict()
 
     def memo(self, key, builder):
         """Return ``builder()`` memoised under the hashable ``key``."""
-        if key not in self._memo:
-            self._memo[key] = builder()
-        return self._memo[key]
+        if key in self._memo:
+            self._memo.move_to_end(key)
+            return self._memo[key]
+        value = self._memo[key] = builder()
+        while len(self._memo) > self.MEMO_ENTRIES:
+            self._memo.popitem(last=False)
+        return value
 
     def clear(self) -> None:
         """Drop all cached state (victims included)."""

@@ -472,10 +472,16 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def gelu(self) -> "Tensor":
-        """GELU activation (tanh approximation, as used by DeiT)."""
+        """GELU activation (tanh approximation, as used by DeiT).
+
+        The cube is the product ``x * x * x``.  NumPy's ``x ** 3`` goes
+        through a float64 ``power`` whose speed and last-bit rounding
+        depend on the CPU's SIMD path (on an AVX-512 x86-64 host it is
+        ~60x slower than the product for negative bases).
+        """
         x = self.data
         c = np.sqrt(2.0 / np.pi)
-        inner = c * (x + 0.044715 * x ** 3)
+        inner = c * (x + 0.044715 * (x * x * x))
         tanh_inner = np.tanh(inner)
         data = 0.5 * x * (1.0 + tanh_inner)
 

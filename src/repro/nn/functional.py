@@ -2,9 +2,10 @@
 
 Convolutions and pooling are implemented as custom graph nodes using
 im2col/col2im so that the heavy lifting stays inside vectorised numpy calls
-(batch norm is a custom node too, in :mod:`repro.nn.layers.norm`);
-everything else (layer norm, attention, losses) is composed from the
-:class:`~repro.nn.autograd.Tensor` primitives inside the layer classes.
+(batch norm and layer norm are custom nodes too, in
+:mod:`repro.nn.layers.norm`); everything else (attention, losses) is
+composed from the :class:`~repro.nn.autograd.Tensor` primitives inside
+the layer classes.
 
 The convolution primitives dispatch through the kernel registry
 (:mod:`repro.nn.kernels`): with the compiled tier active they run the

@@ -252,6 +252,29 @@ def warmup() -> Tuple[str, ...]:
             lambda k: k(x, weight_matrix, None, (3, 3), 1, 1)[0],
         )
 
+        def forward_rows(forward, probe, weights):
+            # Output and (N, L, K) rows; the reference keeps the columns.
+            if forward is reference.conv2d_forward:
+                out, cols = forward(probe, weights, bias[: len(weights)], (3, 3), 1, 0)
+                rows = cols.transpose(0, 2, 1)
+            else:
+                out, rows = forward(
+                    probe, weights, bias[: len(weights)], (3, 3), 1, 0, rows=True
+                )
+            return np.concatenate([out.ravel(), np.ascontiguousarray(rows).ravel()])
+
+        # One output position and one filter: shapes np.matmul runs as a
+        # gemv, which a per-sample dgemm does not reproduce.
+        single_position = x[:, :, :3, :3].copy()
+        for probe, weights in (
+            (single_position, weight_matrix), (x, weight_matrix[:1]),
+        ):
+            check(
+                "conv2d_forward",
+                lambda k: k(probe, weights, bias[: len(weights)], (3, 3), 1, 0)[0],
+            )
+            check("conv2d_forward", lambda k: forward_rows(k, probe, weights))
+
         def conv_grads(backward, probe, weights, kernel, stride, padding):
             # A backend's conv2d_backward reads the rows its own forward
             # kept; the reference pair reads the columns.

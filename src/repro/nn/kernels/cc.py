@@ -15,10 +15,13 @@ Bit-identity notes:
 - The conv forward does **not** ship its own GEMM.  NumPy's ``matmul``
   result depends on the exact BLAS build, so the library instead receives
   a function pointer to the *same* ILP64 ``cblas_dgemm`` symbol NumPy's
-  bundled OpenBLAS exports and calls it once per sample — the identical
-  per-sample GEMM sequence ``np.matmul(W, cols)`` performs.  When the
-  symbol cannot be resolved the C path still builds the columns and the
-  Python wrapper finishes with ``np.matmul``.
+  bundled OpenBLAS exports and calls it once per sample — the per-sample
+  dgemm ``np.matmul(W, cols)`` issues when the filter count and the
+  number of output positions both exceed one.  With one output position
+  or one filter ``np.matmul`` issues a gemv instead, which rounds
+  differently, so the Python wrapper runs those shapes (and every shape
+  when the symbol cannot be resolved) as the C im2col plus
+  ``np.matmul``.
 - ``col2im`` accumulates taps in the same ``(i, j)`` row-major order as
   the reference loop, and integer kernels are exact by construction.
 - The training path issues only the GEMMs NumPy itself issues: the
@@ -749,11 +752,16 @@ def _make_kernels(lib: ctypes.CDLL) -> Dict[str, Callable]:
         out_h, out_w = output_size(height, width, kernel, stride, padding)
         num_filters = weight_matrix.shape[0]
         kdim, positions = channels * kh * kw, out_h * out_w
-        if not has_gemm:
+        if not has_gemm or min(num_filters, positions) == 1:
+            # With one output position or one filter np.matmul issues a
+            # gemv, which rounds differently from a dgemm; keep its call.
             cols = im2col(x, kernel, stride, padding, out=cols_out)
             out = np.matmul(weight_matrix, cols)
             if bias is not None:
                 out += bias.reshape(1, -1, 1)
+            if rows:
+                # (N, L, K); with L == 1 this is the columns' own memory.
+                return out, np.ascontiguousarray(cols.transpose(0, 2, 1))
             return out, cols
         x = _f64(x)
         weight_matrix = _f64(weight_matrix)

@@ -204,7 +204,77 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
+        if is_grad_enabled() and (
+            x.requires_grad or self.weight.requires_grad or self.bias.requires_grad
+        ):
+            return _layer_norm_node(self, x)
+        # Gradient-free: the same op sequence in place, with no graph.
+        centered, _, std = _layer_norm_statistics(x.data, self.eps)
+        out = np.divide(centered, std, out=centered)
+        out *= self.weight.data
+        out += self.bias.data
+        return Tensor(out)
+
+
+def _layer_norm_statistics(data: np.ndarray, eps: float) -> tuple:
+    """``(x - mean, var + eps, (var + eps) ** 0.5)`` over the last axis."""
+    inv_count = 1.0 / data.shape[-1]
+    mean = data.sum(axis=-1, keepdims=True) * inv_count
+    centered = data + (-mean)
+    shifted_var = (centered * centered).sum(axis=-1, keepdims=True) * inv_count + eps
+    return centered, shifted_var, shifted_var ** 0.5
+
+
+def _layer_norm_node(layer: LayerNorm, x: Tensor) -> Tensor:
+    """Layer norm as one autograd node.
+
+    Bit-identical to composing the layer from Tensor primitives::
+
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        normalised = (x - mean) / ((var + self.eps) ** 0.5)
-        return normalised * self.weight + self.bias
+        out = (x - mean) / ((var + eps) ** 0.5) * weight + bias
+
+    The forward evaluates that op sequence once (the composition computes
+    the mean and ``x - mean`` twice, with identical results).  The
+    backward replays the composed nodes' NumPy ops in the order the
+    graph's reverse-topological traversal runs them, as
+    :func:`_batch_norm_train` does: the bias, the weight, then ``x``'s
+    four contributions, added one at a time in the composition's order —
+    the centered term of the variance path, the variance-mean term, the
+    centered term and the mean term.  ``__pow__``'s ``** (0.5 - 1)`` and
+    ``__truediv__``'s ``std ** 2`` are kept as written there.
+    """
+    weight, bias = layer.weight, layer.bias
+    inv_count = 1.0 / x.shape[-1]
+    centered, shifted_var, std = _layer_norm_statistics(x.data, layer.eps)
+    scale = weight.data
+    normalised = centered / std
+    out = normalised * scale + bias.data
+    stat_shape = std.shape
+
+    def backward(grad: np.ndarray) -> None:
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+        if weight.requires_grad:
+            weight._accumulate(_unbroadcast(grad * normalised, weight.shape), fresh=True)
+        if not x.requires_grad:
+            return
+        grad_normalised = grad * scale
+        grad_centered = grad_normalised / std
+        grad_std = _unbroadcast(-grad_normalised * centered / (std ** 2), stat_shape)
+        grad_var = grad_std * 0.5 * shifted_var ** (0.5 - 1)
+        # The variance path: d(sum of squares) reaches ``centered * centered``
+        # once per operand, so its gradient is t + t.
+        grad_var_centered = (grad_var * inv_count) * centered
+        grad_var_centered += grad_var_centered
+        var_mean = -_unbroadcast(grad_var_centered, stat_shape) * inv_count
+        mean_term = -_unbroadcast(grad_centered, stat_shape) * inv_count
+        if x.grad is None:
+            x.grad = grad_var_centered
+        else:
+            x.grad += grad_var_centered
+        x.grad += var_mean
+        x.grad += grad_centered
+        x.grad += mean_term
+
+    return Tensor._make(out, (x, weight, bias), backward)

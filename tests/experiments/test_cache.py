@@ -179,3 +179,23 @@ class TestContextMemo:
         context.memo("key", lambda: "first")
         context.clear()
         assert context.memo("key", lambda: "second") == "second"
+
+    def test_memo_evicts_least_recently_used_past_bound(self):
+        context = ExperimentContext()
+        bound = ExperimentContext.MEMO_ENTRIES
+        built = []
+
+        def builder(key):
+            return lambda: built.append(key) or f"artefact-{key}"
+
+        for key in range(bound):
+            context.memo(key, builder(key))
+        # Touch the oldest key: a hit that makes key 1 the eviction victim.
+        assert context.memo(0, builder(0)) == "artefact-0"
+        context.memo(bound, builder(bound))
+        assert built == list(range(bound + 1))
+        assert context.memo(0, builder(0)) == "artefact-0"
+        assert built == list(range(bound + 1))
+        context.memo(1, builder(1))
+        assert built == list(range(bound + 1)) + [1]
+        assert len(context._memo) == bound

@@ -121,6 +121,17 @@ class TestElementwiseGradients:
         a = np.abs(rng.normal(size=(6,))) + 0.5  # positive for log/sqrt
         check_gradient(lambda t: getattr(t, op)(), a, rtol=1e-3)
 
+    def test_gelu_forward_cubes_by_exact_product(self):
+        """The cube is ``x * x * x``, byte for byte, never ``x ** 3``."""
+        x = np.random.default_rng(41).standard_normal((32, 5, 48)) * 3.0
+        x[0, 0, :3] = (-0.0, 0.0, 5e-324)
+        c = np.sqrt(2.0 / np.pi)
+        want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+        assert Tensor(x).gelu().data.tobytes() == want.tobytes()
+
+    def test_gelu_gradient_on_both_signs(self):
+        check_gradient(lambda t: t.gelu(), rng.normal(size=(8,)) * 2.0, rtol=1e-3)
+
 
 class TestMatmulAndReductions:
     def test_matmul_2d(self):

@@ -179,6 +179,30 @@ class TestBitIdentity:
         self.assert_bytes_equal(got_out, want_out)
         self.assert_bytes_equal(got_cols, want_cols)
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    @pytest.mark.parametrize(
+        "x_shape,num_filters",
+        [((6, 64, 1, 1), 32), ((1, 64, 1, 1), 32), ((4, 3, 7, 6), 1)],
+        ids=["one_position", "one_position_single", "one_filter"],
+    )
+    def test_conv2d_forward_gemv_shapes(self, x_shape, num_filters, rows):
+        """One output position or one filter: np.matmul issues a gemv there."""
+        if rows and kernels.get_kernel("conv2d_backward") is reference.conv2d_backward:
+            pytest.skip("rows are kept only by a backend providing conv2d_backward")
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(x_shape)
+        x.reshape(-1)[:2] = (-0.0, 5e-324)
+        weight_matrix = rng.standard_normal((num_filters, x_shape[1] * 9))
+        bias = rng.standard_normal(num_filters)
+        got_out, got_kept = kernels.get_kernel("conv2d_forward")(
+            x, weight_matrix, bias, (3, 3), 1, 1, rows=rows
+        )
+        want_out, want_cols = reference.conv2d_forward(x, weight_matrix, bias, (3, 3), 1, 1)
+        self.assert_bytes_equal(got_out, want_out)
+        self.assert_bytes_equal(
+            got_kept, want_cols.transpose(0, 2, 1) if rows else want_cols
+        )
+
     @pytest.mark.parametrize(
         "kernel,stride,padding", [((1, 1), 2, 0), ((3, 3), 1, 1), ((3, 3), 2, 1)]
     )

@@ -1,7 +1,8 @@
 """Bit-identity of the fast training step.
 
 Batch norm runs as one fused autograd node in training and inference
-mode, and the conv backward dispatches through the kernel registry
+mode, layer norm as one node with gradients and one NumPy pass without,
+and the conv backward dispatches through the kernel registry
 (``conv2d_backward``), whose C implementation keeps im2col *rows* instead
 of columns.  All are pure speed-ups: every trained weight and gradient
 must stay byte-identical to the Tensor-primitive composition and the
@@ -12,13 +13,15 @@ These tests build those oracles in-test and compare bytes.
 import numpy as np
 import pytest
 
+from repro.models.deit import deit_tiny
 from repro.models.m11 import m11
 from repro.models.resnet_cifar import ResNetCifar
+from repro.models.vmamba import vmamba_tiny
 from repro.nn import functional, kernels
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.kernels import reference
 from repro.nn.layers import norm
-from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d
+from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from repro.nn.loss import cross_entropy
 from repro.nn.optim import Adam
 from repro.utils.rng import derive_rng
@@ -56,6 +59,14 @@ def composed_eval_batch_norm(layer, x, shape):
     scale = layer.weight.reshape(shape) * inv_std
     shift = layer.bias.reshape(shape) - Tensor(layer.running_mean.reshape(shape)) * scale
     return x * scale + shift
+
+
+def composed_layer_norm(layer, x):
+    """Layer norm composed from Tensor primitives."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    normalised = (x - mean) / ((var + layer.eps) ** 0.5)
+    return normalised * layer.weight + layer.bias
 
 
 def oracle_conv2d(x, weight, bias=None, stride=1, padding=0):
@@ -185,6 +196,92 @@ class TestFusedBatchNorm:
 
 
 # ----------------------------------------------------------------------
+# Fused layer-norm node vs the composed graph
+# ----------------------------------------------------------------------
+LAYER_NORM_SHAPES = [(7, 12), (3, 5, 8)]
+
+
+def run_layer_norm(fused, x_shape, consumer=None, frozen=None, existing_grad=False):
+    """Forward + backward of one layer norm; returns every byte it produced.
+
+    ``consumer`` adds a second use of ``x`` before (``"before"``) or after
+    (``"after"``) the layer in the loss, so ``x.grad`` accumulates across
+    nodes; ``existing_grad`` seeds ``x.grad`` before the backward.
+    """
+    rng = np.random.default_rng(14)
+    layer = LayerNorm(x_shape[-1])
+    layer.weight.data = rng.standard_normal(x_shape[-1])
+    layer.bias.data = rng.standard_normal(x_shape[-1])
+    if frozen in ("weight", "bias"):
+        getattr(layer, frozen).requires_grad = False
+    x = Tensor(rng.standard_normal(x_shape) * 3.0 + 1.0, requires_grad=frozen != "x")
+    if existing_grad:
+        x.grad = rng.standard_normal(x_shape)
+    upstream = Tensor(rng.standard_normal(x_shape))
+    out = layer(x) if fused else composed_layer_norm(layer, x)
+    loss = (out * upstream).sum()
+    if consumer == "before":
+        loss = (x * x).sum() + loss
+    elif consumer == "after":
+        loss = loss + (x * upstream).sum()
+    loss.backward()
+    return [out.data, x.grad, layer.weight.grad, layer.bias.grad]
+
+
+class TestFusedLayerNorm:
+    assert_same = staticmethod(TestFusedBatchNorm.assert_same)
+
+    @pytest.mark.parametrize("x_shape", LAYER_NORM_SHAPES)
+    def test_matches_composed_graph(self, x_shape):
+        got = run_layer_norm(True, x_shape)
+        self.assert_same(got, run_layer_norm(False, x_shape))
+        assert all(value is not None for value in got)
+
+    @pytest.mark.parametrize("consumer", ["before", "after"])
+    @pytest.mark.parametrize("x_shape", LAYER_NORM_SHAPES)
+    def test_second_consumer_keeps_accumulation_order(self, x_shape, consumer):
+        self.assert_same(
+            run_layer_norm(True, x_shape, consumer=consumer),
+            run_layer_norm(False, x_shape, consumer=consumer),
+        )
+
+    @pytest.mark.parametrize("frozen", ["weight", "bias", "x"])
+    @pytest.mark.parametrize("x_shape", LAYER_NORM_SHAPES)
+    def test_frozen_operand(self, x_shape, frozen):
+        got = run_layer_norm(True, x_shape, frozen=frozen)
+        want = run_layer_norm(False, x_shape, frozen=frozen)
+        assert got[("x", "weight", "bias").index(frozen) + 1] is None
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("x_shape", LAYER_NORM_SHAPES)
+    def test_accumulates_into_existing_gradient(self, x_shape):
+        self.assert_same(
+            run_layer_norm(True, x_shape, existing_grad=True, consumer="after"),
+            run_layer_norm(False, x_shape, existing_grad=True, consumer="after"),
+        )
+
+    @pytest.mark.parametrize("x_shape", LAYER_NORM_SHAPES)
+    def test_no_grad_forward_matches_and_records_nothing(self, x_shape):
+        rng = np.random.default_rng(15)
+        layer = LayerNorm(x_shape[-1])
+        layer.weight.data = rng.standard_normal(x_shape[-1])
+        layer.bias.data = rng.standard_normal(x_shape[-1])
+        data = rng.standard_normal(x_shape)
+        data.reshape(-1)[:3] = (-0.0, 5e-324, 1e100)
+        x = Tensor(data, requires_grad=True)
+        with no_grad():
+            got = layer(x)
+            want = composed_layer_norm(layer, x)
+        assert not got.requires_grad and got._backward is None
+        assert got.data.tobytes() == want.data.tobytes()
+        # Nothing needs a gradient: the same pass with grad mode on.
+        layer.weight.requires_grad = layer.bias.requires_grad = False
+        plain = layer(Tensor(data))
+        assert plain._backward is None
+        assert plain.data.tobytes() == want.data.tobytes()
+
+
+# ----------------------------------------------------------------------
 # conv2d_backward: pairing with the forward
 # ----------------------------------------------------------------------
 def conv_node(x_data, weight_data, stride, padding):
@@ -281,6 +378,7 @@ def train_few_batches(model, sample_shape, oracle=False, engine="vectorized", mo
             norm, "_batch_norm_train",
             lambda layer, x, axes, shape: composed_batch_norm(layer, x, axes, shape),
         )
+        monkeypatch.setattr(norm, "_layer_norm_node", composed_layer_norm)
     optimizer = Adam(model.parameters(), lr=1e-2)
     model.train()
     with kernels.use(engine):
@@ -295,9 +393,21 @@ def train_few_batches(model, sample_shape, oracle=False, engine="vectorized", mo
     return state_bytes(model)
 
 
+def tiny_deit():
+    return deit_tiny(num_classes=3, rng=derive_rng(7), image_size=8)
+
+
+def tiny_vmamba():
+    return vmamba_tiny(num_classes=3, rng=derive_rng(8), image_size=8)
+
+
 @pytest.mark.parametrize(
-    "factory,sample_shape", [(tiny_resnet, (3, 8, 8)), (tiny_m11, (1, 256))],
-    ids=["resnet_cifar", "m11"],
+    "factory,sample_shape",
+    [
+        (tiny_resnet, (3, 8, 8)), (tiny_m11, (1, 256)),
+        (tiny_deit, (3, 8, 8)), (tiny_vmamba, (3, 8, 8)),
+    ],
+    ids=["resnet_cifar", "m11", "deit_tiny", "vmamba_tiny"],
 )
 class TestTrainingGolden:
     def test_vectorized_matches_oracle(self, factory, sample_shape, monkeypatch):
