@@ -15,9 +15,9 @@ reproduction defines:
 * :mod:`~repro.experiments.cache` — :class:`VictimCache`, training each
   surrogate victim once and sharing clean-state snapshots across
   experiments;
-* :mod:`~repro.experiments.store` — :class:`ResultStore` (and its
-  spec-hash-partitioned sibling :class:`ShardedResultStore`), persisting
-  every result type as schema-versioned JSON envelopes;
+* :mod:`~repro.experiments.store` — :class:`ResultStore`, persisting
+  every result type as flat, checksummed, schema-versioned JSON
+  envelopes;
 * :mod:`~repro.experiments.service` — :class:`ExperimentService`, the
   persistent daemon behind ``python -m repro serve``: an async
   :class:`JobQueue` (:mod:`~repro.experiments.queue`), a warm
@@ -99,11 +99,8 @@ from repro.experiments.specs import (
 )
 from repro.experiments.store import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     IntegrityError,
     ResultStore,
-    ShardedResultStore,
-    open_store,
     register_codec,
     verify_envelope,
 )
@@ -113,7 +110,6 @@ __all__ = [
     "MECHANISMS",
     "SCHEMA_VERSION",
     "SPEC_KINDS",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "CheckpointedBackend",
     "ChipProfileOutcome",
     "ChipProfileSpec",
@@ -150,7 +146,6 @@ __all__ = [
     "ServiceUnavailableError",
     "SharedStateHandle",
     "SharedVictimManifest",
-    "ShardedResultStore",
     "ThreadPoolBackend",
     "VictimCache",
     "VictimKey",
@@ -162,7 +157,6 @@ __all__ = [
     "fsck_queue",
     "fsck_store",
     "make_backend",
-    "open_store",
     "register_codec",
     "register_spec",
     "spec_from_dict",

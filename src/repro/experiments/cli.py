@@ -13,19 +13,15 @@ Subcommands
     :mod:`repro.analysis.reporting` for comparisons, plain text otherwise).
 ``serve``
     Start the persistent experiment daemon: an async job queue, a warm
-    victim registry and a sharded result store behind a TCP socket
+    victim registry and the result store behind a TCP socket
     (:mod:`repro.experiments.service`).
 ``submit KIND`` / ``status JOB`` / ``cancel JOB`` / ``jobs``
     Client side of the daemon: queue a spec (same spec-building flags as
     ``run``), poll or cancel a job, list the queue.
-``migrate-store``
-    Move a legacy flat results directory into the sharded layout,
-    upgrading checksum-less legacy envelopes to the checksummed schema
-    on the way (idempotent; re-running is a no-op).
 ``fsck``
     Verify every stored result and queued job against its sha256
-    checksum, optionally quarantining corrupt files and rebuilding
-    shard indexes (``--quarantine``), and optionally sweeping orphaned
+    checksum, optionally quarantining corrupt files (``--quarantine``),
+    and optionally sweeping orphaned
     ``/dev/shm`` victim segments left by dead daemons (``--shm``).
 ``health``
     One-shot health snapshot of a running daemon: queue depth, active
@@ -50,7 +46,7 @@ from repro.experiments.specs import (
     ProfileDensitySpec,
     spec_from_dict,
 )
-from repro.experiments.store import ShardedResultStore, open_store
+from repro.experiments.store import ResultStore, check_result_name
 from repro.nn.quantization import VICTIM_PRECISIONS
 from repro.utils.validation import ENGINES
 
@@ -363,18 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs = sub.add_parser("jobs", help="list a running daemon's jobs")
     jobs.add_argument("--queue", default=DEFAULT_QUEUE)
 
-    migrate = sub.add_parser("migrate-store",
-                             help="move a flat results directory into the sharded layout")
-    migrate.add_argument("--store", default=DEFAULT_STORE)
-
     fsck = sub.add_parser("fsck",
                           help="verify stored results and queued jobs against "
                                "their checksums")
     fsck.add_argument("--store", default=DEFAULT_STORE, help="result store directory")
     fsck.add_argument("--queue", default=DEFAULT_QUEUE, help="job queue directory")
     fsck.add_argument("--quarantine", action="store_true",
-                      help="move corrupt files into <dir>/quarantine/ and "
-                           "rebuild the touched shard indexes")
+                      help="move corrupt files into <dir>/quarantine/")
     fsck.add_argument("--shm", action="store_true",
                       help="also sweep /dev/shm victim segments orphaned by "
                            "dead daemons (live daemons' segments are kept)")
@@ -412,7 +403,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if isinstance(spec, int):
         return spec
     name = args.save_as or spec.kind
-    store = open_store(args.store)
+    try:
+        check_result_name(name)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    store = ResultStore(args.store)
     runner = ExperimentRunner(
         backend=make_backend(args.backend, max_workers=args.workers),
         store=store,
@@ -431,7 +427,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     print("experiment kinds:")
     for kind in sorted(SPEC_KINDS):
         print(f"  {kind:<18} {SPEC_KINDS[kind].title}")
-    store = open_store(args.store)
+    store = ResultStore(args.store)
     names = store.names()
     print(f"\nstored results in {store.directory}:")
     if names:
@@ -443,11 +439,11 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    store = open_store(args.store)
+    store = ResultStore(args.store)
     if args.all:
         rendered = 0
-        # iter_results decodes lazily, so this holds one result at a time
-        # no matter how many files the (sharded) store contains.
+        # iter_results decodes lazily, so this holds one decoded result at
+        # a time; the store's index still caches every parsed envelope.
         for name, result in store.iter_results():
             print(_render_report(name, result))
             rendered += 1
@@ -589,30 +585,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.experiments.fsck import fsck_store
-
-    store = ShardedResultStore(args.store)
-    moved = store.migrate()
-    print(f"migrated {len(moved)} result file(s) into "
-          f"{store.directory / ShardedResultStore.SHARD_DIR}")
-    for name in moved:
-        print(f"  {name}")
-    # Migration upgrades checksum-less legacy envelopes to the
-    # checksummed schema; prove the result verifies before declaring
-    # success (a corrupt source file should not migrate silently).
-    report = fsck_store(store.directory)
-    print(f"verified {report.verified} checksummed result file(s)"
-          + (f", {report.legacy} legacy" if report.legacy else ""))
-    if not report.clean:
-        for issue in report.issues:
-            print(f"  {issue.problem}: {issue.path} ({issue.detail})", file=sys.stderr)
-        print("error: store failed verification after migration; "
-              "run `python -m repro fsck --quarantine`", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_fsck(args: argparse.Namespace) -> int:
     from repro.experiments.fsck import fsck_queue, fsck_store, sweep_shm
 
@@ -632,8 +604,6 @@ def cmd_fsck(args: argparse.Namespace) -> int:
         for issue in report.issues:
             if issue.quarantined:
                 action = "quarantined"
-            elif issue.repaired:
-                action = "repaired"
             else:
                 action = "found"
                 issues += 1
@@ -673,7 +643,6 @@ _COMMANDS = {
     "status": cmd_status,
     "cancel": cmd_cancel,
     "jobs": cmd_jobs,
-    "migrate-store": cmd_migrate,
     "fsck": cmd_fsck,
     "health": cmd_health,
 }

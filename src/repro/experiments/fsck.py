@@ -1,11 +1,9 @@
 """Offline integrity check and repair for the experiment state on disk.
 
 ``repro fsck`` is the operator's answer to "can I trust this store?": it
-scans a result store (flat and sharded layouts), verifies every
-schema-2 envelope against its embedded sha256 digest, optionally
-**quarantines** corrupt files into a ``quarantine/`` subdirectory,
-rebuilds the shard ``_index.json`` files from the surviving envelopes,
-and re-verifies the result.  The same machinery checks a job-queue
+scans a result store directory, verifies every envelope against its
+embedded sha256 digest, and optionally **quarantines** corrupt files
+into a ``quarantine/`` subdirectory.  The same machinery checks a job-queue
 directory (checksummed ``job-*.json`` files) and — with ``--shm`` —
 sweeps ``/dev/shm`` for victim-registry segments orphaned by a daemon
 that died without cleanup, keyed on the registry's liveness manifest
@@ -14,9 +12,8 @@ that died without cleanup, keyed on the registry's liveness manifest
 Design rules:
 
 * **Zero false positives.**  Only a file whose embedded checksum fails
-  to verify (or that no longer parses at all) is ever reported or
-  quarantined; version-1 envelopes without a checksum are counted as
-  ``legacy`` and left untouched.
+  to verify (or that no longer parses as an envelope) is ever reported
+  or quarantined; JSON files that are not envelopes at all are skipped.
 * **Nothing is destroyed.**  Quarantine *moves* files (same filesystem,
   ``os.replace``) into ``quarantine/`` — an operator can inspect or
   restore them; nothing is unlinked except provably-orphaned shared
@@ -35,14 +32,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.experiments.queue import _JOB_PREFIX, _job_checksum
 from repro.experiments.shared import SEGMENT_PREFIX, _SHM_DIR
-from repro.experiments.specs import spec_hash
-from repro.experiments.store import (
-    SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
-    ShardedResultStore,
-    _content_digest,
-    _envelope_content,
-)
+from repro.experiments.store import SCHEMA_VERSION, _content_digest, _envelope_content
 
 PathLike = Union[str, Path]
 
@@ -59,19 +49,16 @@ QUARANTINE_DIR = "quarantine"
 class FsckIssue:
     """One problem fsck found: a file and why it cannot be trusted.
 
-    ``problem`` is one of ``digest-mismatch`` (content no longer matches
-    the embedded sha256), ``unreadable`` (the file does not parse as an
-    envelope at all) or ``index-stale`` (a shard index entry pointing at
-    a missing or divergent file).  ``quarantined`` records whether the
-    repair pass moved the file; ``repaired`` whether it was fixed in
-    place (an ``index-stale`` entry whose shard index was rebuilt).
+    ``problem`` is ``digest-mismatch`` (content no longer matches the
+    embedded sha256) or ``unreadable`` (the file does not parse as an
+    envelope at all).  ``quarantined`` records whether the repair pass
+    moved the file.
     """
 
     path: Path
     problem: str
     detail: str = ""
     quarantined: bool = False
-    repaired: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable description of the issue."""
@@ -80,7 +67,6 @@ class FsckIssue:
             "problem": self.problem,
             "detail": self.detail,
             "quarantined": self.quarantined,
-            "repaired": self.repaired,
         }
 
 
@@ -89,22 +75,15 @@ class FsckReport:
     """What an fsck pass scanned, verified, and flagged.
 
     ``scanned`` counts every candidate file examined, ``verified`` the
-    ones whose checksum held, ``legacy`` the version-1 files that carry
+    ones whose checksum held, ``legacy`` the queue job files that carry
     no checksum (nothing to verify — not corruption).  ``issues`` lists
-    every untrustworthy file; ``rebuilt_indexes`` the shard index files
-    rewritten from surviving envelopes.
+    every untrustworthy file.
     """
 
     scanned: int = 0
     verified: int = 0
     legacy: int = 0
     issues: List[FsckIssue] = field(default_factory=list)
-    rebuilt_indexes: List[Path] = field(default_factory=list)
-
-    @property
-    def corrupt(self) -> List[FsckIssue]:
-        """Issues that name a corrupt (not merely stale-indexed) file."""
-        return [i for i in self.issues if i.problem in ("digest-mismatch", "unreadable")]
 
     @property
     def clean(self) -> bool:
@@ -118,7 +97,6 @@ class FsckReport:
             "verified": self.verified,
             "legacy": self.legacy,
             "issues": [issue.to_dict() for issue in self.issues],
-            "rebuilt_indexes": [str(path) for path in self.rebuilt_indexes],
             "clean": self.clean,
         }
 
@@ -136,125 +114,65 @@ def _quarantine(path: Path, root: Path) -> Path:
     return target
 
 
-def _check_envelope_file(path: Path) -> Tuple[str, Optional[Dict[str, Any]], str]:
-    """Classify one result file: ``(verdict, envelope, detail)``.
+def _check_envelope_file(path: Path) -> Tuple[str, str]:
+    """Classify one result file: ``(verdict, detail)``.
 
-    Verdict is ``ok`` / ``legacy`` / ``foreign`` / ``unreadable`` /
-    ``digest-mismatch``.  Detection is belt-and-braces for checksummed
-    envelopes: the content digest catches value corruption, and a
-    byte-exact comparison against the canonical serialisation catches
-    flips the digest cannot see (whitespace, a mangled key name) — every
-    schema-2 file is machine-written in exactly one format, so any drift
-    from it is damage, not style.  Files that are not envelopes at all
-    (no schema marker, no integrity block) are ``foreign`` and never
-    flagged — fsck must report zero false positives on clean trees.
+    Verdict is ``ok`` / ``foreign`` / ``unreadable`` / ``digest-mismatch``.
+    Detection is belt-and-braces: the content digest catches value
+    corruption, and a byte-exact comparison against the canonical
+    serialisation catches flips the digest cannot see (whitespace, a
+    mangled key name) — every envelope is machine-written in exactly one
+    format, so any drift from it is damage, not style.  Files that are
+    not envelopes at all (no schema marker, no integrity block) are
+    ``foreign`` and never flagged — fsck must report zero false positives
+    on clean trees.
     """
     try:
         raw = path.read_text()
         envelope = json.loads(raw)
     except (OSError, json.JSONDecodeError) as exc:
-        return "unreadable", None, f"{type(exc).__name__}: {exc}"
+        return "unreadable", f"{type(exc).__name__}: {exc}"
     if not isinstance(envelope, dict):
-        return "foreign", None, "not a result envelope"
+        return "foreign", "not a result envelope"
     version = envelope.get("schema_version")
     integrity = envelope.get("integrity")
     has_integrity = isinstance(integrity, dict)
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
+    if version != SCHEMA_VERSION:
         if has_integrity or version is not None:
             # Envelope-like but mislabeled: a flipped bit in the schema
-            # marker is corruption, not a foreign file.
-            return "unreadable", None, f"bad schema version {version!r}"
-        return "foreign", None, "not a result envelope"
+            # marker (or an envelope this build no longer reads) is
+            # untrustworthy, not a foreign file.
+            return "unreadable", f"bad schema version {version!r}"
+        return "foreign", "not a result envelope"
     if not has_integrity:
-        if version >= 2:
-            return "digest-mismatch", envelope, "schema-2 envelope missing its integrity block"
-        return "legacy", envelope, "version-1 envelope (no checksum)"
+        return "digest-mismatch", "envelope missing its integrity block"
     computed = _content_digest(_envelope_content(envelope))
     stored = integrity.get("digest")
     if computed != stored:
-        return (
-            "digest-mismatch",
-            envelope,
-            f"stored {stored!r}, computed {computed!r}",
-        )
+        return "digest-mismatch", f"stored {stored!r}, computed {computed!r}"
     if raw != json.dumps(envelope, indent=2, allow_nan=False):
-        return (
-            "digest-mismatch",
-            envelope,
-            "file bytes differ from the canonical serialisation",
-        )
-    return "ok", envelope, ""
-
-
-def _result_files(root: Path) -> Iterable[Path]:
-    """Every candidate result file: flat root plus ``shards/*/``."""
-    for path in sorted(root.glob("*.json")):
-        yield path
-    shard_root = root / ShardedResultStore.SHARD_DIR
-    if shard_root.is_dir():
-        for path in sorted(shard_root.glob("*/*.json")):
-            if path.name != "_index.json":
-                yield path
-
-
-def _rebuild_shard_index(shard_dir: Path) -> None:
-    """Rewrite one shard's ``_index.json`` from its surviving envelopes."""
-    entries: Dict[str, Any] = {}
-    for path in sorted(shard_dir.glob("*.json")):
-        if path.name == "_index.json":
-            continue
-        verdict, envelope, _ = _check_envelope_file(path)
-        if verdict not in ("ok", "legacy"):
-            continue
-        kind = envelope.get("kind")
-        spec = envelope.get("spec")
-        if kind is None or spec is None:
-            # A structurally incomplete (yet parseable, checksum-less)
-            # legacy envelope: leave it on disk but unindexed rather than
-            # aborting the whole rebuild on a KeyError.
-            continue
-        stat = path.stat()
-        integrity = envelope.get("integrity")
-        entries[path.stem] = {
-            "kind": kind,
-            "spec_hash": spec_hash(spec),
-            "mtime_ns": stat.st_mtime_ns,
-            "size": stat.st_size,
-            "sha256": integrity.get("digest") if isinstance(integrity, dict) else None,
-        }
-    index_path = shard_dir / "_index.json"
-    tmp = index_path.with_suffix(".json.tmp")
-    tmp.write_text(
-        json.dumps({"schema_version": SCHEMA_VERSION, "entries": entries}, indent=2)
-    )
-    os.replace(tmp, index_path)
+        return "digest-mismatch", "file bytes differ from the canonical serialisation"
+    return "ok", ""
 
 
 def fsck_store(directory: PathLike, quarantine: bool = False) -> FsckReport:
-    """Scan a result store; verify, optionally quarantine, rebuild indexes.
+    """Scan a result store; verify and optionally quarantine.
 
-    Walks every result file (flat and sharded), verifies checksummed
-    envelopes, and reports the rest.  With ``quarantine=True`` the
-    corrupt files are moved to ``<directory>/quarantine/``, every shard's
-    ``_index.json`` is rebuilt from the surviving files, and the scan's
-    accounting reflects the repaired tree (a second fsck is clean).
-    Index entries whose file vanished or whose recorded digest diverges
-    from the file's are reported as ``index-stale`` (and fixed by the
-    rebuild).
+    Walks every ``*.json`` file in the store directory, verifies
+    envelopes, and reports the untrustworthy ones.  With
+    ``quarantine=True`` the corrupt files are moved to
+    ``<directory>/quarantine/`` and the report's issues say so (a second
+    fsck is clean).
     """
     root = Path(directory)
     report = FsckReport()
     if not root.is_dir():
         return report
-    touched_shards: set = set()
-    for path in _result_files(root):
+    for path in sorted(root.glob("*.json")):
         report.scanned += 1
-        verdict, _, detail = _check_envelope_file(path)
+        verdict, detail = _check_envelope_file(path)
         if verdict == "ok":
             report.verified += 1
-            continue
-        if verdict == "legacy":
-            report.legacy += 1
             continue
         if verdict == "foreign":
             continue  # not ours: never a false positive
@@ -262,56 +180,7 @@ def fsck_store(directory: PathLike, quarantine: bool = False) -> FsckReport:
         if quarantine:
             issue.path = _quarantine(path, root)
             issue.quarantined = True
-            if path.parent.parent == root / ShardedResultStore.SHARD_DIR:
-                touched_shards.add(path.parent)
         report.issues.append(issue)
-    # Cross-check shard indexes against the files they describe.
-    shard_root = root / ShardedResultStore.SHARD_DIR
-    if shard_root.is_dir():
-        for index_path in sorted(shard_root.glob("*/_index.json")):
-            shard_dir = index_path.parent
-            try:
-                entries = json.loads(index_path.read_text()).get("entries", {})
-            except (OSError, json.JSONDecodeError, AttributeError):
-                touched_shards.add(shard_dir)
-                report.issues.append(
-                    FsckIssue(index_path, "index-stale", "index unreadable")
-                )
-                entries = {}
-            for name, entry in sorted(entries.items()):
-                file_path = shard_dir / f"{name}.json"
-                if not file_path.is_file():
-                    touched_shards.add(shard_dir)
-                    report.issues.append(
-                        FsckIssue(index_path, "index-stale", f"{name} missing on disk")
-                    )
-                    continue
-                recorded = entry.get("sha256") if isinstance(entry, dict) else None
-                if recorded is not None:
-                    verdict, envelope, _ = _check_envelope_file(file_path)
-                    if verdict == "ok":
-                        actual = envelope["integrity"]["digest"]
-                        if actual != recorded:
-                            touched_shards.add(shard_dir)
-                            report.issues.append(
-                                FsckIssue(
-                                    index_path,
-                                    "index-stale",
-                                    f"{name}: index sha256 {recorded!r} != file {actual!r}",
-                                )
-                            )
-    if quarantine:
-        for shard_dir in sorted(touched_shards):
-            _rebuild_shard_index(shard_dir)
-            report.rebuilt_indexes.append(shard_dir / "_index.json")
-        # An index-stale issue whose index was just rewritten is fixed,
-        # not outstanding — callers counting remaining corruption (the
-        # fsck CLI's exit code) must not tell the operator to rerun a
-        # repair that already happened.
-        rebuilt = set(report.rebuilt_indexes)
-        for issue in report.issues:
-            if issue.problem == "index-stale" and issue.path in rebuilt:
-                issue.repaired = True
     return report
 
 

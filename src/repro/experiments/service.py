@@ -5,8 +5,8 @@ service.  The daemon composes the pieces this package already has —
 :class:`~repro.experiments.queue.JobQueue` (persistent, crash-safe job
 state), :class:`~repro.experiments.registry.VictimRegistry` (warm
 shared-memory victims spanning jobs),
-:class:`~repro.experiments.store.ShardedResultStore` (spec-hash-sharded
-results) and :class:`~repro.experiments.runner.ExperimentRunner` — behind
+:class:`~repro.experiments.store.ResultStore` (checksummed result
+envelopes) and :class:`~repro.experiments.runner.ExperimentRunner` — behind
 a line-oriented JSON protocol on a TCP socket:
 
     {"op": "submit", "spec": {...ExperimentSpec payload...}}
@@ -44,7 +44,7 @@ from repro.experiments.queue import JobQueue, Job, QueueFullError
 from repro.experiments.registry import VictimRegistry
 from repro.experiments.runner import ExperimentRunner, make_backend
 from repro.experiments.specs import spec_from_dict
-from repro.experiments.store import open_store
+from repro.experiments.store import ResultStore, check_result_name
 from repro.testing import chaos
 from repro.utils.resilience import Deadline, RetryPolicy
 
@@ -127,7 +127,7 @@ class ExperimentService:
     """The daemon: a job queue, a warm victim registry and a runner.
 
     ``queue_dir`` holds job state (and the ``endpoint.json`` discovery
-    file); ``store_dir`` is the sharded result store jobs save into.
+    file); ``store_dir`` is the result store jobs save into.
     ``backend`` names the execution backend jobs run under (``serial``,
     ``thread`` or ``process``); backends with a
     ``registry`` attribute get the service's
@@ -173,7 +173,7 @@ class ExperimentService:
     ):
         self.queue = JobQueue(queue_dir, max_pending=max_pending)
         self.recovery = self.queue.recover()
-        self.store = open_store(store_dir, sharded=True)
+        self.store = ResultStore(store_dir)
         self.watchdog_timeout = watchdog_timeout
         self.registry = VictimRegistry(
             max_bytes=registry_max_bytes,
@@ -371,6 +371,13 @@ class ExperimentService:
     def _dispatch(self, request: Mapping[str, Any]) -> Dict[str, Any]:
         """Serve one protocol request (already JSON-decoded)."""
         op = request.get("op")
+        if op in ("submit", "result") and request.get("name") is not None:
+            # Names become file names in the store: reject one that could
+            # address a file outside it before anything is queued or read.
+            try:
+                check_result_name(request["name"])
+            except ValueError as exc:
+                return {"ok": False, "error": str(exc)}
         if op == "ping":
             return {"ok": True, "pid": os.getpid(), "jobs": self.queue.counts()}
         if op == "submit":

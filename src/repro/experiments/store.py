@@ -18,12 +18,11 @@ in-memory result objects (:class:`ModelComparisonResult`,
 :class:`DefenseEvaluationResult`, :class:`FlipCurve`, ...) the live run
 returned.
 
-Schema version 2 added the ``integrity`` block: a sha256 digest of the
-envelope's canonical content, verified on every load (``verify=False``
-opts out), so silent bit-rot in a stored result raises
+The ``integrity`` block is a sha256 digest of the envelope's canonical
+content, verified on every load (``verify=False`` opts out), so silent
+bit-rot in a stored result — or a stripped digest — raises
 :class:`IntegrityError` instead of feeding corrupt numbers into reports.
-Version-1 envelopes (no digest) remain fully readable; ``repro fsck``
-and :meth:`ShardedResultStore.migrate` upgrade them.
+Schema version 2 is the only version this build reads.
 """
 
 from __future__ import annotations
@@ -50,14 +49,10 @@ from repro.experiments.specs import (
     RefsyncOutcome,
     TrrSamplingOutcome,
     spec_from_dict,
-    spec_hash,
 )
 
+#: The envelope version this build writes and reads.
 SCHEMA_VERSION = 2
-
-#: Envelope versions this build reads.  1 is the pre-integrity format
-#: (no checksum — accepted, unverifiable); 2 embeds the sha256 digest.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
 
 PathLike = Union[str, Path]
 
@@ -92,19 +87,36 @@ def _envelope_content(envelope: Dict[str, Any]) -> Dict[str, Any]:
 def verify_envelope(path: Path, envelope: Dict[str, Any]) -> None:
     """Raise :class:`IntegrityError` when an envelope fails its checksum.
 
-    Version-1 envelopes carry no ``integrity`` block and pass vacuously
-    (there is nothing to verify against — that is exactly why the schema
-    was bumped).
+    An envelope without its ``integrity`` block fails too: every envelope
+    this build writes carries one, so a missing digest is damage.
     """
     integrity = envelope.get("integrity")
     if not isinstance(integrity, dict):
-        return
+        raise IntegrityError(f"{path}: envelope is missing its integrity block")
     computed = _content_digest(_envelope_content(envelope))
     stored = integrity.get("digest")
     if computed != stored:
         raise IntegrityError(
             f"{path}: content digest mismatch (stored {stored!r}, computed {computed!r})"
         )
+
+
+def check_result_name(name: str) -> str:
+    """Return ``name`` if it is a single path component, else raise.
+
+    Result names become file names inside the store directory, so a name
+    that is empty, contains a separator or NUL, or is ``.``/``..`` could
+    read or write outside the store; it raises ``ValueError``.
+    """
+    if (
+        not isinstance(name, str)
+        or name in ("", ".", "..")
+        or "/" in name
+        or os.sep in name
+        or "\0" in name
+    ):
+        raise ValueError(f"invalid result name {name!r}: must be one path component")
+    return name
 
 
 def _atomic_write_text(path: Path, text: str, point: str = "store.write") -> None:
@@ -354,10 +366,10 @@ class ResultStore:
     :meth:`names` / :meth:`load` loops) over a large result directory cost
     one ``stat`` per file instead of one full JSON parse.
 
-    ``verify`` controls load-time checksum verification of schema-2
-    envelopes (default on; version-1 envelopes have no checksum and are
-    always accepted).  ``repro fsck`` is the offline scan over the same
-    verification.
+    ``verify`` controls load-time checksum verification (default on).
+    ``repro fsck`` is the offline scan over the same verification.
+    Result names must be a single path component
+    (:func:`check_result_name`).
     """
 
     def __init__(self, directory: PathLike, verify: bool = True):
@@ -372,8 +384,12 @@ class ResultStore:
         self.files_parsed = 0
 
     def path_for(self, name: str) -> Path:
-        """Filesystem path a result of this name is stored at."""
-        return self.directory / f"{name}.json"
+        """Filesystem path a result of this name is stored at.
+
+        Raises ``ValueError`` for a name that is not a single path
+        component, so no caller can address a file outside the store.
+        """
+        return self.directory / f"{check_result_name(name)}.json"
 
     def _envelope_for(self, path: Path) -> Any:
         """The parsed envelope of ``path``, via the mtime/size index.
@@ -426,15 +442,15 @@ class ResultStore:
     def _decode_envelope(self, path: Path, envelope: Dict[str, Any]) -> ExperimentResult:
         """Rebuild the in-memory result from a parsed envelope dict.
 
-        Verifies the embedded checksum first (when the store verifies and
-        the envelope carries one): corrupt content raises
-        :class:`IntegrityError` before any decoding can misread it.
+        Verifies the embedded checksum first (when the store verifies):
+        corrupt content or a missing digest raises :class:`IntegrityError`
+        before any decoding can misread it.
         """
         version = envelope.get("schema_version")
-        if version not in SUPPORTED_SCHEMA_VERSIONS:
+        if version != SCHEMA_VERSION:
             raise ValueError(
                 f"{path} has schema version {version!r}; "
-                f"this build reads {SUPPORTED_SCHEMA_VERSIONS}"
+                f"this build reads {SCHEMA_VERSION}"
             )
         if self.verify:
             verify_envelope(path, envelope)
@@ -483,8 +499,9 @@ class ResultStore:
 
         The streaming counterpart of ``{name: load(name) for ...}``: each
         result is decoded only when the consumer reaches it, so aggregation
-        (the CLI ``report``) holds one decoded result at a time regardless
-        of store size.
+        (the CLI ``report``) holds one *decoded* result at a time.  The
+        parsed envelopes themselves stay in the store's index, because
+        :meth:`names` parses (and caches) every file first.
         """
         for name in self.names():
             yield name, self.load(name)
@@ -501,226 +518,12 @@ class ResultStore:
         found = []
         for path in sorted(self.directory.glob("*.json")):
             envelope = self._envelope_for(path)
-            if (
-                envelope is not None
-                and envelope.get("schema_version") in SUPPORTED_SCHEMA_VERSIONS
-            ):
+            if envelope is not None and envelope.get("schema_version") == SCHEMA_VERSION:
                 found.append(path.stem)
         return found
 
     def __contains__(self, name: str) -> bool:
-        return self.path_for(name).is_file()
-
-
-class ShardedResultStore(ResultStore):
-    """A :class:`ResultStore` partitioned by spec-hash prefix.
-
-    Fleet-scale campaigns produce orders of magnitude more result files
-    than the flat layout's single directory (and single stat-everything
-    index pass) can serve.  This store partitions results into
-    ``shards/<xx>/`` subdirectories — ``xx`` being the first two hex digits
-    of the producing spec's :func:`~repro.experiments.specs.spec_hash` —
-    and maintains one ``_index.json`` per shard mapping result names to
-    ``{kind, spec_hash, mtime_ns, size}``.  Listing reads the (tiny, also
-    mtime-cached) shard indexes instead of every result file, and
-    :meth:`load` parses result files on demand *without* retaining the
-    parsed envelope, so :meth:`~ResultStore.iter_results` aggregation
-    streams in constant memory.
-
-    Legacy flat files in the store root remain readable (read-through);
-    :meth:`migrate` moves them into shards in place.
-    """
-
-    #: Subdirectory holding the shard tree; its existence marks a store
-    #: directory as sharded (see :func:`open_store`).
-    SHARD_DIR = "shards"
-
-    def __init__(self, directory: PathLike, verify: bool = True):
-        super().__init__(directory, verify=verify)
-        #: result name -> path of its sharded file (rebuilt from the shard
-        #: indexes whenever a lookup misses).
-        self._locations: Dict[str, Path] = {}
-        #: index-file path -> ((mtime_ns, size), entries) parse cache.
-        self._shard_index_cache: Dict[Path, tuple] = {}
-
-    # -- layout --------------------------------------------------------
-    def shard_prefix(self, spec_payload: Dict[str, Any]) -> str:
-        """The two-hex-digit shard a spec payload's results live in."""
-        return spec_hash(spec_payload)[:2]
-
-    def path_for(self, name: str) -> Path:
-        """Sharded path when the shard indexes know ``name``, else flat.
-
-        The flat fallback keeps legacy (pre-sharding) files readable and
-        preserves the historical miss behaviour: loading an unknown name
-        raises ``OSError`` from the flat path.
-        """
-        located = self._locations.get(name)
-        if located is None:
-            flat = self.directory / f"{name}.json"
-            if flat.is_file():
-                return flat
-            self._refresh_locations()
-            located = self._locations.get(name)
-            if located is None:
-                return flat
-        return located
-
-    # -- shard indexes -------------------------------------------------
-    def _read_shard_index(self, index_path: Path) -> Dict[str, Any]:
-        """Entries of one shard ``_index.json`` (mtime/size cached)."""
         try:
-            stat = index_path.stat()
-        except OSError:
-            self._shard_index_cache.pop(index_path, None)
-            return {}
-        signature = (stat.st_mtime_ns, stat.st_size)
-        cached = self._shard_index_cache.get(index_path)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        try:
-            entries = json.loads(index_path.read_text()).get("entries", {})
-        except (OSError, json.JSONDecodeError, AttributeError):
-            entries = {}
-        self._shard_index_cache[index_path] = (signature, entries)
-        return entries
-
-    def _refresh_locations(self) -> None:
-        """Rebuild the name -> path map from every shard's index."""
-        root = self.directory / self.SHARD_DIR
-        locations: Dict[str, Path] = {}
-        if root.is_dir():
-            for index_path in sorted(root.glob("*/_index.json")):
-                shard_dir = index_path.parent
-                for name in self._read_shard_index(index_path):
-                    locations[name] = shard_dir / f"{name}.json"
-        self._locations = locations
-
-    def _update_shard_index(
-        self, shard_dir: Path, name: str, envelope: Dict[str, Any], path: Path
-    ) -> None:
-        """Record ``name`` in its shard's ``_index.json`` (atomic rewrite)."""
-        index_path = shard_dir / "_index.json"
-        entries = dict(self._read_shard_index(index_path))
-        stat = path.stat()
-        integrity = envelope.get("integrity")
-        entries[name] = {
-            "kind": envelope["kind"],
-            "spec_hash": spec_hash(envelope["spec"]),
-            "mtime_ns": stat.st_mtime_ns,
-            "size": stat.st_size,
-            # Mirror of the envelope's content digest (None for a legacy
-            # checksum-less envelope): fsck cross-checks index against file.
-            "sha256": integrity.get("digest") if isinstance(integrity, dict) else None,
-        }
-        tmp = index_path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps({"schema_version": SCHEMA_VERSION, "entries": entries}, indent=2)
-        )
-        os.replace(tmp, index_path)
-        stat = index_path.stat()
-        self._shard_index_cache[index_path] = ((stat.st_mtime_ns, stat.st_size), entries)
-
-    # -- store API -----------------------------------------------------
-    def save(self, name: str, result: ExperimentResult) -> Path:
-        """Persist ``result`` into its spec-hash shard and index it.
-
-        A legacy flat file of the same name is removed — the sharded copy
-        supersedes it, keeping :meth:`names` duplicate-free.
-        """
-        envelope = self._encode_envelope(result)
-        shard_dir = self.directory / self.SHARD_DIR / self.shard_prefix(envelope["spec"])
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        path = shard_dir / f"{name}.json"
-        _atomic_write_text(
-            path, json.dumps(envelope, indent=2, default=float, allow_nan=False)
-        )
-        flat = self.directory / f"{name}.json"
-        if flat.is_file():
-            flat.unlink()
-            self._index.pop(flat, None)
-        self._update_shard_index(shard_dir, name, envelope, path)
-        self._locations[name] = path
-        return path
-
-    def load(self, name: str) -> ExperimentResult:
-        """Load ``name``, parsing sharded files without retaining them.
-
-        Flat legacy files go through the base class (and its envelope
-        cache); sharded files are parsed on demand and *not* cached, so a
-        full-store aggregation pass needs memory for one result at a time.
-        """
-        path = self.path_for(name)
-        if path.parent == self.directory:
-            return super().load(name)
-        envelope = json.loads(path.read_text())
-        self.files_parsed += 1
-        return self._decode_envelope(path, envelope)
-
-    def names(self) -> List[str]:
-        """All result names: shard-index entries plus legacy flat files.
-
-        The shard contribution costs one (cached) index read per shard —
-        result files themselves are neither stat-ed nor parsed.
-        """
-        self._refresh_locations()
-        return sorted(set(super().names()) | set(self._locations))
-
-    def migrate(self) -> List[str]:
-        """Move every legacy flat result file into the sharded layout.
-
-        Returns the migrated names.  A checksummed (schema-2) file moves
-        with ``os.replace``, bytes unchanged; a version-1 file is upgraded
-        in flight — rewritten as a schema-2 envelope with a freshly
-        computed content digest — so a migrated store is uniformly
-        verifiable.  Either way each write is atomic and the flat copy is
-        only removed once the sharded copy exists, so a half-completed
-        migration leaves every result in exactly one readable place and a
-        rerun finishes the job.  Re-running on an already-sharded store is
-        a no-op (returns ``[]``).
-        """
-        moved = []
-        for name in ResultStore.names(self):
-            flat = self.directory / f"{name}.json"
-            envelope = self._envelope_for(flat)
-            if envelope is None:  # pragma: no cover - raced deletion
-                continue
-            shard_dir = self.directory / self.SHARD_DIR / self.shard_prefix(envelope["spec"])
-            shard_dir.mkdir(parents=True, exist_ok=True)
-            target = shard_dir / f"{name}.json"
-            if isinstance(envelope.get("integrity"), dict):
-                os.replace(flat, target)
-            else:
-                content = _envelope_content(envelope)
-                envelope = {
-                    "schema_version": SCHEMA_VERSION,
-                    **content,
-                    "integrity": {"algo": "sha256", "digest": _content_digest(content)},
-                }
-                _atomic_write_text(
-                    target, json.dumps(envelope, indent=2, allow_nan=False)
-                )
-                flat.unlink()
-            self._index.pop(flat, None)
-            self._update_shard_index(shard_dir, name, envelope, target)
-            self._locations[name] = target
-            moved.append(name)
-        return moved
-
-
-def open_store(
-    directory: PathLike, sharded: Union[bool, None] = None, verify: bool = True
-) -> ResultStore:
-    """Open the right store flavour for ``directory``.
-
-    Auto-detects by layout: a ``shards/`` subdirectory means
-    :class:`ShardedResultStore`, anything else the flat
-    :class:`ResultStore`.  Pass ``sharded=True``/``False`` to force a
-    flavour (e.g. when creating a new sharded store, or before running
-    :meth:`ShardedResultStore.migrate` on a flat tree).  ``verify`` is
-    forwarded to the store (checksum verification on load, default on).
-    """
-    root = Path(directory)
-    if sharded is None:
-        sharded = (root / ShardedResultStore.SHARD_DIR).is_dir()
-    return ShardedResultStore(root, verify=verify) if sharded else ResultStore(root, verify=verify)
+            return self.path_for(name).is_file()
+        except ValueError:
+            return False  # not a valid result name, so never stored

@@ -1,7 +1,7 @@
 """Resilience primitives: seeded retries and shared deadlines.
 
 The experiment service stack (daemon, job queue, chunk checkpoints,
-sharded result store) runs long campaigns that *will* be interrupted or
+result store) runs long campaigns that *will* be interrupted or
 overloaded mid-flight.  This module holds the policies those layers use
 to survive that while keeping the repo's core contract intact: **retried
 runs must stay bit-identical to the fault-free serial run**, which is why

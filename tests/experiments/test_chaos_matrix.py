@@ -27,7 +27,6 @@ from repro.experiments import (
     IntegrityError,
     JobQueue,
     ResultStore,
-    ShardedResultStore,
     fsck_queue,
     fsck_store,
 )
@@ -65,7 +64,7 @@ def _shm_segments():
 
 class TestInterruptedStoreWrite:
     def test_partial_sharded_write_leaves_no_torn_envelope(self, tmp_path):
-        """A torn sharded-store write must never corrupt an envelope.
+        """A torn first store write must never commit an envelope.
 
         The first save attempt fails mid-write (temp file only); the store
         directory holds no readable result.  The retry writes the same
@@ -73,7 +72,7 @@ class TestInterruptedStoreWrite:
         """
         spec = _cheap_spec(seed=5)
         expected = _serial_bytes(tmp_path, spec)
-        store = ShardedResultStore(tmp_path / "sharded")
+        store = ResultStore(tmp_path / "torn")
         runner = ExperimentRunner(store=store)
         with chaos.active_plan(FaultPlan.single("store.write", "partial_write")):
             with pytest.raises(OSError):

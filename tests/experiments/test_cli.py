@@ -55,6 +55,19 @@ class TestRunAndReport:
         assert main(["report", "legacy", "--store", str(tmp_path)]) == 1
         assert "cannot load 'legacy'" in capsys.readouterr().err
 
+    def test_run_rejects_path_traversal_name(self, tmp_path, capsys):
+        store_dir = tmp_path / "results"
+        assert main([
+            "run", "chip_profile", "--store", str(store_dir), "--save-as", "../x",
+        ]) == 2
+        assert "invalid result name '../x'" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_report_path_traversal_name_is_not_found(self, tmp_path, capsys):
+        (tmp_path / "x.json").write_text(json.dumps({"rows": []}))
+        assert main(["report", "../x", "--store", str(tmp_path / "results")]) == 1
+        assert "no stored result" in capsys.readouterr().err
+
     def test_run_without_kind_or_spec_fails(self, tmp_path, capsys):
         assert main(["run", "--store", str(tmp_path)]) == 2
         assert "provide an experiment kind" in capsys.readouterr().err

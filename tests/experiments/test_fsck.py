@@ -1,4 +1,4 @@
-"""repro fsck: checksum verification, quarantine, index rebuild, shm sweep."""
+"""repro fsck: checksum verification, quarantine, shm sweep."""
 
 import json
 import os
@@ -11,7 +11,6 @@ from repro.experiments import (
     ExperimentResult,
     JobQueue,
     ResultStore,
-    ShardedResultStore,
     fsck_queue,
     fsck_store,
     sweep_shm,
@@ -60,15 +59,26 @@ class TestStoreFsck:
         store = ResultStore(tmp_path)
         for seed in range(3):
             store.save(f"r{seed}", _result(seed=seed))
-        # A legacy v1 envelope and a foreign JSON file must not be flagged.
+        # A foreign JSON file must not be flagged.
+        (tmp_path / "notes.json").write_text(json.dumps({"rows": []}))
+        report = fsck_store(tmp_path)
+        assert report.clean
+        assert report.scanned == 4 and report.verified == 3
+
+    def test_v1_envelope_is_unreadable_not_verified(self, tmp_path):
+        # Schema 2 is the only version read: a checksum-less v1 envelope
+        # is an untrustworthy file, not a legacy one.
+        store = ResultStore(tmp_path)
+        for seed in range(3):
+            store.save(f"r{seed}", _result(seed=seed))
         envelope = json.loads(store.path_for("r0").read_text())
         del envelope["integrity"]
         envelope["schema_version"] = 1
         store.path_for("r0").write_text(json.dumps(envelope, indent=2))
-        (tmp_path / "notes.json").write_text(json.dumps({"rows": []}))
         report = fsck_store(tmp_path)
-        assert report.clean
-        assert report.verified == 2 and report.legacy == 1
+        assert [issue.problem for issue in report.issues] == ["unreadable"]
+        assert report.issues[0].detail == "bad schema version 1"
+        assert report.verified == 2 and report.legacy == 0
 
     def test_bit_flip_is_detected_and_quarantined(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -80,9 +90,12 @@ class TestStoreFsck:
         assert report.issues[0].quarantined
         assert (tmp_path / "quarantine" / "bad.json").is_file()
         assert not store.path_for("bad").exists()
-        # The repaired tree is clean and the good result untouched.
+        # The repaired tree is clean and the good result still loads.
         after = fsck_store(tmp_path)
         assert after.clean and after.verified == 1
+        fresh = ResultStore(tmp_path)
+        assert fresh.names() == ["good"]
+        assert fresh.load("good").spec.seed == 1
 
     def test_whitespace_flip_is_detected(self, tmp_path):
         # A flip in formatting passes the content digest; the byte-exact
@@ -105,59 +118,9 @@ class TestStoreFsck:
         assert [issue.problem for issue in report.issues] == ["unreadable"]
         assert fsck_store(tmp_path).clean
 
-    def test_sharded_corruption_rebuilds_the_index(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
-        store.save("a", _result(seed=1))
-        store.save("b", _result(seed=2))
-        _flip_byte(store.path_for("a"))
-        report = fsck_store(tmp_path, quarantine=True)
-        problems = sorted(issue.problem for issue in report.issues)
-        assert "digest-mismatch" in problems
-        assert report.rebuilt_indexes  # the touched shard's index was rewritten
-        assert fsck_store(tmp_path).clean
-        # The surviving result is still loadable; the corrupt one is gone.
-        fresh = ShardedResultStore(tmp_path)
-        assert fresh.names() == ["b"]
-        assert fresh.load("b").spec.seed == 2
-
-    def test_index_entry_without_file_is_stale(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
-        path = store.save("a", _result(seed=1))
-        path.unlink()  # file vanished; the index still names it
-        report = fsck_store(tmp_path)
-        assert [issue.problem for issue in report.issues] == ["index-stale"]
-        fsck_store(tmp_path, quarantine=True)
-        assert fsck_store(tmp_path).clean
-
     def test_missing_directory_is_empty_report(self, tmp_path):
         report = fsck_store(tmp_path / "nope")
         assert report.clean and report.scanned == 0
-
-    def test_quarantine_marks_rebuilt_index_issues_repaired(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
-        path = store.save("a", _result(seed=1))
-        path.unlink()  # file vanished; the index still names it
-        report = fsck_store(tmp_path, quarantine=True)
-        stale = [i for i in report.issues if i.problem == "index-stale"]
-        assert stale and all(issue.repaired for issue in stale)
-        assert all(issue.to_dict()["repaired"] for issue in stale)
-        assert fsck_store(tmp_path).clean
-
-    def test_rebuild_survives_envelope_missing_kind_and_spec(self, tmp_path):
-        # A parseable version-1 envelope without kind/spec is classified
-        # legacy; the index rebuild must skip it, not abort on KeyError.
-        store = ShardedResultStore(tmp_path)
-        good = store.save("a", _result(seed=1))
-        shard_dir = good.parent
-        (shard_dir / "odd.json").write_text(
-            json.dumps({"schema_version": 1, "payload": []})
-        )
-        _flip_byte(good)  # forces the shard's index to be rebuilt
-        report = fsck_store(tmp_path, quarantine=True)
-        assert report.rebuilt_indexes
-        index = json.loads((shard_dir / "_index.json").read_text())
-        assert "odd" not in index["entries"]
-        assert fsck_store(tmp_path).clean
 
 
 class TestQueueFsck:
@@ -299,25 +262,6 @@ class TestFsckCli:
         assert rc == 0
         assert "quarantined digest-mismatch" in capsys.readouterr().out
         assert (store_dir / "quarantine" / "r.json").is_file()
-
-    def test_quarantine_with_stale_index_exits_zero(self, tmp_path, capsys):
-        # Quarantining a sharded file leaves its index entry dangling; the
-        # same run rebuilds the index, so the exit code must not claim
-        # corruption remains and tell the operator to rerun --quarantine.
-        store_dir = tmp_path / "store"
-        store = ShardedResultStore(store_dir)
-        store.save("a", _result(seed=1))
-        store.save("b", _result(seed=2))
-        _flip_byte(store.path_for("a"))
-        rc = main([
-            "fsck", "--store", str(store_dir), "--queue", str(tmp_path / "q"),
-            "--quarantine",
-        ])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "quarantined digest-mismatch" in captured.out
-        assert "repaired index-stale" in captured.out
-        assert "corrupt file(s) remain" not in captured.err
 
     def test_shm_flag_sweeps(self, tmp_path, capsys):
         rc = main([

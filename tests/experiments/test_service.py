@@ -51,6 +51,23 @@ class TestOfflineExecution:
         assert not response["ok"]
         assert len(service.queue) == 0
 
+    def test_submit_rejects_path_traversal_name(self, tmp_path):
+        service = _service(tmp_path)
+        response = service._dispatch(
+            {"op": "submit", "spec": _cheap_spec().to_dict(), "name": "../x"}
+        )
+        assert not response["ok"]
+        assert "invalid result name" in response["error"]
+        assert len(service.queue) == 0
+
+    def test_result_rejects_path_traversal_name(self, tmp_path):
+        service = _service(tmp_path)
+        (tmp_path / "x.json").write_text(json.dumps({"secret": 1}))
+        response = service._dispatch({"op": "result", "name": "../x"})
+        assert not response["ok"]
+        assert "invalid result name" in response["error"]
+        assert "envelope" not in response
+
     def test_failing_job_is_isolated(self, tmp_path, monkeypatch):
         service = _service(tmp_path)
         service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})

@@ -8,9 +8,10 @@ import pytest
 from repro.core.comparison import MechanismOutcome, ModelComparisonResult
 from repro.core.results import AttackEvent, AttackResult
 from repro.dram.geometry import DramGeometry
+from repro.experiments.cli import main
+from repro.experiments.store import check_result_name
 from repro.experiments import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     ChipProfileSpec,
     ComparisonSpec,
     DefenseMatrixSpec,
@@ -103,6 +104,30 @@ class TestEnvelope:
         assert store.names() == ["real"]
 
 
+class TestResultNames:
+    """A result name is one path component: it cannot leave the store."""
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "/etc/x", "a\0b"])
+    def test_non_component_names_rejected(self, tmp_path, name):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="invalid result name"):
+            check_result_name(name)
+        with pytest.raises(ValueError, match="invalid result name"):
+            store.path_for(name)
+        assert name not in store
+
+    def test_save_outside_the_store_is_refused(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        result = ExperimentResult(spec=ComparisonSpec(), payload=_comparison_payload())
+        with pytest.raises(ValueError, match="invalid result name"):
+            store.save("../x", result)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_plain_names_accepted(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.path_for("table1.v2") == tmp_path / "table1.v2.json"
+
+
 class TestIntegrity:
     """Schema-2 envelopes carry a sha256 digest verified on every load."""
 
@@ -136,16 +161,26 @@ class TestIntegrity:
         trusting = ResultStore(tmp_path, verify=False)
         assert trusting.load("r").payload[0].clean_accuracy == 11.1
 
-    def test_legacy_v1_envelope_reads_through(self, tmp_path):
+    def test_v1_envelope_raises_version_error(self, tmp_path):
         store = self._saved(tmp_path)
         envelope = json.loads(store.path_for("r").read_text())
         del envelope["integrity"]
         envelope["schema_version"] = 1
         store.path_for("r").write_text(json.dumps(envelope, indent=2))
-        assert 1 in SUPPORTED_SCHEMA_VERSIONS
         fresh = ResultStore(tmp_path)
-        assert fresh.names() == ["r"]
-        assert fresh.load("r").payload == _comparison_payload()
+        assert fresh.names() == []
+        with pytest.raises(ValueError, match="schema version 1; this build reads 2"):
+            fresh.load("r")
+
+    def test_stripped_integrity_block_fails_load(self, tmp_path):
+        store = self._saved(tmp_path)
+        envelope = json.loads(store.path_for("r").read_text())
+        del envelope["integrity"]
+        store.path_for("r").write_text(json.dumps(envelope, indent=2))
+        with pytest.raises(IntegrityError, match="missing its integrity block"):
+            ResultStore(tmp_path).load("r")
+        with pytest.raises(IntegrityError, match="missing its integrity block"):
+            verify_envelope(store.path_for("r"), envelope)
 
     def test_digest_is_format_independent(self, tmp_path):
         # Re-indenting the file (same content, different bytes) still
@@ -286,3 +321,21 @@ class TestRoundTripsLive:
             assert np.array_equal(live.directions, back.directions)
             assert live.capacity_bits == back.capacity_bits
         assert loaded.payload.ideal_rowpress_cells == result.payload.ideal_rowpress_cells
+
+
+class TestReportAll:
+    """``repro report --all`` over a large flat store renders every result."""
+
+    NUM_FILES = 1000
+
+    def test_thousand_file_report_renders_every_result(self, tmp_path, capsys):
+        store = ResultStore(tmp_path)
+        payload = _comparison_payload()
+        for seed in range(self.NUM_FILES):
+            store.save(
+                f"exp{seed:04d}",
+                ExperimentResult(spec=ComparisonSpec(seed=seed), payload=payload),
+            )
+        assert main(["report", "--all", "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("## exp") == self.NUM_FILES

@@ -21,7 +21,6 @@ from repro.experiments import (
     ProcessPoolBackend,
     RefsyncSweepSpec,
     ResultStore,
-    ShardedResultStore,
     ThreadPoolBackend,
     TrrSamplingSpec,
     spec_from_dict,
@@ -158,7 +157,7 @@ class TestBackendDeterminism:
 
 class TestNanConventions:
     def test_zero_act_cell_is_nan_and_survives_the_store(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         result = ExperimentRunner(store=store).run(SMALL_REFSYNC, save_as="refsync")
         outcome = result.payload
         zero_cell = outcome.sampled_fractions[0][0]  # act_rate=0, phase=0
@@ -189,7 +188,7 @@ class TestNanConventions:
 
 class TestOutcomeAccessors:
     def test_trr_outcome_round_trips_and_reports(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         result = ExperimentRunner(store=store).run(SMALL_TRR, save_as="trr")
         outcome = result.payload
         by_capacity = outcome.flips_by_capacity()

@@ -10,7 +10,7 @@ checkpoints, ``/dev/shm`` segments).
 
 Scenarios:
 
-1. a sharded-store write torn mid-envelope (retry produces identical bytes);
+1. a result-store write torn mid-envelope (retry produces identical bytes);
 2. a job-queue persist torn mid-file (queue reloads consistently);
 3. a chunk execution error mid-job in the daemon (job fails with kept
    checkpoints; the resubmission *resumes* instead of rerunning).
@@ -33,7 +33,6 @@ from repro.experiments import (
     ExperimentService,
     JobQueue,
     ResultStore,
-    ShardedResultStore,
 )
 from repro.experiments.shared import SEGMENT_PREFIX
 from repro.testing import chaos
@@ -72,10 +71,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as raw:
         root = Path(raw)
 
-        # 1. Torn sharded-store write: no corrupt envelope, retry identical.
+        # 1. Torn store write: no corrupt envelope, retry identical.
         seed = SCENARIO_SEEDS["store-partial-write"]
         expected = _serial_bytes(root, seed)
-        store = ShardedResultStore(root / "sharded")
+        store = ResultStore(root / "torn")
         with chaos.active_plan(FaultPlan.single("store.write", "partial_write")):
             try:
                 ExperimentRunner(store=store).run(_spec(seed), save_as="exp")

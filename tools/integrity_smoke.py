@@ -136,10 +136,8 @@ def main() -> int:
         report = fsck_store(root / "s2", quarantine=True)
         mismatches = [i for i in report.issues if i.problem == "digest-mismatch"]
         check(
-            len(mismatches) == 1
-            and mismatches[0].quarantined
-            and report.rebuilt_indexes,
-            "fsck quarantines the damaged envelope and rebuilds its shard index",
+            len(mismatches) == 1 and mismatches[0].quarantined,
+            "fsck quarantines the damaged envelope",
         )
         check(fsck_store(root / "s2").clean, "store is clean after quarantine")
         fresh = ResultStore(root / "s2")
