@@ -31,7 +31,6 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,7 +47,6 @@ from repro.experiments.specs import (
 )
 from repro.experiments.store import ResultStore, check_result_name
 from repro.nn.quantization import VICTIM_PRECISIONS
-from repro.utils.validation import ENGINES
 
 DEFAULT_STORE = "benchmarks/results"
 DEFAULT_QUEUE = "benchmarks/queue"
@@ -95,7 +93,6 @@ def build_default_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
             profile_seed=args.seed,
             objective=_objective_config(args),
             victim_precision=args.victim_precision,
-            engine=args.engine,
         )
     try:
         spec_cls = SPEC_KINDS[kind]
@@ -111,11 +108,6 @@ def build_default_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
             ("--objective", args.objective != "untargeted"),
             ("--objective-param", bool(args.objective_param)),
             ("--victim-precision", args.victim_precision != "float32"),
-            (
-                "--engine",
-                args.engine is not None
-                and kind not in ("profile_density", "trr_sampling", "refsync_sweep"),
-            ),
         )
         if used
     ]
@@ -141,10 +133,6 @@ def build_default_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
             seed=spec.seed, profile_seed=spec.profile_seed, objective_seed=spec.objective_seed,
             search=BitSearchConfig(max_flips=args.max_flips, top_k_layers=5),
         )
-    if args.engine is not None and kind in (
-        "profile_density", "trr_sampling", "refsync_sweep"
-    ):
-        spec = dataclasses.replace(spec, engine=args.engine)
     return spec
 
 
@@ -276,14 +264,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         default="float32",
         choices=sorted(VICTIM_PRECISIONS),
         help="deployed weight precision of the victim (comparison specs)",
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=sorted(ENGINES),
-        help="bit-search engine tier (default: REPRO_DEFAULT_ENGINE or vectorized); "
-             "'compiled' uses the JIT kernel registry and falls back to "
-             "vectorized when no toolchain is available",
     )
 
 

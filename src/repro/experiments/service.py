@@ -382,13 +382,16 @@ class ExperimentService:
             return {"ok": True, "pid": os.getpid(), "jobs": self.queue.counts()}
         if op == "submit":
             try:
-                spec_from_dict(request["spec"])  # reject malformed specs up front
+                # Reject malformed specs up front and queue the normalised
+                # payload, so partial or retired-key payloads of the same
+                # spec deduplicate to one job.
+                spec = spec_from_dict(request["spec"])
             except (ValueError, TypeError, KeyError) as exc:
                 return {"ok": False, "error": f"invalid spec: {exc}"}
             deadline = request.get("deadline")
             try:
                 job, created = self.queue.submit(
-                    request["spec"],
+                    spec.to_dict(),
                     name=request.get("name"),
                     priority=int(request.get("priority", 0)),
                     # The wire carries seconds-of-useful-life; the queue

@@ -7,7 +7,10 @@ campaign and the profile-density ablation) is described by one of the
 
 * **declarative** — plain data, JSON round-trippable via
   :meth:`ExperimentSpec.to_dict` / :func:`spec_from_dict`, with every seed
-  explicit so a spec fully determines its results;
+  explicit so a spec fully determines its results.  One codec, driven by
+  the dataclass fields and their type hints, serves every kind; the engine
+  tier is not a field (``REPRO_DEFAULT_ENGINE`` selects it, and tiers are
+  byte-identical), so it never enters :func:`spec_hash`;
 * **decomposable** — :meth:`ExperimentSpec.work_units` splits the
   experiment into independent, JSON-serialisable work units that
   :class:`~repro.experiments.runner.ExperimentRunner` can execute serially
@@ -22,10 +25,14 @@ campaign and the profile-density ablation) is described by one of the
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from enum import Enum
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -52,7 +59,6 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.timeline import TimelineEngine, TimelineResult
 from repro.dram.timing import DramTimings
 from repro.dram.vulnerability import CellVulnerabilityModel, VulnerabilityParameters
-from repro.faults.patterns import DataPattern
 from repro.faults.profiler import ChipProfiler, ProfilingConfig
 from repro.faults.profiles import BitFlipProfile, ProfilePair
 from repro.faults.refsync import RefsyncConfig, build_refsync_attack
@@ -67,69 +73,60 @@ from repro.faults.sweep import (
 from repro.models.registry import get_spec
 from repro.nn.quantization import precision_num_bits, quantize_model
 from repro.utils.rng import mix_seed, spawn_seeds
-from repro.utils.validation import check_engine, default_engine
+from repro.utils.validation import default_engine
 
 MECHANISMS: Tuple[str, str] = ("rowhammer", "rowpress")
 
+#: Payload keys of removed spec fields: accepted on decode and dropped, so
+#: stored results and queued jobs written before the removal still load.
+RETIRED_KEYS = frozenset({"engine"})
+
 
 # ----------------------------------------------------------------------
-# Encoding helpers for the nested configuration dataclasses
+# Field-driven codec
 # ----------------------------------------------------------------------
-def _encode_search(config: BitSearchConfig) -> Dict[str, Any]:
-    return {
-        "max_flips": config.max_flips,
-        "top_k_layers": config.top_k_layers,
-        "eval_batch_size": config.eval_batch_size,
-        "resample_attack_batch": config.resample_attack_batch,
-    }
+def _encode(value: Any) -> Any:
+    """JSON form of a field value: dataclasses by field, in field order."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, Mapping):
+        return {key: _encode(item) for key, item in value.items()}
+    return value
 
 
-def _decode_search(payload: Mapping[str, Any]) -> BitSearchConfig:
-    return BitSearchConfig(**dict(payload))
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _encode_geometry(geometry: DramGeometry) -> Dict[str, int]:
-    return {
-        "num_banks": geometry.num_banks,
-        "rows_per_bank": geometry.rows_per_bank,
-        "cols_per_row": geometry.cols_per_row,
-    }
+def _decode(hint: Any, value: Any) -> Any:
+    """Inverse of :func:`_encode` for a value of type ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:  # Optional[X]
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return None if value is None else _decode(inner, value)
+    if origin is tuple:
+        return tuple(_decode(args[0], item) for item in value)
+    if dataclasses.is_dataclass(hint):
+        return _decode_dataclass(hint, value)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value
 
 
-def _decode_geometry(payload: Mapping[str, Any]) -> DramGeometry:
-    return DramGeometry(**{key: int(value) for key, value in payload.items()})
-
-
-def _encode_rowhammer(config: RowHammerConfig) -> Dict[str, Any]:
-    return {
-        "bank": config.bank,
-        "victim_row": config.victim_row,
-        "hammer_count": config.hammer_count,
-        "pattern": config.pattern.value,
-        "aggressor_distance": config.aggressor_distance,
-    }
-
-
-def _decode_rowhammer(payload: Mapping[str, Any]) -> RowHammerConfig:
-    params = dict(payload)
-    params["pattern"] = DataPattern(params.get("pattern", DataPattern.VICTIM_ZEROS.value))
-    return RowHammerConfig(**params)
-
-
-def _encode_rowpress(config: RowPressConfig) -> Dict[str, Any]:
-    return {
-        "bank": config.bank,
-        "pressed_row": config.pressed_row,
-        "open_cycles": config.open_cycles,
-        "repetitions": config.repetitions,
-        "pattern": config.pattern.value,
-    }
-
-
-def _decode_rowpress(payload: Mapping[str, Any]) -> RowPressConfig:
-    params = dict(payload)
-    params["pattern"] = DataPattern(params.get("pattern", DataPattern.VICTIM_ZEROS.value))
-    return RowPressConfig(**params)
+def _decode_dataclass(cls: type, payload: Mapping[str, Any]) -> Any:
+    types = _field_types(cls)
+    unknown = sorted(set(payload) - set(types))
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {unknown[0]!r}")
+    return cls(**{name: _decode(types[name], value) for name, value in payload.items()})
 
 
 # ----------------------------------------------------------------------
@@ -148,12 +145,20 @@ class ExperimentSpec:
     # -- serialisation -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable description; inverse of :func:`spec_from_dict`."""
-        raise NotImplementedError
+        return {"kind": self.kind, **_encode(self)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        raise NotImplementedError
+        """Rebuild a spec from :meth:`to_dict` output.
+
+        Missing fields take their defaults, :data:`RETIRED_KEYS` are
+        dropped and any other unknown key raises :class:`ValueError`.
+        """
+        return _decode_dataclass(
+            cls,
+            {key: value for key, value in payload.items()
+             if key != "kind" and key not in RETIRED_KEYS},
+        )
 
     # -- execution protocol --------------------------------------------
     def work_units(self) -> List[Dict[str, Any]]:
@@ -206,10 +211,6 @@ def spec_from_dict(payload: Mapping[str, Any]) -> ExperimentSpec:
         known = ", ".join(sorted(SPEC_KINDS))
         raise ValueError(f"unknown experiment kind {kind!r}; known kinds: {known}") from exc
     return cls.from_dict(payload)
-
-
-def _freeze(values: Optional[Sequence]) -> Optional[tuple]:
-    return None if values is None else tuple(values)
 
 
 def canonical_spec_json(payload: Mapping[str, Any]) -> str:
@@ -269,46 +270,10 @@ class ComparisonSpec(ExperimentSpec):
     rowpress_budget: float = DEFAULT_ROWPRESS_PROFILE_BUDGET
     objective: ObjectiveConfig = ObjectiveConfig()
     victim_precision: str = "float32"
-    #: Engine tier for the inner bit search (``None`` = process default).
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model_keys", tuple(self.model_keys))
         precision_num_bits(self.victim_precision)  # validate the name
-        if self.engine is not None:
-            check_engine(self.engine)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "model_keys": list(self.model_keys),
-            "repetitions": self.repetitions,
-            "attack_batch_size": self.attack_batch_size,
-            "eval_samples": self.eval_samples,
-            "tolerance": self.tolerance,
-            "search": _encode_search(self.search),
-            "training_epochs": self.training_epochs,
-            "seed": self.seed,
-            "profile_seed": self.profile_seed,
-            "rowhammer_budget": self.rowhammer_budget,
-            "rowpress_budget": self.rowpress_budget,
-            "objective": self.objective.to_dict(),
-            "victim_precision": self.victim_precision,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ComparisonSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["model_keys"] = tuple(params.get("model_keys", ()))
-        params["search"] = _decode_search(params.get("search", {}))
-        # Pre-objective-layer payloads carry neither field; default to the
-        # paper's untargeted float32 pipeline.
-        params["objective"] = ObjectiveConfig.from_dict(params.get("objective", {}))
-        params.setdefault("victim_precision", "float32")
-        # Pre-engine-tier payloads: None defers to the process default.
-        params.setdefault("engine", None)
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def comparison_config(self) -> ComparisonConfig:
@@ -323,7 +288,6 @@ class ComparisonSpec(ExperimentSpec):
             seed=self.seed,
             objective=self.objective,
             victim_precision=self.victim_precision,
-            engine=self.engine,
         )
 
     def profiles(self, context) -> ProfilePair:
@@ -442,19 +406,6 @@ class DefenseConfig:
         """Instantiate the defense via the registry."""
         return build_defense(self.defense_kind, **dict(self.params))
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return {"defense_kind": self.defense_kind, "label": self.label, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DefenseConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            defense_kind=payload["defense_kind"],
-            label=payload.get("label"),
-            params=dict(payload.get("params", {})),
-        )
-
 
 def default_defense_roster() -> Tuple[DefenseConfig, ...]:
     """The five counter-based mechanisms evaluated in the paper."""
@@ -493,29 +444,6 @@ class DefenseMatrixSpec(ExperimentSpec):
             # combine() keys the matrix by name; collisions would silently
             # drop results, so make them impossible (give labels instead).
             raise ValueError(f"duplicate defense names in spec: {sorted(names)}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "rh_density": self.rh_density,
-            "rp_density": self.rp_density,
-            "chip_seed": self.chip_seed,
-            "defenses": [defense.to_dict() for defense in self.defenses],
-            "rowhammer": _encode_rowhammer(self.rowhammer),
-            "rowpress": _encode_rowpress(self.rowpress),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DefenseMatrixSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["defenses"] = tuple(
-            DefenseConfig.from_dict(entry) for entry in params.get("defenses", ())
-        )
-        params["rowhammer"] = _decode_rowhammer(params["rowhammer"])
-        params["rowpress"] = _decode_rowpress(params["rowpress"])
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def build_chip(self) -> DramChip:
@@ -592,24 +520,6 @@ class FlipSweepSpec(ExperimentSpec):
         object.__setattr__(self, "hammer_counts", tuple(int(h) for h in self.hammer_counts))
         object.__setattr__(self, "open_cycles", tuple(int(c) for c in self.open_cycles))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "hammer_counts": list(self.hammer_counts),
-            "open_cycles": list(self.open_cycles),
-            "max_rows_per_bank": self.max_rows_per_bank,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FlipSweepSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["hammer_counts"] = tuple(params.get("hammer_counts", ()))
-        params["open_cycles"] = tuple(params.get("open_cycles", ()))
-        return cls(**params)
-
     # -- execution -----------------------------------------------------
     def build_chip(self) -> DramChip:
         """A fresh chip with the default vulnerability populations."""
@@ -660,22 +570,6 @@ class ChipProfileSpec(ExperimentSpec):
     hammer_count: int = 900_000
     open_cycles: int = 100_000_000
     row_stride: int = 2
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "hammer_count": self.hammer_count,
-            "open_cycles": self.open_cycles,
-            "row_stride": self.row_stride,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChipProfileSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def work_units(self) -> List[Dict[str, Any]]:
@@ -781,38 +675,9 @@ class ProfileDensitySpec(ExperimentSpec):
     profile_seed: int = 17
     objective_seed: int = 23
     training_epochs: Optional[int] = None
-    #: Engine tier for the inner bit search (``None`` = process default).
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
-        if self.engine is not None:
-            check_engine(self.engine)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "model_key": self.model_key,
-            "densities": list(self.densities),
-            "include_unconstrained": self.include_unconstrained,
-            "search": _encode_search(self.search),
-            "attack_batch_size": self.attack_batch_size,
-            "eval_samples": self.eval_samples,
-            "one_to_zero_probability": self.one_to_zero_probability,
-            "seed": self.seed,
-            "profile_seed": self.profile_seed,
-            "objective_seed": self.objective_seed,
-            "training_epochs": self.training_epochs,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ProfileDensitySpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["densities"] = tuple(params.get("densities", ()))
-        params["search"] = _decode_search(params.get("search", {}))
-        params.setdefault("engine", None)
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def victim_requirements(self) -> List[Tuple[str, int, Optional[int]]]:
@@ -850,7 +715,6 @@ class ProfileDensitySpec(ExperimentSpec):
                 config=self.search,
                 model_name=model_spec.display_name,
                 mechanism="unconstrained",
-                engine=self.engine,
             ).run()
         density = float(unit["density"])
         profile = BitFlipProfile.synthetic(
@@ -864,7 +728,7 @@ class ProfileDensitySpec(ExperimentSpec):
             model,
             self._objective(dataset),
             profile,
-            config=ProfileAwareConfig(search=self.search, engine=self.engine),
+            config=ProfileAwareConfig(search=self.search),
             tensor_infos=tensor_infos,
             model_name=model_spec.display_name,
         )
@@ -910,7 +774,6 @@ def _timeline_chip(
     rh_density: float,
     rh_onset: float,
     chip_seed: int,
-    engine: Optional[str],
     ones_rows: Sequence[Tuple[int, int]],
 ) -> DramChip:
     """A fresh chip for a timeline unit, with aggressor/decoy rows set to ones.
@@ -925,7 +788,7 @@ def _timeline_chip(
         timings=DramTimings(),
         vulnerability_parameters=_timeline_vulnerability(rh_density, rh_onset),
         seed=chip_seed,
-        engine=engine if engine is not None else default_engine(),
+        engine=default_engine(),
     )
     ones = np.ones(geometry.cols_per_row, dtype=np.uint8)
     for bank, row in ones_rows:
@@ -969,8 +832,6 @@ class TrrSamplingSpec(ExperimentSpec):
     capacities: Tuple[int, ...] = (0, 1, 2, 4)
     policy: str = "first"
     sampler_seed: int = 0
-    #: Engine tier for the timeline evaluation (``None`` = process default).
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "aggressor_rows", tuple(int(r) for r in self.aggressor_rows))
@@ -979,35 +840,6 @@ class TrrSamplingSpec(ExperimentSpec):
             raise ValueError(f"unknown sampling policy {self.policy!r}")
         if any(capacity < 0 for capacity in self.capacities):
             raise ValueError("sampler capacities must be >= 0 (0 = no sampler)")
-        if self.engine is not None:
-            check_engine(self.engine)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "rh_density": self.rh_density,
-            "rh_onset": self.rh_onset,
-            "bank": self.bank,
-            "aggressor_rows": list(self.aggressor_rows),
-            "windows": self.windows,
-            "acts_per_window": self.acts_per_window,
-            "refresh_bins": self.refresh_bins,
-            "capacities": list(self.capacities),
-            "policy": self.policy,
-            "sampler_seed": self.sampler_seed,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TrrSamplingSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["aggressor_rows"] = tuple(params.get("aggressor_rows", ()))
-        params["capacities"] = tuple(params.get("capacities", ()))
-        params.setdefault("engine", None)
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def work_units(self) -> List[Dict[str, Any]]:
@@ -1019,7 +851,7 @@ class TrrSamplingSpec(ExperimentSpec):
         capacity = int(unit["capacity"])
         chip = _timeline_chip(
             self.geometry, self.rh_density, self.rh_onset, self.chip_seed,
-            self.engine, [(self.bank, row) for row in self.aggressor_rows],
+            [(self.bank, row) for row in self.aggressor_rows],
         )
         timeline = build_hammer_timeline(
             chip.timings,
@@ -1033,11 +865,7 @@ class TrrSamplingSpec(ExperimentSpec):
             sampler = TrrSampler(
                 capacity=capacity, policy=self.policy, seed=self.sampler_seed
             )
-        engine = TimelineEngine(
-            chip, sampler=sampler, refresh_bins=self.refresh_bins,
-            engine=self.engine if self.engine is not None else default_engine(),
-        )
-        return engine.run(timeline)
+        return TimelineEngine(chip, sampler=sampler, refresh_bins=self.refresh_bins).run(timeline)
 
     def combine(
         self, units: Sequence[Mapping[str, Any]], outputs: Sequence[Any]
@@ -1099,8 +927,6 @@ class RefsyncSweepSpec(ExperimentSpec):
     policy: str = "first"
     sampler_seed: int = 0
     refresh_bins: int = 12
-    #: Engine tier for the timeline evaluation (``None`` = process default).
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "act_rates", tuple(int(a) for a in self.act_rates))
@@ -1110,38 +936,6 @@ class RefsyncSweepSpec(ExperimentSpec):
             raise ValueError(f"unknown sampling policy {self.policy!r}")
         if self.capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {self.capacity}")
-        if self.engine is not None:
-            check_engine(self.engine)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "geometry": _encode_geometry(self.geometry),
-            "chip_seed": self.chip_seed,
-            "rh_density": self.rh_density,
-            "rh_onset": self.rh_onset,
-            "bank": self.bank,
-            "victim_row": self.victim_row,
-            "windows": self.windows,
-            "act_rates": list(self.act_rates),
-            "phases": list(self.phases),
-            "decoy_rows": list(self.decoy_rows),
-            "capacity": self.capacity,
-            "policy": self.policy,
-            "sampler_seed": self.sampler_seed,
-            "refresh_bins": self.refresh_bins,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "RefsyncSweepSpec":
-        params = {key: value for key, value in payload.items() if key != "kind"}
-        params["geometry"] = _decode_geometry(params["geometry"])
-        params["act_rates"] = tuple(params.get("act_rates", ()))
-        params["phases"] = tuple(params.get("phases", ()))
-        params["decoy_rows"] = tuple(params.get("decoy_rows", ()))
-        params.setdefault("engine", None)
-        return cls(**params)
 
     # -- execution -----------------------------------------------------
     def refsync_config(self, act_rate: int, phase: int) -> RefsyncConfig:
@@ -1167,18 +961,15 @@ class RefsyncSweepSpec(ExperimentSpec):
         rows_per_bank = self.geometry.rows_per_bank
         chip = _timeline_chip(
             self.geometry, self.rh_density, self.rh_onset, self.chip_seed,
-            self.engine,
             [(self.bank, row) for row in config.touched_rows(rows_per_bank)],
         )
         timeline = build_refsync_attack(chip.timings, config, rows_per_bank)
         sampler = TrrSampler(
             capacity=self.capacity, policy=self.policy, seed=self.sampler_seed
         )
-        engine = TimelineEngine(
-            chip, sampler=sampler, refresh_bins=self.refresh_bins,
-            engine=self.engine if self.engine is not None else default_engine(),
-        )
-        result = engine.run(timeline)
+        result = TimelineEngine(
+            chip, sampler=sampler, refresh_bins=self.refresh_bins
+        ).run(timeline)
         return {
             "flips": result.total_flips,
             "nrr_rows": result.nrr_rows_issued,

@@ -80,6 +80,17 @@ class TestRunAndReport:
         ]) == 2
         assert "must differ" in capsys.readouterr().err
 
+    def test_partial_spec_file_runs_with_defaults(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"kind": "trr_sampling"}))
+        assert main(["run", "--spec", str(spec_file), "--store", str(tmp_path / "s")]) == 0
+
+    def test_misspelt_spec_field_fails_cleanly(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"kind": "comparison", "sed": 1}))
+        assert main(["run", "--spec", str(spec_file), "--store", str(tmp_path)]) == 2
+        assert "'sed'" in capsys.readouterr().err
+
 
 class TestRetiredFailureModelEnv:
     def test_stale_failure_model_variables_are_ignored(self, tmp_path, monkeypatch):

@@ -16,6 +16,7 @@ from repro.experiments import (
     ServiceClient,
     ServiceOverloadError,
     ServiceUnavailableError,
+    TrrSamplingSpec,
 )
 from repro.utils.resilience import RetryPolicy
 
@@ -50,6 +51,18 @@ class TestOfflineExecution:
         response = service._dispatch({"op": "submit", "spec": {"kind": "nope"}})
         assert not response["ok"]
         assert len(service.queue) == 0
+
+    def test_equivalent_payloads_queue_one_job(self, tmp_path):
+        # The queue keys jobs on the decoded spec, so a partial payload and
+        # one carrying the retired "engine" key are the same job.
+        service = _service(tmp_path)
+        full = TrrSamplingSpec().to_dict()
+        payloads = [{"kind": "trr_sampling"}, full, {**full, "engine": "reference"}]
+        responses = [service._dispatch({"op": "submit", "spec": p}) for p in payloads]
+        assert all(response["ok"] for response in responses)
+        assert {response["job_id"] for response in responses} == {responses[0]["job_id"]}
+        assert [response["created"] for response in responses] == [True, False, False]
+        assert len(service.queue) == 1
 
     def test_submit_rejects_path_traversal_name(self, tmp_path):
         service = _service(tmp_path)

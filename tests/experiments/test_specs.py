@@ -1,6 +1,7 @@
 """Spec serialisation: every experiment kind round-trips through JSON."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +16,15 @@ from repro.experiments import (
     DefenseMatrixSpec,
     FlipSweepSpec,
     ProfileDensitySpec,
+    RefsyncSweepSpec,
+    TrrSamplingSpec,
     spec_from_dict,
 )
 from repro.faults.rowhammer import RowHammerConfig
 from repro.faults.rowpress import RowPressConfig
+
+
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 def _round_trip(spec):
@@ -123,6 +129,38 @@ class TestRoundTrip:
         assert _round_trip(sweep) == sweep
         ablation = ProfileDensitySpec(densities=(0.1,), include_unconstrained=False, seed=2)
         assert _round_trip(ablation) == ablation
+
+
+def _committed_specs():
+    for path in sorted(RESULTS_DIR.glob("*.json")):
+        envelope = json.loads(path.read_text())
+        if isinstance(envelope.get("spec"), dict):
+            yield pytest.param(envelope["spec"], id=path.stem)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("kind", sorted(SPEC_KINDS))
+    def test_partial_payload_takes_defaults(self, kind):
+        assert spec_from_dict({"kind": kind}) == SPEC_KINDS[kind]()
+
+    def test_unknown_field_is_named(self):
+        with pytest.raises(ValueError, match="'sed'"):
+            spec_from_dict({"kind": "comparison", "sed": 1})
+        with pytest.raises(ValueError, match="'max_flip'"):
+            spec_from_dict({"kind": "comparison", "search": {"max_flip": 3}})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ComparisonSpec(), ProfileDensitySpec(), TrrSamplingSpec(), RefsyncSweepSpec()],
+        ids=lambda spec: spec.kind,
+    )
+    @pytest.mark.parametrize("engine", [None, "vectorized", "compiled", "reference"])
+    def test_retired_engine_key_is_ignored(self, spec, engine):
+        assert spec_from_dict({**spec.to_dict(), "engine": engine}) == spec
+
+    @pytest.mark.parametrize("payload", list(_committed_specs()))
+    def test_committed_artefact_specs_round_trip(self, payload):
+        assert spec_from_dict(payload).to_dict() == payload
 
 
 class TestRegistry:

@@ -74,11 +74,9 @@ class TestRoundTrips:
             capacity=3,
             policy="stride",
             refresh_bins=6,
-            engine="reference",
         )
         back = _round_trip(spec)
         assert back == spec
-        assert back.engine == "reference"
         assert back.policy == "stride"
 
     def test_customised_trr_sampling_round_trips(self):
@@ -138,18 +136,10 @@ class TestBackendDeterminism:
         )
         assert pooled == serial
 
-    def test_engines_agree_through_specs(self, tmp_path):
+    def test_engines_agree_through_specs(self, tmp_path, monkeypatch):
         vec = ExperimentRunner().run(SMALL_REFSYNC).payload
-        ref_spec = RefsyncSweepSpec(
-            geometry=SMALL_GEOMETRY,
-            victim_row=24,
-            windows=6,
-            act_rates=(0, 48),
-            phases=(0, 2),
-            decoy_rows=(2, 6),
-            engine="reference",
-        )
-        ref = ExperimentRunner().run(ref_spec).payload
+        monkeypatch.setenv("REPRO_DEFAULT_ENGINE", "reference")
+        ref = ExperimentRunner().run(SMALL_REFSYNC).payload
         assert vec.flips == ref.flips
         assert vec.nrr_rows == ref.nrr_rows
         assert repr(vec.sampled_fractions) == repr(ref.sampled_fractions)

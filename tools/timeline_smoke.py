@@ -21,9 +21,11 @@ invariant.
 import glob
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -39,7 +41,7 @@ from repro.experiments import (
 from repro.experiments.shared import SEGMENT_PREFIX
 
 
-def _spec(engine=None):
+def _spec():
     return RefsyncSweepSpec(
         geometry=DramGeometry(num_banks=1, rows_per_bank=48, cols_per_row=128),
         victim_row=24,
@@ -47,7 +49,6 @@ def _spec(engine=None):
         act_rates=(0, 48),
         phases=(0, 2),
         decoy_rows=(2, 6),
-        engine=engine,
     )
 
 
@@ -81,7 +82,8 @@ def main() -> int:
         serial_env = json.loads(serial_store.path_for("refsync").read_text())
         check(daemon_env == serial_env, "daemon result bit-identical to serial")
 
-        reference = ExperimentRunner().run(_spec(engine="reference")).payload
+        with mock.patch.dict(os.environ, {"REPRO_DEFAULT_ENGINE": "reference"}):
+            reference = ExperimentRunner().run(_spec()).payload
         check(
             serial.payload.flips == reference.flips
             and serial.payload.nrr_rows == reference.nrr_rows,
