@@ -894,18 +894,6 @@ class ObjectiveConfig:
             **kwargs,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable description; inverse of :meth:`from_dict`."""
-        return {"objective_kind": self.objective_kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ObjectiveConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(
-            objective_kind=payload.get("objective_kind", "untargeted"),
-            params=dict(payload.get("params", {})),
-        )
-
     def describe(self) -> str:
         """One-line summary (kind plus any non-default parameters)."""
         if not self.params:

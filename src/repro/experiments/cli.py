@@ -19,9 +19,9 @@ Subcommands
     Client side of the daemon: queue a spec (same spec-building flags as
     ``run``), poll or cancel a job, list the queue.
 ``fsck``
-    Verify every stored result and queued job against its sha256
-    checksum, optionally quarantining corrupt files (``--quarantine``),
-    and optionally sweeping orphaned
+    Verify every stored result and every line of the queue journal
+    against its sha256 checksum, optionally quarantining corrupt files
+    and journal lines (``--quarantine``), and optionally sweeping orphaned
     ``/dev/shm`` victim segments left by dead daemons (``--shm``).
 ``health``
     One-shot health snapshot of a running daemon: queue depth, active
@@ -340,12 +340,14 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--queue", default=DEFAULT_QUEUE)
 
     fsck = sub.add_parser("fsck",
-                          help="verify stored results and queued jobs against "
-                               "their checksums")
+                          help="verify stored results and queue journal lines "
+                               "against their checksums")
     fsck.add_argument("--store", default=DEFAULT_STORE, help="result store directory")
     fsck.add_argument("--queue", default=DEFAULT_QUEUE, help="job queue directory")
     fsck.add_argument("--quarantine", action="store_true",
-                      help="move corrupt files into <dir>/quarantine/")
+                      help="move corrupt files (and copy corrupt journal "
+                           "lines) into <dir>/quarantine/, dropping them "
+                           "from the store and the journal")
     fsck.add_argument("--shm", action="store_true",
                       help="also sweep /dev/shm victim segments orphaned by "
                            "dead daemons (live daemons' segments are kept)")
@@ -579,7 +581,7 @@ def cmd_fsck(args: argparse.Namespace) -> int:
         report = check(directory, quarantine=args.quarantine)
         detail = f"{report.scanned} scanned, {report.verified} verified"
         if report.legacy:
-            detail += f", {report.legacy} legacy (no checksum)"
+            detail += f", {report.legacy} job-*.json from an older daemon (not read)"
         print(f"{label}: {directory} — {detail}")
         for issue in report.issues:
             if issue.quarantined:
@@ -587,7 +589,8 @@ def cmd_fsck(args: argparse.Namespace) -> int:
             else:
                 action = "found"
                 issues += 1
-            print(f"  {action} {issue.problem}: {issue.path}")
+            where = "" if issue.line is None else f" (line {issue.line})"
+            print(f"  {action} {issue.problem}: {issue.path}{where}")
             print(f"    {issue.detail}")
     if args.shm:
         swept = sweep_shm(

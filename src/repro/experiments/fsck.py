@@ -4,10 +4,10 @@
 scans a result store directory, verifies every envelope against its
 embedded sha256 digest, and optionally **quarantines** corrupt files
 into a ``quarantine/`` subdirectory.  The same machinery checks a job-queue
-directory (checksummed ``job-*.json`` files) and — with ``--shm`` —
-sweeps ``/dev/shm`` for victim-registry segments orphaned by a daemon
-that died without cleanup, keyed on the registry's liveness manifest
-(``registry.json``: owner pid + owned segment names).
+journal (``queue.jsonl``, one checksummed record per line) and — with
+``--shm`` — sweeps ``/dev/shm`` for victim-registry segments orphaned by
+a daemon that died without cleanup, keyed on the registry's liveness
+manifest (``registry.json``: owner pid + owned segment names).
 
 Design rules:
 
@@ -15,9 +15,10 @@ Design rules:
   to verify (or that no longer parses as an envelope) is ever reported
   or quarantined; JSON files that are not envelopes at all are skipped.
 * **Nothing is destroyed.**  Quarantine *moves* files (same filesystem,
-  ``os.replace``) into ``quarantine/`` — an operator can inspect or
-  restore them; nothing is unlinked except provably-orphaned shared
-  memory (a dead pid's manifest entries).
+  ``os.replace``) into ``quarantine/``, and copies bad journal lines
+  there before rewriting the journal without them — an operator can
+  inspect or restore them; nothing is unlinked except provably-orphaned
+  shared memory (a dead pid's manifest entries).
 * **Deterministic.**  The scan order is sorted, so two fscks of the same
   tree produce identical reports.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.experiments.queue import _JOB_PREFIX, _job_checksum
+from repro.experiments.queue import JOURNAL_FILE, read_journal
 from repro.experiments.shared import SEGMENT_PREFIX, _SHM_DIR
 from repro.experiments.store import SCHEMA_VERSION, _content_digest, _envelope_content
 
@@ -50,15 +51,18 @@ class FsckIssue:
     """One problem fsck found: a file and why it cannot be trusted.
 
     ``problem`` is ``digest-mismatch`` (content no longer matches the
-    embedded sha256) or ``unreadable`` (the file does not parse as an
-    envelope at all).  ``quarantined`` records whether the repair pass
-    moved the file.
+    embedded sha256), ``unreadable`` (the file or journal line does not
+    parse as an envelope or job record at all) or ``torn`` (a journal's
+    unterminated last line: an append cut short).  ``line`` is the
+    1-based journal line of a queue issue.  ``quarantined`` records
+    whether the repair pass moved the file or line.
     """
 
     path: Path
     problem: str
     detail: str = ""
     quarantined: bool = False
+    line: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable description of the issue."""
@@ -67,6 +71,7 @@ class FsckIssue:
             "problem": self.problem,
             "detail": self.detail,
             "quarantined": self.quarantined,
+            "line": self.line,
         }
 
 
@@ -74,10 +79,11 @@ class FsckIssue:
 class FsckReport:
     """What an fsck pass scanned, verified, and flagged.
 
-    ``scanned`` counts every candidate file examined, ``verified`` the
-    ones whose checksum held, ``legacy`` the queue job files that carry
-    no checksum (nothing to verify — not corruption).  ``issues`` lists
-    every untrustworthy file.
+    ``scanned`` counts every candidate file (store) or journal line
+    (queue) examined, ``verified`` the ones whose checksum held,
+    ``legacy`` the ``job-*.json`` files an older daemon left in a queue
+    directory (this build does not read them — not corruption).
+    ``issues`` lists everything untrustworthy.
     """
 
     scanned: int = 0
@@ -101,8 +107,8 @@ class FsckReport:
         }
 
 
-def _quarantine(path: Path, root: Path) -> Path:
-    """Move ``path`` into ``root/quarantine/`` (never overwriting)."""
+def _quarantine_target(path: Path, root: Path) -> Path:
+    """A fresh path for ``path`` in ``root/quarantine/`` (never overwriting)."""
     target_dir = root / QUARANTINE_DIR
     target_dir.mkdir(parents=True, exist_ok=True)
     target = target_dir / path.name
@@ -110,7 +116,6 @@ def _quarantine(path: Path, root: Path) -> Path:
     while target.exists():
         target = target_dir / f"{path.stem}.{counter}{path.suffix}"
         counter += 1
-    os.replace(path, target)
     return target
 
 
@@ -178,65 +183,44 @@ def fsck_store(directory: PathLike, quarantine: bool = False) -> FsckReport:
             continue  # not ours: never a false positive
         issue = FsckIssue(path=path, problem=verdict, detail=detail)
         if quarantine:
-            issue.path = _quarantine(path, root)
+            issue.path = _quarantine_target(path, root)
+            os.replace(path, issue.path)
             issue.quarantined = True
         report.issues.append(issue)
     return report
 
 
 def fsck_queue(directory: PathLike, quarantine: bool = False) -> FsckReport:
-    """Scan a job-queue directory's checksummed ``job-*.json`` files.
+    """Scan a job-queue directory's journal (``queue.jsonl``) line by line.
 
-    A job file whose embedded ``sha256`` fails to verify (or that no
-    longer parses) is reported — and moved to
-    ``<directory>/quarantine/`` with ``quarantine=True`` so a daemon
-    reloading the queue never resurrects corrupt job state.  Legacy files
-    without a checksum are counted, not flagged.
+    Every line must parse, verify against its embedded ``sha256`` and
+    equal the writer's canonical bytes; each bad line is reported with
+    its line number (``torn`` for an unterminated last line).  With
+    ``quarantine=True`` the bad lines are copied to
+    ``<directory>/quarantine/`` and the journal is rewritten atomically
+    without them, so the queue is clean afterwards.  ``job-*.json`` files
+    from an older daemon are counted as ``legacy``, not flagged.
     """
     root = Path(directory)
     report = FsckReport()
     if not root.is_dir():
         return report
-    for path in sorted(root.glob(f"{_JOB_PREFIX}*.json")):
-        report.scanned += 1
-        try:
-            raw = path.read_text()
-            payload = json.loads(raw)
-        except (OSError, json.JSONDecodeError) as exc:
-            issue = FsckIssue(path, "unreadable", f"{type(exc).__name__}: {exc}")
-            if quarantine:
-                issue.path = _quarantine(path, root)
-                issue.quarantined = True
-            report.issues.append(issue)
-            continue
-        if not isinstance(payload, dict):
-            issue = FsckIssue(path, "unreadable", "not a job record")
-            if quarantine:
-                issue.path = _quarantine(path, root)
-                issue.quarantined = True
-            report.issues.append(issue)
-            continue
-        stored = payload.pop("sha256", None)
-        if stored is None:
-            report.legacy += 1
-            continue
-        computed = _job_checksum(payload)
-        detail = ""
-        if computed != stored:
-            detail = f"stored {stored!r}, computed {computed!r}"
-        elif raw != json.dumps({**payload, "sha256": stored}, indent=2):
-            # Same belt-and-braces as result envelopes: a flip the content
-            # digest cannot see (whitespace, key text) still shows up as
-            # drift from the writer's canonical serialisation.
-            detail = "file bytes differ from the canonical serialisation"
-        if detail:
-            issue = FsckIssue(path, "digest-mismatch", detail)
-            if quarantine:
-                issue.path = _quarantine(path, root)
-                issue.quarantined = True
-            report.issues.append(issue)
-            continue
-        report.verified += 1
+    report.legacy = sum(1 for _ in root.glob("job-*.json"))
+    path = root / JOURNAL_FILE
+    lines = read_journal(path)
+    bad = [line for line in lines if line.problem]
+    report.scanned = len(lines)
+    report.verified = len(lines) - len(bad)
+    for line in bad:
+        report.issues.append(FsckIssue(path, line.problem, line.detail, line=line.number))
+    if quarantine and bad:
+        target = _quarantine_target(path, root)
+        target.write_bytes(b"".join(line.raw + b"\n" for line in bad))
+        tmp = path.with_suffix(".jsonl.tmp")
+        tmp.write_bytes(b"".join(line.raw + b"\n" for line in lines if not line.problem))
+        os.replace(tmp, path)
+        for issue in report.issues:
+            issue.path, issue.quarantined = target, True
     return report
 
 

@@ -1,11 +1,17 @@
 """Persistent, crash-safe job queue for the experiment service.
 
 Jobs are :class:`ExperimentSpec` payloads queued for asynchronous
-execution.  Every job is persisted as one JSON file under the queue
-directory (written atomically via ``tmp`` + ``rename``), so the queue
-survives a daemon restart: pending jobs resume exactly where they were,
-and a job that was *running* when the daemon died is requeued — exactly
-once — by :meth:`JobQueue.recover`.
+execution.  The queue directory holds one append-only journal,
+``queue.jsonl``: every state change appends one line holding the job's
+full record plus a sha256 of it, in canonical (compact) JSON.  Opening the queue
+replays the journal (the last verified record of each job wins), so the
+queue survives a daemon restart: pending jobs resume exactly where they
+were, and a job that was *running* when the daemon died is requeued —
+exactly once — by :meth:`JobQueue.recover`.  Opening a journal that
+holds superseded records compacts it to one record per job (tmp +
+rename); no state change renames a file.  ``job-*.json`` files written
+by older builds (one file per job) are not read: drain such a daemon
+before upgrading.
 
 Semantics:
 
@@ -28,11 +34,14 @@ Semantics:
   submissions that would exceed that many pending jobs with
   :class:`QueueFullError`, the load-shedding signal the service turns
   into a ``retry-after`` response.
-* **Integrity** — every job file embeds a sha256 checksum of its content;
-  a file whose checksum no longer verifies (disk rot, injected
-  corruption) is skipped on load and recorded in
-  :attr:`JobQueue.corrupt_files` for ``repro fsck`` to report.  Legacy
-  files without a checksum are still read.
+* **Integrity** — :func:`read_journal` is the one reader of the format.
+  A line that does not parse, fails its checksum or drifts from the
+  canonical bytes is skipped (never applied) and recorded in
+  :attr:`JobQueue.corrupt_lines` for ``repro fsck`` to report and
+  quarantine; its job keeps its previous record.  A torn last line (an
+  append cut short) is skipped the same way, and the next append starts
+  on a fresh line.  A journal with bad lines is not compacted, so fsck
+  still finds them.
 
 The queue is thread-safe (one lock guards all state) but single-writer:
 exactly one daemon process owns a queue directory at a time.
@@ -45,7 +54,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -71,11 +80,6 @@ class QueueFullError(RuntimeError):
         self.max_pending = max_pending
 
 
-def _job_checksum(payload: Mapping[str, Any]) -> str:
-    """sha256 over the canonical JSON of a job's checksummed fields."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
 #: Job lifecycle states.
 PENDING = "pending"
 RUNNING = "running"
@@ -87,7 +91,8 @@ CANCELLED = "cancelled"
 #: queued, in flight or already successfully completed).
 _ACTIVE_STATES = (PENDING, RUNNING, DONE)
 
-_JOB_PREFIX = "job-"
+#: The journal's file name inside a queue directory.
+JOURNAL_FILE = "queue.jsonl"
 
 
 @dataclass
@@ -152,10 +157,89 @@ class Job:
         )
 
 
-class JobQueue:
-    """Directory-backed FIFO queue of experiment jobs.
+def _canonical(payload: Mapping[str, Any]) -> bytes:
+    """The one byte form of a record: compact JSON in the record's key order.
 
-    Construction loads every persisted job from ``directory``; call
+    Keys are not sorted: a spec's key order reaches the stored result, so
+    a job replayed from the journal must hand the spec back as submitted.
+    """
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def _encode(job: Job) -> bytes:
+    """One journal line, without its newline: the record plus its sha256."""
+    record = job.to_dict()
+    return _canonical({**record, "sha256": hashlib.sha256(_canonical(record)).hexdigest()})
+
+
+@dataclass(frozen=True)
+class JournalLine:
+    """One line of a queue journal, as :func:`read_journal` judged it.
+
+    ``number`` is 1-based and ``raw`` holds the line's bytes without its
+    newline.  A good line carries its decoded ``job``; a bad one has
+    ``job=None`` and a ``problem``: ``unreadable``, ``digest-mismatch``,
+    or ``torn`` for an unterminated last line that does not verify (an
+    append cut short).  ``terminated`` is whether a newline ends the line.
+    """
+
+    number: int
+    raw: bytes
+    job: Optional[Job] = None
+    problem: str = ""
+    detail: str = ""
+    terminated: bool = True
+
+
+def _check_line(raw: bytes) -> Tuple[Optional[Job], str, str]:
+    """Decode and verify one journal line: ``(job, problem, detail)``."""
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return None, "unreadable", f"{type(exc).__name__}: {exc}"
+    if not isinstance(payload, dict):
+        return None, "unreadable", "not a job record"
+    stored = payload.pop("sha256", None)
+    computed = hashlib.sha256(_canonical(payload)).hexdigest()
+    if stored != computed:
+        return None, "digest-mismatch", f"stored {stored!r}, computed {computed!r}"
+    if raw != _canonical({**payload, "sha256": stored}):
+        # A flip the digest cannot see (whitespace, an escape) still shows
+        # up as drift from the writer's canonical bytes.
+        return None, "digest-mismatch", "line bytes differ from the canonical serialisation"
+    try:
+        return Job.from_dict(payload), "", ""
+    except (KeyError, TypeError, ValueError) as exc:
+        return None, "unreadable", f"not a job record: {type(exc).__name__}: {exc}"
+
+
+def read_journal(path: PathLike) -> List[JournalLine]:
+    """Every non-blank line of a queue journal, decoded and verified.
+
+    A missing journal reads as empty.  Lines are split on ``\\n`` only, so
+    a damaged line never swallows its neighbour.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return []
+    segments = data.split(b"\n")
+    lines = []
+    for index, raw in enumerate(segments):
+        if not raw:
+            continue
+        terminated = index < len(segments) - 1
+        job, problem, detail = _check_line(raw)
+        if problem and not terminated:
+            problem, detail = "torn", f"unterminated last line ({detail})"
+        lines.append(JournalLine(index + 1, raw, job, problem, detail, terminated))
+    return lines
+
+
+class JobQueue:
+    """Journal-backed FIFO queue of experiment jobs.
+
+    Construction replays the journal in ``directory``; call
     :meth:`recover` afterwards (the daemon does) to requeue work that was
     interrupted mid-run.  ``max_pending`` bounds the number of pending
     jobs a :meth:`submit` may create (``None`` = unbounded); ``clock`` is
@@ -173,55 +257,59 @@ class JobQueue:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_pending = max_pending
         self.clock = clock
+        self.path = self.directory / JOURNAL_FILE
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._sequence = 0
-        #: Job files skipped at load time because their embedded checksum
-        #: no longer verified — ``repro fsck`` reports these.
-        self.corrupt_files: List[Path] = []
-        for path in sorted(self.directory.glob(f"{_JOB_PREFIX}*.json")):
-            try:
-                payload = json.loads(path.read_text())
-                stored = payload.pop("sha256", None)
-                if stored is not None and stored != _job_checksum(payload):
-                    self.corrupt_files.append(path)
-                    continue
-                job = Job.from_dict(payload)
-            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue  # foreign or truncated file: never block the queue
-            self._jobs[job.job_id] = job
-            self._sequence = max(self._sequence, job.sequence)
+        lines = read_journal(self.path)
+        #: Journal lines skipped at load time (unparseable, failed
+        #: checksum, torn) — ``repro fsck`` reports and quarantines these.
+        self.corrupt_lines: List[JournalLine] = [line for line in lines if line.job is None]
+        for line in lines:
+            if line.job is not None:
+                self._jobs[line.job.job_id] = line.job
+                self._sequence = max(self._sequence, line.job.sequence)
+        # After a torn append the next one first ends the torn line.
+        self._fresh_line = not lines or lines[-1].terminated
+        if not self.corrupt_lines and len(lines) > len(self._jobs):
+            self._compact()
 
     # -- persistence ---------------------------------------------------
-    def _path_for(self, job_id: str) -> Path:
-        return self.directory / f"{_JOB_PREFIX}{job_id}.json"
+    def _compact(self) -> None:
+        """Rewrite the journal as one record per job (tmp + rename)."""
+        tmp = self.path.with_suffix(".jsonl.tmp")
+        ordered = sorted(self._jobs.values(), key=lambda job: job.sequence)
+        tmp.write_bytes(b"".join(_encode(job) + b"\n" for job in ordered))
+        os.replace(tmp, self.path)
+        self._fresh_line = True
 
     def _persist(self, job: Job) -> None:
-        """Atomically write one job file (tmp + rename survives crashes).
+        """Append the job's current record to the journal.
 
         The ``queue.persist`` fault point sits before the write: an
-        injected ``partial_write`` tears the temp file, and the load path's
-        truncated-file tolerance plus the untouched previous job file are
-        what keep the queue consistent.  An injected ``corrupt`` flips one
-        bit of the committed file silently — the checksum verification at
-        load time (and ``repro fsck``) is what catches it.  Every file
-        embeds a ``sha256`` of its canonical content for exactly that.
+        injected ``partial_write`` appends a torn half line and raises, and
+        the job's previous record stays in force on reload.  An injected
+        ``corrupt`` silently appends the record with one bit flipped; the
+        checksum verification at load time (and ``repro fsck``) is what
+        catches it.
         """
-        path = self._path_for(job.job_id)
-        tmp = path.with_suffix(".json.tmp")
-        payload = job.to_dict()
-        payload["sha256"] = _job_checksum(payload)
-        text = json.dumps(payload, indent=2)
+        line = _encode(job)
         action = chaos.fault_point("queue.persist")
         if action == "partial_write":
-            tmp.write_text(text[: max(1, len(text) // 2)])
-            raise OSError(f"chaos[queue.persist]: job file write torn for {job.job_id}")
+            self._append(line[: max(1, len(line) // 2)])
+            raise OSError(f"chaos[queue.persist]: journal append torn for {job.job_id}")
         if action == "corrupt":
-            tmp.write_bytes(chaos.corrupt_bytes(text.encode("utf-8"), "queue.persist"))
-            os.replace(tmp, path)
-            return
-        tmp.write_text(text)
-        os.replace(tmp, path)
+            line = chaos.corrupt_bytes(line, "queue.persist")
+        self._append(line + b"\n")
+
+    def _append(self, data: bytes) -> None:
+        """Append ``data`` to the journal, first ending a torn last line."""
+        if not self._fresh_line:
+            data = b"\n" + data
+        self._fresh_line = False  # unknown until the write returns
+        with open(self.path, "ab") as handle:
+            handle.write(data)
+        self._fresh_line = data.endswith(b"\n")
 
     # -- submission and lifecycle --------------------------------------
     def submit(

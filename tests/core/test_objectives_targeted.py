@@ -2,12 +2,13 @@
 
 Covers the pluggable-objective contract end to end: validation edge cases
 (source == target rejected, ASR undefined when the evaluation set has no
-source-class samples), the declarative :class:`ObjectiveConfig` round trip,
-attack runs driven by the new objectives, and the golden-equivalence
-guarantee that ``engine="reference"`` reproduces the vectorized engine
-bit-for-bit for every objective and victim precision.
+source-class samples), the :class:`ObjectiveConfig` round trip through the
+spec codec, attack runs driven by the new objectives, and the
+golden-equivalence guarantee that ``engine="reference"`` reproduces the
+vectorized engine bit-for-bit for every objective and victim precision.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.core.objective import (
     TargetedMisclassification,
     UntargetedDegradation,
 )
+from repro.experiments.specs import ComparisonSpec, spec_from_dict
 from repro.nn.quantization import precision_num_bits, quantize_model
 
 
@@ -142,7 +144,8 @@ class TestObjectiveConfig:
             "stealthy_targeted",
             params={"source_class": 0, "target_class": 3, "max_clean_accuracy_drop": 8.0},
         )
-        back = ObjectiveConfig.from_dict(config.to_dict())
+        spec = ComparisonSpec(objective=config)
+        back = spec_from_dict(json.loads(json.dumps(spec.to_dict()))).objective
         assert back == config
         assert "stealthy_targeted" in back.describe()
 

@@ -8,7 +8,6 @@ result is byte-identical to the fault-free serial run, and no
 """
 
 import glob
-import json
 import os
 import signal
 import subprocess
@@ -240,14 +239,14 @@ class TestSilentCorruption:
         assert _shm_segments() == []
 
     def test_corrupt_queue_persist_never_resurrects_the_job(self, tmp_path):
-        """A corrupted job file is refused on reload and pinned by fsck."""
+        """A corrupted journal record is refused on reload and pinned by fsck."""
         queue = JobQueue(tmp_path / "queue")
         with chaos.active_plan(FaultPlan.single("queue.persist", "corrupt")) as scope:
             queue.submit(_cheap_spec(seed=15).to_dict())
         assert ("queue.persist", "corrupt") in scope.fired
         # A reloading daemon refuses the tampered record entirely...
         assert JobQueue(tmp_path / "queue").jobs() == []
-        # ...and fsck flags exactly that file, then repairs the tree.
+        # ...and fsck flags exactly that line, then repairs the journal.
         report = fsck_queue(tmp_path / "queue", quarantine=True)
         assert len(report.issues) == 1
         assert report.issues[0].problem in ("digest-mismatch", "unreadable")
@@ -271,16 +270,19 @@ class TestFaultToleranceInProcess:
             assert cache._from_manifest(None, None, bogus) is None
 
     def test_queue_persist_fault_keeps_previous_job_file(self, tmp_path):
-        from repro.experiments.queue import JobQueue
+        from repro.experiments.queue import JobQueue, read_journal
 
         queue = JobQueue(tmp_path / "queue")
         job, _ = queue.submit(_cheap_spec(seed=12).to_dict())
-        before = json.loads(queue._path_for(job.job_id).read_text())
+        before = [line.job for line in read_journal(queue.path)]
         with chaos.active_plan(FaultPlan.single("queue.persist", "partial_write")):
             with pytest.raises(OSError):
                 queue.claim()
-        # The job file on disk still parses and holds the pre-claim state.
-        assert json.loads(queue._path_for(job.job_id).read_text()) == before
+        # The torn append is never applied: the pre-claim record stays the
+        # job's last verified one.
+        after = read_journal(queue.path)
+        assert [line.problem for line in after] == ["", "torn"]
+        assert [line.job for line in after if line.job] == before
         # A reloaded queue sees a consistent (pending) job and can claim it.
         recovered = JobQueue(tmp_path / "queue")
         assert recovered.get(job.job_id).state == "pending"

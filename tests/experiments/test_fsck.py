@@ -16,6 +16,7 @@ from repro.experiments import (
     sweep_shm,
 )
 from repro.experiments.cli import main
+from repro.experiments.queue import JOURNAL_FILE
 
 
 def _attack_result(flips=1, mechanism="rowpress"):
@@ -124,35 +125,54 @@ class TestStoreFsck:
 
 
 class TestQueueFsck:
-    def test_clean_queue_reports_zero_issues(self, tmp_path):
+    def _journal(self, tmp_path):
+        """A three-line journal: two submissions and one claim."""
         queue = JobQueue(tmp_path)
-        queue.submit(ComparisonSpec(seed=1).to_dict())
-        queue.submit(ComparisonSpec(seed=2).to_dict())
+        first, _ = queue.submit(ComparisonSpec(seed=1).to_dict())
+        second, _ = queue.submit(ComparisonSpec(seed=2).to_dict())
+        queue.claim()
+        return first, second, tmp_path / JOURNAL_FILE
+
+    def test_clean_queue_reports_zero_issues(self, tmp_path):
+        self._journal(tmp_path)
         report = fsck_queue(tmp_path)
-        assert report.clean and report.verified == 2
+        assert report.clean and report.scanned == 3 and report.verified == 3
 
     def test_tampered_job_is_detected_and_quarantined(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        job, _ = queue.submit(ComparisonSpec(seed=1).to_dict())
-        path = tmp_path / f"job-{job.job_id}.json"
-        payload = json.loads(path.read_text())
-        payload["name"] = "tampered"
-        path.write_text(json.dumps(payload, indent=2))
+        first, second, path = self._journal(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        bad = lines[1].replace(b'"state":"pending"', b'"state":"done"')
+        path.write_bytes(lines[0] + bad + lines[2])
+        report = fsck_queue(tmp_path)
+        assert [(issue.problem, issue.line) for issue in report.issues] == [
+            ("digest-mismatch", 2)
+        ]
+        assert report.scanned == 3 and report.verified == 2
         report = fsck_queue(tmp_path, quarantine=True)
-        assert [issue.problem for issue in report.issues] == ["digest-mismatch"]
-        assert (tmp_path / "quarantine" / path.name).is_file()
+        (issue,) = report.issues
+        assert issue.quarantined and issue.path == tmp_path / "quarantine" / JOURNAL_FILE
+        assert issue.path.read_bytes() == bad  # exactly the bad line, kept
+        assert path.read_bytes() == lines[0] + lines[2]
         assert fsck_queue(tmp_path).clean
-        assert len(JobQueue(tmp_path)) == 0  # the corrupt job never reloads
+        reloaded = JobQueue(tmp_path)  # the tampered record never reloads
+        assert reloaded.corrupt_lines == []
+        assert [job.job_id for job in reloaded.jobs()] == [first.job_id]
+
+    def test_torn_last_line_is_its_own_problem(self, tmp_path):
+        _, _, path = self._journal(tmp_path)
+        with open(path, "ab") as handle:
+            handle.write(b'{"attempts":1,"dead')
+        (issue,) = fsck_queue(tmp_path).issues
+        assert (issue.problem, issue.line) == ("torn", 4)
 
     def test_legacy_job_file_is_counted_not_flagged(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        job, _ = queue.submit(ComparisonSpec(seed=1).to_dict())
-        path = tmp_path / f"job-{job.job_id}.json"
-        payload = json.loads(path.read_text())
-        del payload["sha256"]
-        path.write_text(json.dumps(payload, indent=2))
+        # Per-job files from an older daemon are not read by this build:
+        # fsck counts them so an operator sees work left behind.
+        JobQueue(tmp_path).submit(ComparisonSpec(seed=1).to_dict())
+        (tmp_path / "job-0123456789abcdef.json").write_text(json.dumps({"job_id": "x"}))
         report = fsck_queue(tmp_path)
-        assert report.clean and report.legacy == 1
+        assert report.clean and report.legacy == 1 and report.verified == 1
+        assert len(JobQueue(tmp_path)) == 1
 
 
 class TestShmSweep:
@@ -249,6 +269,15 @@ class TestFsckCli:
         assert rc == 1
         assert "found digest-mismatch" in captured.out
         assert "corrupt file(s) remain" in captured.err
+
+    def test_queue_issue_names_its_line(self, tmp_path, capsys):
+        queue_dir = tmp_path / "queue"
+        JobQueue(queue_dir).submit(ComparisonSpec().to_dict())
+        with open(queue_dir / JOURNAL_FILE, "ab") as handle:
+            handle.write(b"{torn")
+        rc = main(["fsck", "--store", str(tmp_path / "s"), "--queue", str(queue_dir)])
+        assert rc == 1
+        assert f"found torn: {queue_dir / JOURNAL_FILE} (line 2)" in capsys.readouterr().out
 
     def test_quarantine_repairs_and_exits_zero(self, tmp_path, capsys):
         store_dir = tmp_path / "store"

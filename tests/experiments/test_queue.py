@@ -1,15 +1,23 @@
-"""JobQueue: dedup, FIFO, persistence, and requeue-exactly-once recovery."""
+"""JobQueue: dedup, FIFO, journal persistence, and requeue-exactly-once recovery."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
 from repro.experiments import ComparisonSpec, DefenseMatrixSpec, JobQueue, QueueFullError
-from repro.experiments.queue import Job, _job_checksum
+from repro.experiments import queue as queue_module
+from repro.experiments.queue import JOURNAL_FILE, Job, read_journal
 
 
 def _payload(seed=0):
     return ComparisonSpec(seed=seed).to_dict()
+
+
+def _records(directory):
+    """The journal's lines, parsed as plain JSON."""
+    return [json.loads(line) for line in (directory / JOURNAL_FILE).read_text().splitlines()]
 
 
 class TestJobRoundTrip:
@@ -26,7 +34,8 @@ class TestSubmit:
         assert created
         assert job.state == "pending"
         assert job.name.startswith("comparison-")
-        on_disk = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
+        (on_disk,) = _records(tmp_path)
+        assert on_disk["job_id"] == job.job_id
         assert on_disk["spec"]["kind"] == "comparison"
 
     def test_duplicate_spec_deduplicates(self, tmp_path):
@@ -146,33 +155,106 @@ class TestPriorityAndDeadline:
 class TestJobChecksums:
     def test_job_file_carries_checksum(self, tmp_path):
         queue = JobQueue(tmp_path)
-        job, _ = queue.submit(_payload())
-        on_disk = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
-        stored = on_disk.pop("sha256")
-        assert stored == _job_checksum(on_disk)
+        queue.submit(_payload())
+        raw = (tmp_path / JOURNAL_FILE).read_bytes()
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 1
+        record = json.loads(raw)
+        stored = record.pop("sha256")
+        canonical = json.dumps(record, separators=(",", ":"))
+        assert stored == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        # The line is the compact record, digest last; the spec keeps its
+        # submitted key order (it reaches the stored result bytes).
+        assert raw == (canonical[:-1] + f',"sha256":"{stored}"}}\n').encode("utf-8")
+        assert list(record["spec"]) == list(_payload())
 
     def test_corrupt_job_file_is_skipped_and_reported(self, tmp_path):
+        # A tampered record is never applied: its job keeps the state of
+        # its last verified record, and the line is reported.
         queue = JobQueue(tmp_path)
-        good, _ = queue.submit(_payload(seed=1))
-        bad, _ = queue.submit(_payload(seed=2))
-        path = tmp_path / f"job-{bad.job_id}.json"
-        payload = json.loads(path.read_text())
-        payload["name"] = "tampered"  # checksum no longer matches
-        path.write_text(json.dumps(payload, indent=2))
+        claimed, _ = queue.submit(_payload(seed=1))
+        other, _ = queue.submit(_payload(seed=2))
+        queue.claim()
+        path = tmp_path / JOURNAL_FILE
+        lines = path.read_text().splitlines(keepends=True)
+        assert json.loads(lines[2])["state"] == "running"
+        lines[2] = lines[2].replace('"state":"running"', '"state":"done"')
+        path.write_text("".join(lines))
         reloaded = JobQueue(tmp_path)
-        assert [job.job_id for job in reloaded.jobs()] == [good.job_id]
-        assert reloaded.corrupt_files == [path]
+        assert reloaded.get(claimed.job_id).state == "pending"
+        assert reloaded.get(other.job_id).state == "pending"
+        assert [(line.number, line.problem) for line in reloaded.corrupt_lines] == [
+            (3, "digest-mismatch")
+        ]
+        # Bad lines are evidence for fsck: the load never compacts them away.
+        assert path.read_text().count("\n") == 3
 
-    def test_legacy_checksum_less_file_still_loads(self, tmp_path):
+
+class TestJournal:
+    @pytest.fixture
+    def renames(self, monkeypatch):
+        calls = []
+        real = os.replace
+
+        def counting(src, dst):
+            calls.append((src, dst))
+            real(src, dst)
+
+        monkeypatch.setattr(queue_module.os, "replace", counting)
+        return calls
+
+    def test_state_changes_append_without_renames(self, tmp_path, renames):
+        queue = JobQueue(tmp_path)
+        done, _ = queue.submit(_payload(seed=1))
+        failed, _ = queue.submit(_payload(seed=2))
+        cancelled, _ = queue.submit(_payload(seed=3))
+        queue.claim()
+        queue.complete(done.job_id)
+        queue.claim()
+        queue.fail(failed.job_id, "boom")
+        queue.cancel(cancelled.job_id)
+        assert renames == []
+        assert len(_records(tmp_path)) == 8  # 3 submits + 5 transitions
+
+    def test_reopening_compacts_superseded_records_once(self, tmp_path, renames):
+        queue = JobQueue(tmp_path)
+        first, _ = queue.submit(_payload(seed=1))
+        second, _ = queue.submit(_payload(seed=2))
+        queue.claim()
+        queue.complete(first.job_id)
+        reopened = JobQueue(tmp_path)
+        assert len(renames) == 1
+        records = _records(tmp_path)
+        assert [(r["job_id"], r["state"]) for r in records] == [
+            (first.job_id, "done"),
+            (second.job_id, "pending"),
+        ]
+        assert reopened.get(first.job_id).state == "done"
+        JobQueue(tmp_path)  # already compact: no second rename
+        assert len(renames) == 1
+
+    def test_torn_last_line_is_skipped_and_next_append_starts_fresh(self, tmp_path):
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(_payload())
-        path = tmp_path / f"job-{job.job_id}.json"
-        payload = json.loads(path.read_text())
-        del payload["sha256"]
-        path.write_text(json.dumps(payload, indent=2))
+        path = tmp_path / JOURNAL_FILE
+        whole = path.read_bytes()
+        with open(path, "ab") as handle:  # a crash mid-append
+            handle.write(whole[: len(whole) // 2])
         reloaded = JobQueue(tmp_path)
-        assert [j.job_id for j in reloaded.jobs()] == [job.job_id]
-        assert reloaded.corrupt_files == []
+        assert [line.problem for line in reloaded.corrupt_lines] == ["torn"]
+        assert reloaded.claim().job_id == job.job_id
+        lines = read_journal(path)
+        assert [line.problem for line in lines] == ["", "unreadable", ""]
+        assert lines[-1].job.state == "running"
+        assert JobQueue(tmp_path).get(job.job_id).state == "running"
+
+    def test_replayed_spec_keeps_its_key_order(self, tmp_path):
+        # Spec key order reaches the stored result bytes of a job that a
+        # restarted daemon runs from the journal.
+        payload = DefenseMatrixSpec().to_dict()
+        assert json.dumps(payload) != json.dumps(payload, sort_keys=True)
+        job, _ = JobQueue(tmp_path).submit(payload)
+        replayed = JobQueue(tmp_path).get(job.job_id).spec
+        assert json.dumps(replayed) == json.dumps(payload)
 
 
 class TestClaimAndLifecycle:
@@ -221,6 +303,7 @@ class TestPersistence:
         assert later.sequence == 2
 
     def test_foreign_files_are_ignored(self, tmp_path):
+        # Per-job files from older builds are not read either.
         (tmp_path / "job-bogus.json").write_text("{not json")
         (tmp_path / "notes.txt").write_text("hello")
         queue = JobQueue(tmp_path)

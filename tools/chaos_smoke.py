@@ -11,7 +11,8 @@ checkpoints, ``/dev/shm`` segments).
 Scenarios:
 
 1. a result-store write torn mid-envelope (retry produces identical bytes);
-2. a job-queue persist torn mid-file (queue reloads consistently);
+2. a job-queue journal append torn mid-line (the previous record stays in
+   force and the queue reloads consistently);
 3. a chunk execution error mid-job in the daemon (job fails with kept
    checkpoints; the resubmission *resumes* instead of rerunning).
 
@@ -19,7 +20,6 @@ Runs in a few seconds; exits non-zero on the first violated invariant.
 """
 
 import glob
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +34,7 @@ from repro.experiments import (
     JobQueue,
     ResultStore,
 )
+from repro.experiments.queue import read_journal
 from repro.experiments.shared import SEGMENT_PREFIX
 from repro.testing import chaos
 from repro.testing.chaos import FaultPlan
@@ -88,22 +89,30 @@ def main() -> int:
             "store retry is byte-identical to serial",
         )
 
-        # 2. Torn queue persist: the previous job file survives intact.
+        # 2. Torn queue persist: the torn append is never applied.
         seed = SCENARIO_SEEDS["queue-partial-write"]
         queue = JobQueue(root / "queue")
         job, _ = queue.submit(_spec(seed).to_dict())
-        before = json.loads(queue._path_for(job.job_id).read_text())
+        before = [line.job for line in read_journal(queue.path)]
         with chaos.active_plan(FaultPlan.single("queue.persist", "partial_write")):
             try:
                 queue.claim()
                 check(False, "torn queue persist raises")
             except OSError:
                 check(True, "torn queue persist raises")
-        after = json.loads(queue._path_for(job.job_id).read_text())
-        check(after == before, "torn persist preserves the previous job file")
+        after = read_journal(queue.path)
+        check(
+            [line.problem for line in after] == ["", "torn"]
+            and [line.job for line in after if line.job] == before,
+            "torn persist leaves the previous record in force",
+        )
         check(
             JobQueue(root / "queue").claim().job_id == job.job_id,
             "reloaded queue still serves the job",
+        )
+        check(
+            read_journal(queue.path)[-1].job.state == "running",
+            "the next append starts on a fresh line",
         )
 
         # 3. Daemon checkpoint resume: a mid-job failure keeps completed

@@ -11,13 +11,14 @@ surviving results are byte-identical to the fault-free serial run**.
 Scenarios:
 
 1. a clean daemon run produces zero fsck findings (no false positives —
-   checksummed envelopes, job files and the health snapshot all verify);
+   checksummed envelopes, queue journal lines and the health snapshot all
+   verify);
 2. a bit flipped in a committed result envelope fails the load-time digest,
    is quarantined by fsck, and the post-repair rerun restores serial bytes;
 3. a bit flipped in a chunk checkpoint is dropped at resume (the intact
    chunk still resumes) and the finished envelope matches serial exactly;
-4. a bit flipped in a persisted job file is refused by a reloading queue
-   and pinned by fsck;
+4. a bit flipped in an appended queue journal record is refused by a
+   reloading queue and pinned by fsck to its line;
 5. shared-memory segments claimed by a dead daemon's registry manifest are
    swept; a live manifest and foreign segment names are left alone.
 
@@ -182,7 +183,7 @@ def main() -> int:
         )
         service.registry.close()
 
-        # 4. Corrupt queue persist: the damaged job file must never
+        # 4. Corrupt queue persist: the damaged journal record must never
         # resurrect as runnable work.
         seed = SCENARIO_SEEDS["queue-corrupt"]
         queue = JobQueue(root / "q4")
@@ -191,13 +192,14 @@ def main() -> int:
         check(("queue.persist", "corrupt") in scope.fired, "queue corrupt fault fired")
         check(
             JobQueue(root / "q4").jobs() == [],
-            "reloading queue refuses the corrupted job file",
+            "reloading queue refuses the corrupted record",
         )
         report = fsck_queue(root / "q4", quarantine=True)
         check(
             len(report.issues) == 1
-            and report.issues[0].problem in ("digest-mismatch", "unreadable"),
-            "fsck pins exactly the damaged job file",
+            and report.issues[0].problem in ("digest-mismatch", "unreadable")
+            and report.issues[0].line == 1,
+            "fsck pins exactly the damaged journal line",
         )
         check(fsck_queue(root / "q4").clean, "queue is clean after quarantine")
 

@@ -8,7 +8,8 @@ client, and checks the service invariants that matter:
    byte-identical to a serial ``ExperimentRunner`` run of the same spec;
 2. resubmitting the same spec deduplicates against the finished job;
 3. a second daemon on the same directories resumes pending work after the
-   first one dies without running it;
+   first one dies without running it, and a third one opens a compacted
+   journal (one record per job) that still deduplicates the finished job;
 4. stopping the daemon leaves no shared-memory segments in ``/dev/shm``.
 
 Runs in a few seconds: the workload is a small-geometry defense matrix
@@ -31,6 +32,7 @@ from repro.experiments import (
     ResultStore,
     ServiceClient,
 )
+from repro.experiments.queue import read_journal
 from repro.experiments.shared import SEGMENT_PREFIX
 
 
@@ -84,6 +86,17 @@ def main() -> int:
         second = ExperimentService(queue_dir=root / "q2", store_dir=root / "s2")
         check(second.drain() == 1, "restarted daemon resumes pending job")
         check("resumed" in second.store.names(), "resumed job stored its result")
+        third = ExperimentService(queue_dir=root / "q2", store_dir=root / "s2")
+        records = [line.job.job_id for line in read_journal(third.queue.path)]
+        check(
+            len(records) == len(set(records)) == len(third.queue) == 1,
+            "reopened journal holds one record per job",
+        )
+        reply = third._dispatch(
+            {"op": "submit", "spec": _spec(seed=8).to_dict(), "name": "resumed"}
+        )
+        check(reply["ok"] and not reply["created"], "finished job still deduplicates")
+        third.registry.close()
         second.registry.close()
         first.registry.close()
 
