@@ -39,12 +39,12 @@ The ten cases mirror the perf-critical layers:
   iteration scores a full trial roster through the batched cascade.
 * ``runner_shared_memory`` — the experiment layer: one comparison spec on
   a 2-worker process pool, per-worker victim retraining vs the parent
-  shipping the trained state through ``multiprocessing.shared_memory``
-  (zero-copy worker attach).
+  seeding every worker with the trained clean state through the pool
+  initializer.
 * ``runner_service_throughput`` — the service layer: a campaign of
   comparison specs sharing one surrogate, a fresh runner per spec (victim
-  retrained each time) vs one experiment service whose warm victim
-  registry trains it once and serves every later job from shared memory.
+  retrained each time) vs one experiment service whose victim cache
+  trains it once and serves every later job from memory.
 """
 
 from __future__ import annotations
@@ -190,13 +190,13 @@ def case_description(name: str, sizes: Dict[str, int]) -> str:
         return (
             f"comparison experiment ({sizes['runner_repetitions']} repetitions x "
             "2 mechanisms) on a 2-worker process pool: per-worker victim "
-            "retraining vs zero-copy shared-memory state shipping"
+            "retraining vs clean state seeded through the pool initializer"
         )
     if name == "runner_service_throughput":
         return (
             f"{sizes['service_specs']} comparison specs sharing one surrogate: "
             "a fresh runner per spec (victim retrained each time) vs one "
-            "experiment service whose warm registry trains it once"
+            "experiment service whose victim cache trains it once"
         )
     raise KeyError(f"unknown perf case {name!r}")
 
@@ -513,7 +513,7 @@ def _make_end_to_end_case(
 
 
 # ----------------------------------------------------------------------
-# Case 9: process-pool victim shipping over shared memory
+# Case 9: process-pool victim seeding through the pool initializer
 # ----------------------------------------------------------------------
 def _make_runner_shared_memory_case(repetitions: int) -> PerfCase:
     from repro.core.bfa import BitSearchConfig
@@ -536,7 +536,7 @@ def _make_runner_shared_memory_case(repetitions: int) -> PerfCase:
     # The parent cache is pre-warmed (production runners keep victims hot
     # across experiments), so the measurement isolates what each backend
     # pays to get the trained victim into its workers: a from-scratch
-    # retrain per worker vs a zero-copy shared-memory attach.
+    # retrain per worker vs materialising the seeded clean state.
     cache = VictimCache()
     cache.get_or_prepare_by_key("resnet20", seed=11, training_epochs=2)
 
@@ -563,9 +563,8 @@ def _make_runner_service_throughput_case(num_specs: int) -> PerfCase:
 
     # A small campaign of specs that share one victim (identical model,
     # seed and epochs) but attack different chips: the regime the daemon's
-    # warm registry serves.  The cold path trains the surrogate per spec;
-    # the service trains it once and every later job attaches the
-    # registry's shared-memory clean state.
+    # victim cache serves.  The cold path trains the surrogate per spec;
+    # the service trains it once and every later job reuses it.
     specs = [
         ComparisonSpec(
             model_keys=("resnet20",),
@@ -591,13 +590,10 @@ def _make_runner_service_throughput_case(num_specs: int) -> PerfCase:
             service = ExperimentService(
                 queue_dir=Path(root) / "queue", store_dir=Path(root) / "store"
             )
-            try:
-                for spec in specs:
-                    service.queue.submit(spec.to_dict())
-                service.drain()
-                return [service.store.load(name).payload for name in service.store.names()]
-            finally:
-                service.registry.close()
+            for spec in specs:
+                service.queue.submit(spec.to_dict())
+            service.drain()
+            return [service.store.load(name).payload for name in service.store.names()]
 
     return PerfCase(
         name="runner_service_throughput",

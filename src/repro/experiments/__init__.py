@@ -9,9 +9,8 @@ reproduction defines:
   budget sweeps, Fig. 4 profiling, the profile-density ablation);
 * :mod:`~repro.experiments.runner` — :class:`ExperimentRunner` with
   pluggable serial / thread-pool / process-pool backends that produce
-  identical, seed-determined results (the process pool ships trained
-  victims to workers zero-copy through
-  :mod:`~repro.experiments.shared`);
+  identical, seed-determined results (both pools seed their workers with
+  the victims the runner trained, so no worker retrains);
 * :mod:`~repro.experiments.cache` — :class:`VictimCache`, training each
   surrogate victim once and sharing clean-state snapshots across
   experiments;
@@ -21,13 +20,11 @@ reproduction defines:
 * :mod:`~repro.experiments.service` — :class:`ExperimentService`, the
   persistent daemon behind ``python -m repro serve``: an async
   :class:`JobQueue` (:mod:`~repro.experiments.queue`), a warm
-  :class:`VictimRegistry` (:mod:`~repro.experiments.registry`) and a
-  :class:`ServiceClient` for submit/status/cancel/results;
+  :class:`VictimCache` kept across jobs and a :class:`ServiceClient`
+  for submit/status/cancel/results;
 * :mod:`~repro.experiments.fsck` — offline integrity checking behind
   ``python -m repro fsck``: :func:`fsck_store` / :func:`fsck_queue`
-  verify every checksummed file and quarantine corruption,
-  :func:`sweep_shm` reclaims shared-memory segments orphaned by dead
-  daemons;
+  verify every checksummed file and quarantine corruption;
 * :mod:`~repro.experiments.cli` — the ``python -m repro`` command line.
 
 Quick start::
@@ -52,10 +49,8 @@ from repro.experiments.fsck import (
     FsckReport,
     fsck_queue,
     fsck_store,
-    sweep_shm,
 )
 from repro.experiments.queue import Job, JobQueue, QueueFullError
-from repro.experiments.registry import VictimRegistry
 from repro.experiments.runner import (
     BACKENDS,
     ExecutionBackend,
@@ -73,7 +68,6 @@ from repro.experiments.service import (
     ServiceUnavailableError,
     WatchdogTimeout,
 )
-from repro.experiments.shared import SharedStateHandle, SharedVictimManifest
 from repro.experiments.specs import (
     MECHANISMS,
     SPEC_KINDS,
@@ -144,12 +138,9 @@ __all__ = [
     "ServiceClient",
     "ServiceOverloadError",
     "ServiceUnavailableError",
-    "SharedStateHandle",
-    "SharedVictimManifest",
     "ThreadPoolBackend",
     "VictimCache",
     "VictimKey",
-    "VictimRegistry",
     "WatchdogTimeout",
     "canonical_spec_json",
     "checkpoint_chunks",
@@ -161,6 +152,5 @@ __all__ = [
     "register_spec",
     "spec_from_dict",
     "spec_hash",
-    "sweep_shm",
     "verify_envelope",
 ]

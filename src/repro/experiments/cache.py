@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,14 +44,12 @@ class VictimKey:
 class VictimCache:
     """Process-local cache of trained surrogate victims.
 
-    The cache is deliberately *not* shared across processes: parallel
-    execution backends instantiate one cache per worker, which keeps the
-    semantics identical to serial execution (training is deterministic in
-    the key) while still amortising training inside each worker.  Cross
-    -process sharing happens one level up, through shared-memory clean
-    states: :meth:`seed_shared` manifests (one-shot, per run) or an
-    attached :class:`~repro.experiments.registry.VictimRegistry` (warm,
-    across jobs).
+    The cache is deliberately *not* shared across threads or processes:
+    parallel execution backends instantiate one cache per worker, which
+    keeps the semantics identical to serial execution (training is
+    deterministic in the key).  Workers still never retrain what the
+    runner already trained: the backends hand them the runner's clean
+    states, registered with :meth:`seed_states`.
 
     ``max_entries`` bounds the number of resident victims: inserting past
     the bound evicts the least-recently-used entry (an evicted victim is
@@ -63,13 +61,10 @@ class VictimCache:
     def __init__(self, max_entries: Optional[int] = None) -> None:
         self.max_entries = max_entries
         self._victims: "OrderedDict[VictimKey, VictimTriple]" = OrderedDict()
-        #: Shared-memory manifests registered by :meth:`seed_shared`; a miss
-        #: whose key has one attaches the exported clean state instead of
-        #: training (bit-identical — training is deterministic in the key).
-        self._shared: Dict[VictimKey, object] = {}
+        #: Clean states registered by :meth:`seed_states`; a miss whose key
+        #: has one materialises the victim instead of training it
+        #: (bit-identical — training is deterministic in the key).
         self._seeded_states: Dict[VictimKey, Dict[str, np.ndarray]] = {}
-        self._attached: List[object] = []
-        self._registry = None
         self.hits = 0
         self.misses = 0
         self.shared_attaches = 0
@@ -89,12 +84,10 @@ class VictimCache:
     ) -> VictimTriple:
         """Return the trained victim for ``spec``, training it on first use.
 
-        Misses are resolved in cost order: a seeded shared-memory manifest,
-        the attached :class:`~repro.experiments.registry.VictimRegistry`,
-        a seeded in-process state, and finally local training.  Every path
-        yields a bit-identical triple (training is deterministic in the
-        key), so a stale manifest — e.g. a registry segment evicted by its
-        owner — safely falls through to the next resolution.
+        A miss whose key has a seeded clean state (:meth:`seed_states`)
+        materialises the victim from it; any other miss trains locally.
+        Both yield a bit-identical triple (training is deterministic in
+        the key).
         """
         key = VictimKey(spec.key, seed, training_epochs)
         cached = self._victims.get(key)
@@ -102,47 +95,18 @@ class VictimCache:
             self._victims.move_to_end(key)
             self.hits += 1
             return cached
-        victim = self._from_manifest(spec, key, self._shared.get(key))
-        if victim is None and self._registry is not None:
-            victim = self._from_manifest(spec, key, self._registry.get(key))
-        if victim is None:
-            state = self._seeded_states.get(key)
-            if state is not None:
-                victim = self._materialize(spec, key, state)
-                self.shared_attaches += 1
-        if victim is None:
+        state = self._seeded_states.get(key)
+        if state is not None:
+            victim = self._materialize(spec, key, state)
+            self.shared_attaches += 1
+        else:
             self.misses += 1
             from repro.core.comparison import prepare_victim
 
             victim = prepare_victim(spec, seed=seed, training_epochs=training_epochs)
-            if self._registry is not None:
-                self._registry.put(key, victim[2])
         self._victims[key] = victim
         self._evict_lru()
         return victim
-
-    def _from_manifest(self, spec: ModelSpec, key: VictimKey, manifest) -> Optional[VictimTriple]:
-        """Materialise from a shared-memory manifest; ``None`` on any miss.
-
-        A manifest whose segment is unusable — gone entirely (evicted by
-        its owner), torn mid-export, or failing to mmap — returns ``None``
-        so the caller falls through to the next resolution and ultimately to
-        deterministic retraining.  Catching ``OSError`` broadly (not just
-        ``FileNotFoundError``) is what makes shared-memory failure a
-        degradation instead of a crash, and it covers injected
-        ``shared.attach`` chaos faults by construction.
-        """
-        if manifest is None:
-            return None
-        from repro.experiments.shared import attach_state
-
-        try:
-            handle = attach_state(manifest.state)
-        except OSError:
-            return None
-        self._attached.append(handle)
-        self.shared_attaches += 1
-        return self._materialize(spec, key, dict(handle.arrays))
 
     def _evict_lru(self) -> None:
         """Drop least-recently-used victims beyond ``max_entries``."""
@@ -152,35 +116,12 @@ class VictimCache:
             self._victims.popitem(last=False)
             self.evictions += 1
 
-    def attach_registry(self, registry) -> None:
-        """Connect a :class:`~repro.experiments.registry.VictimRegistry`.
-
-        Once attached, cache misses first consult the registry (zero-copy
-        attach of a previously exported clean state) and locally trained
-        victims are published back into it, warming it for later jobs.
-        """
-        self._registry = registry
-
-    def seed_shared(self, manifests: Iterable) -> None:
-        """Register shared-memory clean states to materialise victims from.
-
-        ``manifests`` are :class:`repro.experiments.shared.SharedVictimManifest`
-        records (typically delivered through the process-pool worker
-        initializer).  A later cache miss whose key matches one attaches
-        the exported state zero-copy and skips training entirely.
-        """
-        for manifest in manifests:
-            key = VictimKey(
-                manifest.model_key, manifest.seed, manifest.training_epochs
-            )
-            self._shared[key] = manifest
-
     def seed_states(self, states: Dict[VictimKey, Dict[str, np.ndarray]]) -> None:
         """Register in-process clean states to materialise victims from.
 
-        The in-process analogue of :meth:`seed_shared` (used by the thread
-        backend): a later cache miss whose key matches builds the untrained
-        model and loads the given state instead of retraining.
+        The parallel backends seed every worker context with the states
+        the runner trained: a later cache miss whose key matches builds the
+        untrained model and loads the given state instead of retraining.
         """
         self._seeded_states.update(states)
 
@@ -192,8 +133,7 @@ class VictimCache:
         the materialised triple is bit-identical to the one local training
         would have produced.  ``state`` doubles as the triple's
         ``clean_state``: restoring between attack repetitions reads
-        straight from it (for shared-memory attachments, straight from the
-        shared pages).
+        straight from it.
         """
         dataset = spec.build_dataset(seed=key.seed)
         model = spec.build_model(num_classes=dataset.num_classes, seed=key.seed)
@@ -225,12 +165,9 @@ class VictimCache:
     def clear(self) -> None:
         """Drop every cached victim (training will rerun on next access)."""
         self._victims.clear()
-        for handle in self._attached:
-            handle.close()
-        self._attached.clear()
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/attach counters (useful for cache-efficacy assertions)."""
+        """Cache counters; ``shared_attaches`` counts seeded materialisations."""
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -246,8 +183,8 @@ class ExperimentContext:
     Holds the :class:`VictimCache` plus a small memo table for other
     expensive deterministic artefacts (e.g. the deployment-chip profile
     pair).  The serial backend keeps one context for the runner's whole
-    lifetime, so artefacts are shared *across* experiments; each process
-    -pool worker lazily builds its own.  The memo keeps only the
+    lifetime, so artefacts are shared *across* experiments; each thread
+    or process-pool worker builds its own.  The memo keeps only the
     :data:`MEMO_ENTRIES` most recently used artefacts: one spec's work
     units run back to back and share one build, while a daemon serving
     many specs does not hold every profile pair (tens of MB each) for its
@@ -258,7 +195,8 @@ class ExperimentContext:
     MEMO_ENTRIES = 2
 
     def __init__(self, victim_cache: Optional[VictimCache] = None) -> None:
-        self.victims = victim_cache or VictimCache()
+        # ``is None``, not ``or``: an empty cache is falsy (``__len__``).
+        self.victims = VictimCache() if victim_cache is None else victim_cache
         self._memo: "OrderedDict[object, object]" = OrderedDict()
 
     def memo(self, key, builder):

@@ -13,7 +13,7 @@ Subcommands
     :mod:`repro.analysis.reporting` for comparisons, plain text otherwise).
 ``serve``
     Start the persistent experiment daemon: an async job queue, a warm
-    victim registry and the result store behind a TCP socket
+    victim cache and the result store behind a TCP socket
     (:mod:`repro.experiments.service`).
 ``submit KIND`` / ``status JOB`` / ``cancel JOB`` / ``jobs``
     Client side of the daemon: queue a spec (same spec-building flags as
@@ -21,11 +21,10 @@ Subcommands
 ``fsck``
     Verify every stored result and every line of the queue journal
     against its sha256 checksum, optionally quarantining corrupt files
-    and journal lines (``--quarantine``), and optionally sweeping orphaned
-    ``/dev/shm`` victim segments left by dead daemons (``--shm``).
+    and journal lines (``--quarantine``).
 ``health``
     One-shot health snapshot of a running daemon: queue depth, active
-    job, load-shedding limits and victim-registry statistics.
+    job, load-shedding limits and victim-cache statistics.
 """
 
 from __future__ import annotations
@@ -300,10 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=None,
                        help="TCP port (default 7421; 0 picks an ephemeral port)")
-    serve.add_argument("--registry-max-bytes", type=int, default=None,
-                       help="victim registry shared-memory budget")
-    serve.add_argument("--registry-max-entries", type=int, default=None,
-                       help="victim registry entry cap")
     serve.add_argument("--max-pending", type=int, default=None,
                        help="bound the pending queue depth; submissions past it "
                             "are shed with a retry-after hint instead of queued")
@@ -348,13 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="move corrupt files (and copy corrupt journal "
                            "lines) into <dir>/quarantine/, dropping them "
                            "from the store and the journal")
-    fsck.add_argument("--shm", action="store_true",
-                      help="also sweep /dev/shm victim segments orphaned by "
-                           "dead daemons (live daemons' segments are kept)")
-    fsck.add_argument("--force-unclaimed", action="store_true",
-                      help="with --shm: also remove repro_victim_* segments no "
-                           "manifest claims — only safe once every daemon on "
-                           "this host is stopped")
 
     health = sub.add_parser("health", help="health snapshot of a running daemon")
     health.add_argument("--queue", default=DEFAULT_QUEUE)
@@ -456,8 +444,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         store_dir=args.store,
         backend=args.backend,
         max_workers=args.workers,
-        registry_max_bytes=args.registry_max_bytes,
-        registry_max_entries=args.registry_max_entries,
         host=args.host,
         port=DEFAULT_PORT if args.port is None else args.port,
         max_pending=args.max_pending,
@@ -568,7 +554,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def cmd_fsck(args: argparse.Namespace) -> int:
-    from repro.experiments.fsck import fsck_queue, fsck_store, sweep_shm
+    from repro.experiments.fsck import fsck_queue, fsck_store
 
     issues = 0
     for label, directory, check in (
@@ -592,16 +578,6 @@ def cmd_fsck(args: argparse.Namespace) -> int:
             where = "" if issue.line is None else f" (line {issue.line})"
             print(f"  {action} {issue.problem}: {issue.path}{where}")
             print(f"    {issue.detail}")
-    if args.shm:
-        swept = sweep_shm(
-            queue_dirs=[Path(args.queue)],
-            force_unclaimed=args.force_unclaimed,
-        )
-        print(f"shm: removed {len(swept['removed'])} orphaned segment(s), "
-              f"kept {len(swept['kept'])}, "
-              f"{len(swept['stale_manifests'])} stale manifest(s)")
-        for name in swept["removed"]:
-            print(f"  removed {name}")
     if issues:
         print(f"error: {issues} corrupt file(s) remain; rerun with --quarantine "
               "to move them aside", file=sys.stderr)

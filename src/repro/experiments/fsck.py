@@ -4,10 +4,7 @@
 scans a result store directory, verifies every envelope against its
 embedded sha256 digest, and optionally **quarantines** corrupt files
 into a ``quarantine/`` subdirectory.  The same machinery checks a job-queue
-journal (``queue.jsonl``, one checksummed record per line) and — with
-``--shm`` — sweeps ``/dev/shm`` for victim-registry segments orphaned by
-a daemon that died without cleanup, keyed on the registry's liveness
-manifest (``registry.json``: owner pid + owned segment names).
+journal (``queue.jsonl``, one checksummed record per line).
 
 Design rules:
 
@@ -17,8 +14,7 @@ Design rules:
 * **Nothing is destroyed.**  Quarantine *moves* files (same filesystem,
   ``os.replace``) into ``quarantine/``, and copies bad journal lines
   there before rewriting the journal without them — an operator can
-  inspect or restore them; nothing is unlinked except provably-orphaned
-  shared memory (a dead pid's manifest entries).
+  inspect or restore them; nothing is unlinked.
 * **Deterministic.**  The scan order is sorted, so two fscks of the same
   tree produce identical reports.
 """
@@ -29,18 +25,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.queue import JOURNAL_FILE, read_journal
-from repro.experiments.shared import SEGMENT_PREFIX, _SHM_DIR
 from repro.experiments.store import SCHEMA_VERSION, _content_digest, _envelope_content
 
 PathLike = Union[str, Path]
-
-#: Name of the registry liveness manifest inside a queue directory
-#: (mirrors ``service.REGISTRY_MANIFEST_FILE`` without importing the
-#: daemon stack).
-REGISTRY_MANIFEST = "registry.json"
 
 #: Subdirectory corrupt files are moved into (store root / queue root).
 QUARANTINE_DIR = "quarantine"
@@ -222,80 +212,3 @@ def fsck_queue(directory: PathLike, quarantine: bool = False) -> FsckReport:
         for issue in report.issues:
             issue.path, issue.quarantined = target, True
     return report
-
-
-def sweep_shm(
-    queue_dirs: Iterable[PathLike] = (),
-    shm_dir: Optional[PathLike] = None,
-    force_unclaimed: bool = False,
-) -> Dict[str, List[str]]:
-    """Remove victim-registry segments whose owning daemon is dead.
-
-    Reads every ``registry.json`` liveness manifest under the given queue
-    directories.  A manifest whose recorded pid is alive protects its
-    segments; a dead pid's manifest marks its segments as orphans — they
-    are unlinked and the stale manifest is removed.  ``repro_victim_*``
-    segments claimed by **no** manifest are *kept*: "unclaimed by the
-    manifests we were shown" is not proof of orphanhood — a live daemon
-    serving a queue directory outside ``queue_dirs`` may own them, and
-    sweeping them would yank shared memory out from under it.  Pass
-    ``force_unclaimed=True`` to remove unclaimed segments too; that is an
-    explicit operator decision, only safe once every daemon on the host
-    is stopped.  Segments outside the ``repro_victim_`` namespace are
-    never touched.
-
-    Returns ``{"removed": [...], "kept": [...], "stale_manifests": [...]}``.
-    """
-    shm_root = _SHM_DIR if shm_dir is None else Path(shm_dir)
-    protected: set = set()
-    orphaned: set = set()
-    stale_manifests: List[Path] = []
-    for queue_dir in queue_dirs:
-        manifest_path = Path(queue_dir) / REGISTRY_MANIFEST
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        pid = manifest.get("pid")
-        segments = manifest.get("segments", [])
-        if pid is not None and _pid_alive(int(pid)):
-            protected.update(segments)
-        else:
-            orphaned.update(segments)
-            stale_manifests.append(manifest_path)
-    removed: List[str] = []
-    kept: List[str] = []
-    if shm_root.is_dir():
-        for path in sorted(shm_root.glob(f"{SEGMENT_PREFIX}*")):
-            if path.name in protected:
-                kept.append(path.name)
-                continue
-            if path.name not in orphaned and not force_unclaimed:
-                kept.append(path.name)  # unclaimed != provably orphaned
-                continue
-            try:
-                path.unlink()
-                removed.append(path.name)
-            except OSError:  # pragma: no cover - raced removal
-                kept.append(path.name)
-    for manifest_path in stale_manifests:
-        try:
-            manifest_path.unlink()
-        except OSError:  # pragma: no cover - raced removal
-            pass
-    return {
-        "removed": removed,
-        "kept": kept,
-        "stale_manifests": [str(path) for path in stale_manifests],
-    }
-
-
-def _pid_alive(pid: int) -> bool:
-    """Whether ``pid`` names a live process (signal-0 probe)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True
-    return True

@@ -7,19 +7,20 @@ units run.
 
 Determinism contract: every unit derives its randomness from the spec's
 explicit seeds, never from process-global state, so every backend —
-:class:`ProcessPoolBackend` (with or without shared-memory victim
-shipping, chunked or not) and :class:`ThreadPoolBackend` alike — is
-required to produce results identical to :class:`SerialBackend` for the
-same spec.  The test suite asserts this bit-for-bit on the attack results.
+:class:`ProcessPoolBackend` (with or without victim seeding, chunked or
+not) and :class:`ThreadPoolBackend` alike — is required to produce
+results identical to :class:`SerialBackend` for the same spec.  The test
+suite asserts this bit-for-bit on the attack results.
 
 Scale machinery:
 
-* **Shared-memory victim shipping** — :class:`ProcessPoolBackend` trains
-  each victim the spec declares (:meth:`ExperimentSpec.victim_requirements`)
-  once in the parent, exports the clean state through
-  :mod:`repro.experiments.shared` and hands workers zero-copy attach
-  manifests via the pool initializer, so no worker ever retrains (or
-  unpickles) a victim.
+* **Victim seeding** — both parallel backends train each victim the spec
+  declares (:meth:`ExperimentSpec.victim_requirements`) once in the
+  runner's context and hand the clean states to their workers
+  (:func:`_victim_states`): thread contexts directly, process-pool
+  workers through the pool initializer.  Workers materialise private
+  models from those states (:meth:`VictimCache.seed_states`) and never
+  retrain.
 * **Chunked unit scheduling** — both parallel backends group units into
   contiguous chunks, cutting per-task dispatch overhead while preserving
   unit order (outputs are flattened in submission order).
@@ -35,42 +36,26 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.experiments.cache import ExperimentContext, VictimCache
+import numpy as np
+
+from repro.experiments.cache import ExperimentContext, VictimCache, VictimKey
 from repro.experiments.specs import ExperimentSpec, spec_from_dict
 
-#: Worker-process context, created lazily on first unit (shared by every
-#: unit the worker executes, so victims are trained — or attached from
-#: shared memory — once per worker).
+#: Trained clean states by victim key, as handed to parallel workers.
+VictimStates = Dict[VictimKey, Dict[str, np.ndarray]]
+
+#: Worker-process context, built by the pool initializer and shared by
+#: every unit the worker executes.
 _WORKER_CONTEXT: Optional[ExperimentContext] = None
 
-#: Shared-victim manifests delivered through the pool initializer; the
-#: lazily built worker context seeds its cache from them.
-_WORKER_MANIFESTS: Tuple = ()
 
-
-def _worker_init(manifests: Tuple = ()) -> None:
-    """Pool initializer: record the shared-victim manifests for this worker."""
-    global _WORKER_MANIFESTS, _WORKER_CONTEXT
-    _WORKER_MANIFESTS = manifests
-    _WORKER_CONTEXT = None
-
-
-def _worker_context() -> ExperimentContext:
-    """The worker's lazily created context, cache seeded from shared memory."""
+def _worker_init(states: VictimStates) -> None:
+    """Pool initializer: a fresh context seeded with the parent's clean states."""
     global _WORKER_CONTEXT
-    if _WORKER_CONTEXT is None:
-        _WORKER_CONTEXT = ExperimentContext()
-        if _WORKER_MANIFESTS:
-            _WORKER_CONTEXT.victims.seed_shared(_WORKER_MANIFESTS)
-    return _WORKER_CONTEXT
-
-
-def _execute_unit(spec_payload: Mapping[str, Any], unit: Mapping[str, Any]) -> Any:
-    """Top-level (picklable) entry point for process-pool workers."""
-    spec = spec_from_dict(spec_payload)
-    return spec.run_unit(unit, _worker_context())
+    _WORKER_CONTEXT = ExperimentContext()
+    _WORKER_CONTEXT.victims.seed_states(states)
 
 
 def _execute_chunk(
@@ -78,55 +63,32 @@ def _execute_chunk(
 ) -> List[Any]:
     """Run a contiguous chunk of units in one worker task, in unit order."""
     spec = spec_from_dict(spec_payload)
-    context = _worker_context()
-    return [spec.run_unit(unit, context) for unit in units]
+    return [spec.run_unit(unit, _WORKER_CONTEXT) for unit in units]
 
 
 def _chunk(units: Sequence, chunk_size: Optional[int], workers: int) -> List[Sequence]:
     """Contiguous unit chunks; auto-sizes to ~4 tasks per worker when unset."""
     if chunk_size is None:
         chunk_size = max(1, len(units) // (workers * 4))
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     return [units[start : start + chunk_size] for start in range(0, len(units), chunk_size)]
 
 
-def _stage_victims(
-    spec: ExperimentSpec, context: ExperimentContext, registry=None
-) -> Tuple[List[Any], List[Any]]:
-    """Export every victim ``spec`` declares; returns ``(handles, manifests)``.
+def _victim_states(spec: ExperimentSpec, context: ExperimentContext) -> VictimStates:
+    """The clean state of every victim ``spec`` declares, keyed for seeding.
 
-    Without a registry the export is per-run: every returned handle is
-    owned by the caller, which must unlink it once the consuming pool has
-    drained (exactly PR 5's lifecycle).  With a
-    :class:`~repro.experiments.registry.VictimRegistry` the segments
-    belong to the registry instead — already-resident victims are served
-    without retraining *or* re-exporting, fresh ones are trained and
-    published, and the returned ``handles`` list is empty because eviction
-    and shutdown are the registry's job.  Either way the manifests hand
-    workers bit-identical clean states.
+    Victims come from ``context``'s cache, so each is trained at most once
+    per runner; a warm cache (a daemon's, or an earlier experiment's)
+    trains nothing.
     """
-    from repro.experiments.cache import VictimKey
-
-    handles: List[Any] = []
-    manifests: List[Any] = []
+    states: VictimStates = {}
     for model_key, seed, epochs in spec.victim_requirements():
-        if registry is not None:
-            manifest = registry.get(VictimKey(model_key, seed, epochs))
-            if manifest is None:
-                _, _, clean_state = context.victims.get_or_prepare_by_key(
-                    model_key, seed=seed, training_epochs=epochs
-                )
-                manifest = registry.put(VictimKey(model_key, seed, epochs), clean_state)
-            manifests.append(manifest)
-            continue
-        from repro.experiments.shared import export_victim
-
         _, _, clean_state = context.victims.get_or_prepare_by_key(
             model_key, seed=seed, training_epochs=epochs
         )
-        handle, manifest = export_victim(model_key, seed, epochs, clean_state)
-        handles.append(handle)
-        manifests.append(manifest)
-    return handles, manifests
+        states[VictimKey(model_key, seed, epochs)] = clean_state
+    return states
 
 
 class ExecutionBackend:
@@ -190,15 +152,9 @@ class ThreadPoolBackend(ExecutionBackend):
     ) -> List[Any]:
         if not units:
             return []
-        from repro.experiments.cache import VictimKey
-
         workers = self.max_workers or min(len(units), 4)
-        seeded = {}
-        for model_key, seed, epochs in spec.victim_requirements():
-            _, _, clean_state = context.victims.get_or_prepare_by_key(
-                model_key, seed=seed, training_epochs=epochs
-            )
-            seeded[VictimKey(model_key, seed, epochs)] = clean_state
+        chunks = _chunk(units, self.chunk_size, workers)
+        seeded = _victim_states(spec, context)
         local = threading.local()
 
         def run_chunk(chunk: Sequence[Mapping[str, Any]]) -> List[Any]:
@@ -208,7 +164,6 @@ class ThreadPoolBackend(ExecutionBackend):
                 thread_context.victims.seed_states(seeded)
             return [spec.run_unit(unit, thread_context) for unit in chunk]
 
-        chunks = _chunk(units, self.chunk_size, workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_chunk, chunk) for chunk in chunks]
             outputs: List[Any] = []
@@ -228,14 +183,13 @@ class ProcessPoolBackend(ExecutionBackend):
     With ``share_victims`` (the default) the backend trains every victim
     the spec declares via :meth:`ExperimentSpec.victim_requirements` once
     in the parent — reusing the runner's cache when it is already warm —
-    and ships the clean states to workers through
-    :mod:`multiprocessing.shared_memory`: workers attach read-only numpy
-    views zero-copy and materialise the victim without retraining.  The
-    parent owns the segment lifecycle (created before the pool, unlinked
-    in a ``finally`` after it drains), so a crashed worker can never
-    strand a segment.  Results stay bit-identical to serial execution
-    because the attached state equals what deterministic local training
-    would have produced.
+    and hands the clean states to every worker through the pool
+    initializer, exactly as :class:`ThreadPoolBackend` seeds its threads.
+    Under ``fork`` the workers inherit the states without pickling;
+    under ``spawn`` they are pickled once per worker.  Workers materialise
+    the victim from the state without retraining, so results stay
+    bit-identical to serial execution.  ``share_victims=False`` makes
+    every worker train its own copy instead.
     """
 
     name = "process"
@@ -245,16 +199,10 @@ class ProcessPoolBackend(ExecutionBackend):
         max_workers: Optional[int] = None,
         share_victims: bool = True,
         chunk_size: Optional[int] = None,
-        registry=None,
     ):
         self.max_workers = max_workers
         self.share_victims = share_victims
         self.chunk_size = chunk_size
-        #: Optional :class:`~repro.experiments.registry.VictimRegistry`:
-        #: when set, victims are staged from (and published into) the warm
-        #: registry instead of being exported per run, so consecutive jobs
-        #: in one daemon share segments.
-        self.registry = registry
 
     def run_units(
         self,
@@ -264,29 +212,18 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> List[Any]:
         if not units:
             return []
-        payload = spec.to_dict()
         workers = self.max_workers or min(len(units), 4)
-        handles: List[Any] = []
-        manifests: List[Any] = []
-        try:
-            # Export inside the try so a failure preparing a later victim
-            # still unlinks the segments already created for earlier ones.
-            if self.share_victims:
-                handles, manifests = _stage_victims(spec, context, self.registry)
-            chunks = _chunk(units, self.chunk_size, workers)
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(tuple(manifests),),
-            ) as pool:
-                futures = [pool.submit(_execute_chunk, payload, chunk) for chunk in chunks]
-                outputs: List[Any] = []
-                for future in futures:
-                    outputs.extend(future.result())
-            return outputs
-        finally:
-            for handle in handles:
-                handle.unlink()
+        chunks = _chunk(units, self.chunk_size, workers)
+        states = _victim_states(spec, context) if self.share_victims else {}
+        payload = spec.to_dict()
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init, initargs=(states,)
+        ) as pool:
+            futures = [pool.submit(_execute_chunk, payload, chunk) for chunk in chunks]
+            outputs: List[Any] = []
+            for future in futures:
+                outputs.extend(future.result())
+        return outputs
 
 
 BACKENDS = {

@@ -3,10 +3,10 @@
 ``python -m repro serve`` turns the one-shot CLI into a persistent
 service.  The daemon composes the pieces this package already has —
 :class:`~repro.experiments.queue.JobQueue` (persistent, crash-safe job
-state), :class:`~repro.experiments.registry.VictimRegistry` (warm
-shared-memory victims spanning jobs),
-:class:`~repro.experiments.store.ResultStore` (checksummed result
-envelopes) and :class:`~repro.experiments.runner.ExperimentRunner` — behind
+state), :class:`~repro.experiments.cache.VictimCache` (trained victims
+kept warm across jobs), :class:`~repro.experiments.store.ResultStore`
+(checksummed result envelopes) and
+:class:`~repro.experiments.runner.ExperimentRunner` — behind
 a line-oriented JSON protocol on a TCP socket:
 
     {"op": "submit", "spec": {...ExperimentSpec payload...}}
@@ -24,7 +24,7 @@ no configuration.
 Execution stays bit-identical to a direct
 :class:`~repro.experiments.runner.ExperimentRunner` run of the same spec:
 the spec carries every seed, the backend contract guarantees
-serial-equality, and warm registry victims equal freshly trained ones.
+serial-equality, and cached victims equal freshly trained ones.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro.experiments.cache import VictimCache
 from repro.experiments.checkpoint import CheckpointedBackend, ChunkCheckpoint
 from repro.experiments.queue import JobQueue, Job, QueueFullError
-from repro.experiments.registry import VictimRegistry
 from repro.experiments.runner import ExperimentRunner, make_backend
 from repro.experiments.specs import spec_from_dict
 from repro.experiments.store import ResultStore, check_result_name
@@ -55,9 +54,6 @@ DEFAULT_PORT = 7421
 
 #: Name of the discovery file the daemon writes into its queue directory.
 ENDPOINT_FILE = "endpoint.json"
-
-#: Name of the registry liveness manifest in the queue directory.
-REGISTRY_MANIFEST_FILE = "registry.json"
 
 
 class ServiceUnavailableError(ConnectionError):
@@ -124,16 +120,15 @@ class _Server(socketserver.ThreadingTCPServer):
 
 
 class ExperimentService:
-    """The daemon: a job queue, a warm victim registry and a runner.
+    """The daemon: a job queue, a warm victim cache and a runner.
 
     ``queue_dir`` holds job state (and the ``endpoint.json`` discovery
     file); ``store_dir`` is the result store jobs save into.
     ``backend`` names the execution backend jobs run under (``serial``,
-    ``thread`` or ``process``); backends with a
-    ``registry`` attribute get the service's
-    :class:`~repro.experiments.registry.VictimRegistry` attached, so
-    consecutive jobs share exported victims.  ``registry_max_bytes`` /
-    ``registry_max_entries`` bound that registry.
+    ``thread`` or ``process``).  The runner's unbounded
+    :class:`~repro.experiments.cache.VictimCache` lives as long as the
+    daemon, so consecutive jobs reuse every victim an earlier job
+    trained; the parallel backends seed their workers from it.
 
     Use :meth:`start` + :meth:`stop` (or :meth:`serve_forever`) for the
     network daemon; tests drive the same object deterministically with
@@ -163,8 +158,6 @@ class ExperimentService:
         store_dir: PathLike,
         backend: str = "serial",
         max_workers: Optional[int] = None,
-        registry_max_bytes: Optional[int] = None,
-        registry_max_entries: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         checkpoint: bool = True,
@@ -175,16 +168,11 @@ class ExperimentService:
         self.recovery = self.queue.recover()
         self.store = ResultStore(store_dir)
         self.watchdog_timeout = watchdog_timeout
-        self.registry = VictimRegistry(
-            max_bytes=registry_max_bytes,
-            max_entries=registry_max_entries,
-            manifest_path=self.queue.directory / REGISTRY_MANIFEST_FILE,
-        )
-        cache = VictimCache()
-        cache.attach_registry(self.registry)
+        #: The daemon's victim cache, the same object as
+        #: ``runner.context.victims``; the name is kept for callers that
+        #: read its ``hits``/``misses`` counters.
+        self.registry = VictimCache()
         execution = make_backend(backend, max_workers=max_workers)
-        if hasattr(execution, "registry"):
-            execution.registry = self.registry
         #: Where per-job chunk checkpoints live (one subdirectory per job).
         self.checkpoint_root = self.queue.directory / "checkpoints"
         #: The checkpointing wrapper jobs execute through; ``None`` when
@@ -194,7 +182,7 @@ class ExperimentService:
             self.checkpointed = CheckpointedBackend(execution)
             execution = self.checkpointed
         self.runner = ExperimentRunner(
-            backend=execution, store=self.store, victim_cache=cache
+            backend=execution, store=self.store, victim_cache=self.registry
         )
         self.host = host
         self.port = port
@@ -427,7 +415,7 @@ class ExperimentService:
                     "active_job": self._active_job,
                     "avg_job_seconds": self._avg_job_seconds,
                     "abandoned_workers": self.abandoned_workers(),
-                    "registry": self.registry.stats(),
+                    "victims": self.registry.stats(),
                 },
             }
         if op == "status":
@@ -446,8 +434,6 @@ class ExperimentService:
             if not path.is_file():
                 return {"ok": False, "error": f"no result named {request['name']!r}"}
             return {"ok": True, "envelope": json.loads(path.read_text())}
-        if op == "registry":
-            return {"ok": True, "stats": self.registry.stats()}
         if op == "shutdown":
             threading.Thread(target=self.stop, daemon=True).start()
             return {"ok": True, "stopping": True}
@@ -493,7 +479,7 @@ class ExperimentService:
             self.stop()
 
     def stop(self) -> None:
-        """Stop serving, finish the in-flight job, release the registry.
+        """Stop serving and finish the in-flight job.
 
         Idempotent.  A job actually mid-run when the daemon dies instead
         of stopping cleanly is requeued by the next start's queue
@@ -514,7 +500,6 @@ class ExperimentService:
             self.endpoint_path.unlink()
         except OSError:
             pass
-        self.registry.close()
 
 
 class ServiceClient:
@@ -615,7 +600,7 @@ class ServiceClient:
         raise RuntimeError("unreachable")  # pragma: no cover
 
     def health(self) -> Dict[str, Any]:
-        """The daemon's health snapshot (queue depth, active job, registry)."""
+        """The daemon's health snapshot (queue depth, active job, victims)."""
         return self._call({"op": "health"})["health"]
 
     def status(self, job_id: str) -> Dict[str, Any]:
@@ -637,10 +622,6 @@ class ServiceClient:
     def result(self, name: str) -> Dict[str, Any]:
         """The raw stored envelope (schema/kind/spec/payload) of a result."""
         return self._call({"op": "result", "name": name})["envelope"]
-
-    def registry_stats(self) -> Dict[str, Any]:
-        """Victim-registry counters (hits/misses/evictions/entries/bytes)."""
-        return self._call({"op": "registry"})["stats"]
 
     def shutdown(self) -> None:
         """Ask the daemon to stop (it finishes the in-flight job first)."""

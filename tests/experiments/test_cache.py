@@ -100,12 +100,10 @@ class TestBoundedCache:
         }
 
 
-class TestRegistryAttachment:
-    def test_miss_attaches_from_registry_instead_of_training(
+class TestSeededStates:
+    def test_seeded_state_materialises_instead_of_training(
         self, counting_prepare, monkeypatch
     ):
-        from repro.experiments import VictimRegistry
-
         # The fake clean state cannot be loaded into a real model; stand in
         # for the (deterministic) rebuild step as well.
         monkeypatch.setattr(
@@ -113,39 +111,19 @@ class TestRegistryAttachment:
             "_materialize",
             lambda self, spec, key, state: (object(), object(), state),
         )
-        with VictimRegistry() as registry:
-            warm = VictimCache()
-            warm.attach_registry(registry)
-            warm.get_or_prepare_by_key("resnet20", seed=1)  # trains + publishes
-            assert len(registry) == 1
+        state = {"w": np.ones(1)}
+        cache = VictimCache()
+        cache.seed_states({VictimKey("resnet20", 1, None): state})
+        _, _, clean_state = cache.get_or_prepare_by_key("resnet20", seed=1)
+        assert clean_state is state
+        cache.get_or_prepare_by_key("resnet20", seed=2)  # not seeded: trains
+        assert counting_prepare == [("resnet20", 2, None)]
+        assert cache.stats()["shared_attaches"] == 1
+        assert cache.stats()["misses"] == 1
 
-            cold = VictimCache()
-            cold.attach_registry(registry)
-            cold.get_or_prepare_by_key("resnet20", seed=1)
-            assert cold.stats()["misses"] == 0
-            assert cold.stats()["shared_attaches"] == 1
-            assert len(counting_prepare) == 1  # only the warm cache trained
-            cold.clear()
-
-    def test_stale_manifest_falls_back_to_training(self, counting_prepare):
-        from repro.experiments import VictimRegistry
-
-        key = VictimKey("resnet20", 1, None)
-        with VictimRegistry() as registry:
-            publisher = VictimCache()
-            publisher.attach_registry(registry)
-            publisher.get_or_prepare_by_key("resnet20", seed=1)
-            manifest = registry.get(key)
-            registry.evict(key)  # segment unlinked; manifest now dangles
-
-            stale = VictimCache()
-            # Attaching the dangling manifest misses cleanly...
-            assert stale._from_manifest(get_spec("resnet20"), key, manifest) is None
-            # ...so a full lookup falls through to a deterministic retrain.
-            stale.seed_shared([manifest])
-            stale.get_or_prepare_by_key("resnet20", seed=1)
-            assert stale.stats()["misses"] == 1
-            assert len(counting_prepare) == 2
+    def test_context_keeps_an_empty_cache_it_is_given(self):
+        cache = VictimCache()
+        assert ExperimentContext(cache).victims is cache
 
 
 class TestCheckout:

@@ -100,8 +100,7 @@ class TestRetiredFailureModelEnv:
 
         for name, value in (("FALLBACK_BACKEND", "bogus"), ("CHUNK_TIMEOUT", "abc")):
             monkeypatch.setenv(f"REPRO_{name}", value)
-        service = ExperimentService(tmp_path / "q", tmp_path / "s", backend="serial", port=0)
-        service.registry.close()
+        ExperimentService(tmp_path / "q", tmp_path / "s", backend="serial", port=0)
         assert main(["run", "chip_profile", "--store", str(tmp_path / "store")]) == 0
 
 

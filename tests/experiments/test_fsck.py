@@ -1,8 +1,6 @@
-"""repro fsck: checksum verification, quarantine, shm sweep."""
+"""repro fsck: checksum verification and quarantine."""
 
 import json
-import os
-import subprocess
 
 from repro.core.comparison import MechanismOutcome, ModelComparisonResult
 from repro.core.results import AttackEvent, AttackResult
@@ -13,7 +11,6 @@ from repro.experiments import (
     ResultStore,
     fsck_queue,
     fsck_store,
-    sweep_shm,
 )
 from repro.experiments.cli import main
 from repro.experiments.queue import JOURNAL_FILE
@@ -175,79 +172,6 @@ class TestQueueFsck:
         assert len(JobQueue(tmp_path)) == 1
 
 
-class TestShmSweep:
-    def _segment(self, shm, name):
-        (shm / name).write_bytes(b"\0" * 16)
-        return name
-
-    def test_dead_owner_segments_are_swept(self, tmp_path):
-        shm = tmp_path / "shm"
-        shm.mkdir()
-        queue_dir = tmp_path / "queue"
-        queue_dir.mkdir()
-        orphan = self._segment(shm, "repro_victim_orphan")
-        probe = subprocess.Popen(["sleep", "0"])
-        probe.wait()  # dead pid
-        (queue_dir / "registry.json").write_text(json.dumps({
-            "pid": probe.pid, "segments": [orphan],
-        }))
-        swept = sweep_shm(queue_dirs=[queue_dir], shm_dir=shm)
-        assert swept["removed"] == [orphan]
-        assert not (shm / orphan).exists()
-        assert not (queue_dir / "registry.json").exists()  # stale manifest gone
-        assert swept["stale_manifests"] == [str(queue_dir / "registry.json")]
-
-    def test_live_owner_segments_are_kept(self, tmp_path):
-        shm = tmp_path / "shm"
-        shm.mkdir()
-        queue_dir = tmp_path / "queue"
-        queue_dir.mkdir()
-        mine = self._segment(shm, "repro_victim_mine")
-        (queue_dir / "registry.json").write_text(json.dumps({
-            "pid": os.getpid(), "segments": [mine],
-        }))
-        swept = sweep_shm(queue_dirs=[queue_dir], shm_dir=shm)
-        assert swept["kept"] == [mine] and swept["removed"] == []
-        assert (shm / mine).exists()
-        assert (queue_dir / "registry.json").exists()  # live manifest kept
-
-    def test_unclaimed_segments_are_kept_by_default(self, tmp_path):
-        # "Claimed by no manifest *we were shown*" is not proof of
-        # orphanhood: a live daemon serving another queue dir may own the
-        # segment, and sweeping it would yank its shared memory away.
-        shm = tmp_path / "shm"
-        shm.mkdir()
-        unclaimed = self._segment(shm, "repro_victim_unclaimed")
-        swept = sweep_shm(shm_dir=shm)
-        assert swept["removed"] == [] and swept["kept"] == [unclaimed]
-        assert (shm / unclaimed).exists()
-
-    def test_unclaimed_segments_removed_only_when_forced(self, tmp_path):
-        shm = tmp_path / "shm"
-        shm.mkdir()
-        unclaimed = self._segment(shm, "repro_victim_unclaimed")
-        foreign = self._segment(shm, "someone_elses_segment")
-        swept = sweep_shm(shm_dir=shm, force_unclaimed=True)
-        assert swept["removed"] == [unclaimed]
-        assert (shm / foreign).exists()  # never touch foreign names
-
-    def test_other_queues_live_segments_survive_a_forced_sweep(self, tmp_path):
-        # Even under --force-unclaimed, a manifest that IS visible and
-        # alive protects its segments.
-        shm = tmp_path / "shm"
-        shm.mkdir()
-        queue_dir = tmp_path / "queue"
-        queue_dir.mkdir()
-        mine = self._segment(shm, "repro_victim_mine")
-        (queue_dir / "registry.json").write_text(json.dumps({
-            "pid": os.getpid(), "segments": [mine],
-        }))
-        swept = sweep_shm(
-            queue_dirs=[queue_dir], shm_dir=shm, force_unclaimed=True
-        )
-        assert swept["kept"] == [mine] and (shm / mine).exists()
-
-
 class TestFsckCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
@@ -291,11 +215,3 @@ class TestFsckCli:
         assert rc == 0
         assert "quarantined digest-mismatch" in capsys.readouterr().out
         assert (store_dir / "quarantine" / "r.json").is_file()
-
-    def test_shm_flag_sweeps(self, tmp_path, capsys):
-        rc = main([
-            "fsck", "--store", str(tmp_path / "s"), "--queue", str(tmp_path / "q"),
-            "--shm",
-        ])
-        assert rc == 0
-        assert "shm: removed" in capsys.readouterr().out

@@ -1,12 +1,16 @@
-"""Runner backends: serial/parallel equivalence, determinism and the
-shared-memory victim-shipping lifecycle."""
+"""Runner backends: serial/parallel equivalence, determinism and victim
+seeding of parallel workers."""
 
-import glob
-import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro.core.comparison as comparison
 
 from repro.core.bfa import BitSearchConfig
 from repro.core.objective import ObjectiveConfig
@@ -19,20 +23,13 @@ from repro.experiments import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
+    VictimCache,
     make_backend,
-)
-from repro.experiments.shared import (
-    SEGMENT_PREFIX,
-    attach_state,
-    export_state,
-    export_victim,
 )
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=32, cols_per_row=256)
 
-
-def _segments():
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def _tiny_comparison_spec() -> ComparisonSpec:
@@ -66,71 +63,15 @@ class TestBackendFactory:
             make_backend("distributed")
 
 
-def _attach_and_crash(manifest):
-    """Child-process body: attach the segment, then die without cleanup."""
-    handle = attach_state(manifest)
-    assert handle.arrays["weight"].shape == (4, 3)
-    os._exit(17)  # skips atexit/finally — simulates a worker crash
-
-
-class TestSharedMemoryLifecycle:
-    def test_export_attach_round_trip_zero_copy(self):
-        state = {
-            "weight": np.arange(12, dtype=np.float64).reshape(4, 3),
-            "bias": np.full(5, 2.5),
-            "running": np.arange(3, dtype=np.float64),
-        }
-        handle, manifest = export_state(state)
-        try:
-            attached = attach_state(manifest)
-            for key, value in state.items():
-                assert np.array_equal(attached.arrays[key], value)
-                # Zero-copy: the view aliases the shared pages, read-only.
-                assert not attached.arrays[key].flags.writeable
-                assert not attached.arrays[key].flags.owndata
-            attached.close()
-        finally:
-            handle.unlink()
-        assert not _segments()
-
-    def test_double_detach_and_double_unlink_are_safe(self):
-        handle, manifest = export_state({"weight": np.zeros(3)})
-        attached = attach_state(manifest)
-        attached.close()
-        attached.close()  # double detach: no-op
-        handle.unlink()
-        handle.unlink()  # segment already gone: tolerated
-        assert not _segments()
-
-    def test_worker_crash_leaves_parent_in_control(self):
-        """A crashed attacher never strands or destroys the segment."""
-        state = {"weight": np.arange(12, dtype=np.float64).reshape(4, 3)}
-        handle, manifest = export_state(state)
-        try:
-            process = multiprocessing.get_context("fork").Process(
-                target=_attach_and_crash, args=(manifest,)
-            )
-            process.start()
-            process.join(timeout=30)
-            assert process.exitcode == 17
-            # The parent can still serve new attachments after the crash...
-            survivor = attach_state(manifest)
-            assert np.array_equal(survivor.arrays["weight"], state["weight"])
-            survivor.close()
-        finally:
-            # ...and unlinking releases the segment for good.
-            handle.unlink()
-        assert not _segments()
-
-    def test_export_victim_manifest_carries_cache_key(self):
-        handle, manifest = export_victim("resnet20", 7, 3, {"weight": np.ones(2)})
-        try:
-            assert (manifest.model_key, manifest.seed, manifest.training_epochs) == (
-                "resnet20", 7, 3,
-            )
-            assert manifest.state.shm_name.startswith(SEGMENT_PREFIX)
-        finally:
-            handle.unlink()
+class TestChunkSize:
+    @pytest.mark.parametrize("backend_cls", [ThreadPoolBackend, ProcessPoolBackend])
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_is_rejected(self, backend_cls, chunk_size):
+        # A negative size used to yield zero chunks (an empty payload that
+        # "succeeded"); zero died inside range().
+        backend = backend_cls(max_workers=2, chunk_size=chunk_size)
+        with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
+            ExperimentRunner(backend=backend).run(DefenseMatrixSpec(geometry=SMALL_GEOMETRY))
 
 
 class TestThreadBackendQuick:
@@ -238,17 +179,15 @@ class TestParallelDeterminism:
             assert result.objective_kind == "targeted"
             assert result.attack_success_rate is not None
 
-    def test_shared_memory_shipping_is_bit_identical_and_clean(self):
-        """Victims attached from shared memory == victims trained locally."""
+    def test_seeded_victims_are_bit_identical(self):
+        """Victims materialised from seeded states == victims trained locally."""
         spec = _tiny_comparison_spec()
         serial = ExperimentRunner(backend=SerialBackend()).run(spec).payload
         runner = ExperimentRunner(backend=ProcessPoolBackend(max_workers=2))
-        shared = runner.run(spec).payload
-        assert serial[0] == shared[0]
-        # The parent trained the victim once to export it...
+        seeded = runner.run(spec).payload
+        assert serial[0] == seeded[0]
+        # The parent trained the victim once to seed the workers.
         assert runner.context.victims.stats()["misses"] == 1
-        # ...and every segment was unlinked after the pool drained.
-        assert not _segments()
         # Opting out of sharing (workers retrain) must change nothing.
         retrained = ExperimentRunner(
             backend=ProcessPoolBackend(max_workers=2, share_victims=False)
@@ -275,4 +214,65 @@ class TestParallelDeterminism:
             backend=ProcessPoolBackend(max_workers=2, chunk_size=2)
         ).run(spec).payload
         assert serial[0] == chunked[0]
-        assert not _segments()
+
+    def test_workers_never_train_when_sharing(self, monkeypatch):
+        """Seeded process-pool workers materialise; they never train."""
+        spec = _tiny_comparison_spec()
+        serial = ExperimentRunner(backend=SerialBackend()).run(spec).payload
+        cache = VictimCache()
+        for model_key, seed, epochs in spec.victim_requirements():
+            cache.get_or_prepare_by_key(model_key, seed=seed, training_epochs=epochs)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("prepare_victim called")
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(comparison, "prepare_victim", refuse)
+        shared = ExperimentRunner(
+            backend=ProcessPoolBackend(max_workers=2), victim_cache=cache
+        ).run(spec).payload
+        assert serial[0] == shared[0]
+        # The patch does reach the workers: without seeding they must train.
+        with pytest.raises(RuntimeError, match="prepare_victim called"):
+            ExperimentRunner(
+                backend=ProcessPoolBackend(max_workers=2, share_victims=False),
+                victim_cache=cache,
+            ).run(spec)
+
+    def test_parallel_runs_never_load_shared_memory(self, tmp_path):
+        """A process-pool comparison and a daemon job use no shared memory."""
+        driver = textwrap.dedent(
+            """
+            import sys
+            from repro.core.bfa import BitSearchConfig
+            from repro.dram.geometry import DramGeometry
+            from repro.experiments import (
+                ComparisonSpec, DefenseMatrixSpec, ExperimentRunner,
+                ExperimentService, ProcessPoolBackend,
+            )
+
+            spec = ComparisonSpec(
+                model_keys=("resnet20",), repetitions=1, eval_samples=32,
+                search=BitSearchConfig(max_flips=2, top_k_layers=2, eval_batch_size=32),
+                training_epochs=1, seed=123, profile_seed=123,
+            )
+            ExperimentRunner(backend=ProcessPoolBackend(max_workers=2)).run(spec)
+            service = ExperimentService(
+                sys.argv[1] + "/queue", sys.argv[1] + "/store",
+                backend="process", max_workers=2,
+            )
+            matrix = DefenseMatrixSpec(
+                geometry=DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
+            )
+            service._dispatch({"op": "submit", "spec": matrix.to_dict(), "name": "m"})
+            assert service.drain() == 1
+            assert service.queue.jobs()[0].state == "done"
+            assert "multiprocessing.shared_memory" not in sys.modules
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        completed = subprocess.run(
+            [sys.executable, "-c", driver, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert completed.returncode == 0, completed.stderr

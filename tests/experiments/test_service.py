@@ -190,7 +190,13 @@ class TestOverloadProtection:
         assert health["queue"]["pending"] == 1
         assert health["active_job"] is None
         assert health["uptime_seconds"] >= 0
-        assert set(health["registry"]) >= {"hits", "misses", "entries", "bytes"}
+        # ``victims`` is the stats of the daemon's victim cache, which is
+        # the runner's own cache (``service.registry``).
+        assert service.registry is service.runner.context.victims
+        assert health["victims"] == service.registry.stats()
+        assert set(health["victims"]) == {
+            "hits", "misses", "entries", "shared_attaches", "evictions",
+        }
 
     def test_client_submit_retries_until_capacity(self, tmp_path, monkeypatch):
         client = ServiceClient(host="127.0.0.1", port=1)
@@ -419,8 +425,8 @@ class TestSocketProtocol:
         service, client = running
         client.submit(_cheap_spec().to_dict())
         assert len(client.jobs()) == 1
-        stats = client.registry_stats()
-        assert set(stats) >= {"hits", "misses", "evictions", "entries", "bytes"}
+        stats = client.health()["victims"]
+        assert set(stats) >= {"hits", "misses", "evictions", "entries"}
 
     def test_stop_removes_endpoint_file(self, tmp_path):
         service = _service(tmp_path, port=0)
@@ -433,7 +439,7 @@ class TestSocketProtocol:
 
 @pytest.mark.slow
 class TestDaemonBitIdentity:
-    """Acceptance: daemon + multi-worker backend + warm registry == serial."""
+    """Acceptance: daemon + multi-worker backend + warm victim cache == serial."""
 
     def test_daemon_process_backend_warm_registry_matches_serial(self, tmp_path):
         spec = ComparisonSpec(
@@ -453,8 +459,9 @@ class TestDaemonBitIdentity:
             job = client.wait(response["job_id"], timeout=900)
             assert job["state"] == "done", job.get("error")
             daemon_env = client.result("cmp")
-            # The victim landed in the warm registry for later jobs.
-            assert client.registry_stats()["entries"] == 1
+            # The daemon trained the victim once and keeps it for later jobs.
+            victims = client.health()["victims"]
+            assert victims["misses"] == victims["entries"] == 1
         finally:
             service.stop()
 

@@ -10,15 +10,13 @@ the invariants the command-timeline subsystem promises:
 2. the reference and vectorized engine tiers produce the same grids for
    that spec (the golden contract, exercised through the spec layer);
 3. the zero-activation cell's sampled fraction survives the store as nan
-   and renders as ``-`` in the report heatmap;
-4. stopping the daemon leaves no shared-memory segments in ``/dev/shm``.
+   and renders as ``-`` in the report heatmap.
 
 Runs in a few seconds: the workload is a 6-window refsync sweep on a
 48-row bank (no DNN training).  Exits non-zero on the first violated
 invariant.
 """
 
-import glob
 import json
 import math
 import os
@@ -38,7 +36,6 @@ from repro.experiments import (
     ResultStore,
     ServiceClient,
 )
-from repro.experiments.shared import SEGMENT_PREFIX
 
 
 def _spec():
@@ -104,11 +101,6 @@ def main() -> int:
         check(
             heatmap.splitlines()[2].split()[1] == "-",
             "nan cell renders as '-' in the report heatmap",
-        )
-
-        check(
-            not glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"),
-            "no shared-memory segments leaked",
         )
 
     if failures:
