@@ -71,6 +71,10 @@ class BitFlipProfile:
         if self.flat_indices.size:
             if self.flat_indices.min() < 0 or self.flat_indices.max() >= self.capacity_bits:
                 raise ValueError("flat indices out of range for the declared capacity")
+            if self.directions.min() < 0 or self.directions.max() > 1:
+                raise ValueError("directions must be 1 (1->0) or 0 (0->1)")
+            if np.all(self.flat_indices[1:] > self.flat_indices[:-1]):
+                return  # already sorted and duplicate-free
             order = np.argsort(self.flat_indices, kind="stable")
             self.flat_indices = self.flat_indices[order]
             self.directions = self.directions[order]
@@ -197,31 +201,29 @@ class BitFlipProfile:
         """
         check_positive("budget", budget)
         geometry = model.geometry
+        row_chunks: List[np.ndarray] = []
         flat_chunks: List[np.ndarray] = []
         direction_chunks: List[np.ndarray] = []
-        for bank in range(geometry.num_banks):
-            bank_map = model.bank_map(bank)
-            if mechanism == "rowhammer":
-                rows, cols = bank_map.rh_rows, bank_map.rh_cols
-                thresholds, dirs = bank_map.rh_thresholds, bank_map.rh_directions
-            elif mechanism == "rowpress":
-                rows, cols = bank_map.rp_rows, bank_map.rp_cols
-                thresholds, dirs = bank_map.rp_thresholds, bank_map.rp_directions
-            else:
-                raise ValueError(f"unknown mechanism {mechanism!r}")
+        for bank_map in model.bank_maps():
+            rows, cols, thresholds, dirs = bank_map.arrays_for(mechanism)
             reachable = thresholds <= budget
+            rows = rows[reachable]
+            row_chunks.append(rows)
             # Same layout as AddressMapper.to_flat, vectorised over all cells.
-            row_major = rows[reachable] * geometry.num_banks + bank
+            row_major = rows * geometry.num_banks + bank_map.bank
             flat_chunks.append(row_major * geometry.cols_per_row + cols[reachable])
             direction_chunks.append(dirs[reachable])
-        flats = np.concatenate(flat_chunks) if flat_chunks else np.empty(0, dtype=np.int64)
-        directions = (
-            np.concatenate(direction_chunks) if direction_chunks else np.empty(0, dtype=np.int8)
-        )
+        # Each bank lists its cells by ascending (row, col) and a flat index
+        # orders cells by (row, bank, col), so a stable sort of the banks'
+        # concatenated rows (one presorted run per bank, merged by timsort)
+        # puts the flat indices in ascending order.
+        order = np.argsort(np.concatenate(row_chunks), kind="stable")
+        flats = np.concatenate(flat_chunks)[order]
+        directions = np.concatenate(direction_chunks)[order]
         return cls(
             mechanism=mechanism,
-            flat_indices=flats.astype(np.int64),
-            directions=directions.astype(np.int8),
+            flat_indices=flats,
+            directions=directions,
             capacity_bits=geometry.total_cells,
             budget=budget,
         )

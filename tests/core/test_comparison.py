@@ -1,5 +1,8 @@
 """Tests for the RowHammer-vs-RowPress comparison harness (Table I machinery)."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,29 @@ class TestDeploymentProfiles:
         a = build_deployment_profiles(seed=4)
         b = build_deployment_profiles(seed=4)
         assert np.array_equal(a.rowpress.flat_indices, b.rowpress.flat_indices)
+
+    #: sha256 over the seed-2025 profiles' RowHammer flat indices and
+    #: directions, then RowPress's, as raw bytes (479727 RH, 2532218 RP
+    #: cells).  A new value means every stored comparison result changes.
+    SEED_2025_DIGEST = "4f584b06c0601c567c9f42ccdefe61d8d6cb503c823dd232cf3436acab3bc24f"
+
+    @staticmethod
+    def _digest(profiles) -> str:
+        digest = hashlib.sha256()
+        for profile in (profiles.rowhammer, profiles.rowpress):
+            digest.update(profile.flat_indices.tobytes())
+            digest.update(profile.directions.tobytes())
+        return digest.hexdigest()
+
+    def test_pinned_profile_bytes(self):
+        profiles = build_deployment_profiles(seed=2025)
+        assert (len(profiles.rowhammer), len(profiles.rowpress)) == (479727, 2532218)
+        assert self._digest(profiles) == self.SEED_2025_DIGEST
+
+    def test_thread_count_cannot_change_bytes(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert self._digest(build_deployment_profiles(seed=2025)) == self.SEED_2025_DIGEST
 
 
 @pytest.mark.slow

@@ -276,3 +276,40 @@ class TestParallelDeterminism:
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert completed.returncode == 0, completed.stderr
+
+    def test_process_pool_after_threaded_chip_sampling(self):
+        """Forked workers sample chips after the parent's sampling threads ran.
+
+        A sampling thread pool that outlived its call would be inherited
+        as dead threads by every forked worker, and the workers' own chip
+        sampling would hang waiting on them.
+        """
+        driver = textwrap.dedent(
+            """
+            import os
+            from repro.core.bfa import BitSearchConfig
+            from repro.core.comparison import build_deployment_profiles
+            from repro.experiments import (
+                ComparisonSpec, ExperimentRunner, ProcessPoolBackend, SerialBackend,
+            )
+
+            # Two usable CPUs, so chip sampling takes the thread pool here
+            # and in the forked workers whatever the host has.
+            os.sched_getaffinity = lambda pid: {0, 1}
+            build_deployment_profiles(seed=1)
+            spec = ComparisonSpec(
+                model_keys=("resnet20",), repetitions=1, eval_samples=32,
+                search=BitSearchConfig(max_flips=2, top_k_layers=2, eval_batch_size=32),
+                training_epochs=1, seed=123, profile_seed=77,
+            )
+            forked = ExperimentRunner(backend=ProcessPoolBackend(max_workers=2)).run(spec)
+            serial = ExperimentRunner(backend=SerialBackend()).run(spec)
+            assert forked.payload[0] == serial.payload[0]
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        completed = subprocess.run(
+            [sys.executable, "-c", driver],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr

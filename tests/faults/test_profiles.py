@@ -1,5 +1,7 @@
 """Tests for BitFlipProfile / ProfilePair."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,24 @@ class TestConstruction:
             make_profile([1001], capacity=1000)
         with pytest.raises(ValueError):
             make_profile([-1], capacity=1000)
+
+    def test_sorted_input_with_duplicates_is_deduplicated(self):
+        profile = make_profile([1, 3, 3, 7], directions=[0, 1, 0, 1])
+        assert profile.flat_indices.tolist() == [1, 3, 7]
+        assert profile.directions.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_directions_outside_zero_one_rejected(self, bad, tmp_path):
+        with pytest.raises(ValueError, match="directions"):
+            make_profile([1, 2], directions=[0, bad])
+        payload = make_profile([1, 2], directions=[0, 1]).to_dict()
+        payload["directions"] = [bad, 1]
+        with pytest.raises(ValueError, match="directions"):
+            BitFlipProfile.from_dict(payload)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="directions"):
+            BitFlipProfile.load(path)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -92,6 +112,25 @@ class TestConstructionHelpers:
         large = BitFlipProfile.from_vulnerability_model(model, "rowhammer", budget=5e6)
         assert len(large) >= len(small)
         assert set(small.flat_indices.tolist()) <= set(large.flat_indices.tolist())
+
+    @pytest.mark.parametrize("mechanism", ["rowhammer", "rowpress"])
+    def test_from_vulnerability_model_emits_sorted_cells(self, mechanism):
+        geometry = DramGeometry(num_banks=3, rows_per_bank=16, cols_per_row=64)
+        params = VulnerabilityParameters(rh_density=0.05, rp_density=0.2)
+        model = CellVulnerabilityModel(geometry, params, seed=4)
+        profile = BitFlipProfile.from_vulnerability_model(model, mechanism, budget=1e9)
+        assert np.all(np.diff(profile.flat_indices) > 0)
+        # Same cells and directions as sorting an unordered listing.
+        flats, directions = [], []
+        for bank in range(geometry.num_banks):
+            rows, cols, _, dirs = model.bank_map(bank).arrays_for(mechanism)
+            flats.append((rows * geometry.num_banks + bank) * geometry.cols_per_row + cols)
+            directions.append(dirs)
+        unordered = make_profile(
+            np.concatenate(flats), np.concatenate(directions), capacity=geometry.total_cells
+        )
+        assert np.array_equal(profile.flat_indices, unordered.flat_indices)
+        assert np.array_equal(profile.directions, unordered.directions)
 
     def test_from_vulnerability_model_unknown_mechanism(self):
         geometry = DramGeometry(num_banks=1, rows_per_bank=8, cols_per_row=8)
