@@ -22,7 +22,8 @@ Environment knobs:
   benchmark: ``float32`` (default), ``int8`` or ``int4``.
 * ``REPRO_BENCH_BACKEND`` — ``serial`` (default), ``thread`` or
   ``process`` to fan the experiment work units out over a pool (the
-  process pool ships trained victims to workers via shared memory).
+  process pool trains each victim once and hands it to its workers
+  through the pool initializer).
 * ``REPRO_BENCH_WORKERS`` — pool size for the parallel backends.
 """
 

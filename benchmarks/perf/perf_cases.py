@@ -5,7 +5,7 @@ Each case builds one shared workload and exposes a ``reference`` and a
 retained engine implementations; the model-forward-bound cases additionally
 expose a ``compiled`` callable running the vectorized algorithm with the
 :mod:`repro.nn.kernels` registry active (``run_perf.py`` only times it when
-a kernel backend is actually available, with JIT/compile warmup excluded).
+a kernel backend is actually available, with the kernel build excluded).
 The golden-equivalence tests under ``tests/`` prove the engines produce
 bit-identical outputs; this module only measures them.
 
@@ -52,7 +52,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:
@@ -452,9 +452,14 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
             losses = attack._score_shortlist(objective, shortlist)
         return losses
 
-    def batched_compiled():
-        with kernels.use("compiled"):
-            return batched()
+    def on_tier(engine: str, leg: Callable[[], Any]) -> Callable[[], Any]:
+        # Each leg pins its kernels: the process default tier is compiled,
+        # and the compiled column is measured against the NumPy kernels.
+        def run():
+            with kernels.use(engine):
+                return leg()
+
+        return run
 
     return PerfCase(
         name="trial_scoring_batched",
@@ -463,9 +468,9 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
             {"scoring_rounds": rounds, "scoring_depth": depth,
              "scoring_batch": attack_batch},
         ),
-        reference=sequential,
-        vectorized=batched,
-        compiled=batched_compiled,
+        reference=on_tier("vectorized", sequential),
+        vectorized=on_tier("vectorized", batched),
+        compiled=on_tier("compiled", batched),
     )
 
 

@@ -27,7 +27,6 @@ direction.  The restriction is expressed by :class:`CandidateSet`.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -154,7 +153,7 @@ class BitFlipAttack:
 
     ``engine`` selects the intra-layer proposer implementation:
 
-    * ``"vectorized"`` (default) — scores all (weight, bit) pairs of a
+    * ``"vectorized"`` — scores all (weight, bit) pairs of a
       tensor with one broadcasted ``grad * delta * scale`` over a cached
       ``(num_bits, size)`` flip-delta table and a single flat argmax.  The
       table depends only on the stored bit patterns, so it survives across
@@ -164,13 +163,17 @@ class BitFlipAttack:
       golden-equivalence tests and the perf benchmarks.  Both engines
       produce bit-identical proposals (same tie-breaking, same IEEE float
       operations).
-    * ``"compiled"`` — the vectorized algorithms with the registry's
-      compiled kernels (:mod:`repro.nn.kernels`) active for the duration
-      of :meth:`run`: JIT/C conv forwards, fused inference batch-norm and
-      compiled delta-table construction.  Every kernel reproduces the
-      reference bit for bit, so results are identical to both other
-      engines; when no backend is available (no numba, no C compiler) the
-      attack warns once and runs as plain vectorized.
+    * ``"compiled"`` (the built-in default) — the vectorized algorithms
+      with the registry's C kernels (:mod:`repro.nn.kernels`) active for
+      the duration of :meth:`run`: C conv forwards, fused inference
+      batch-norm and compiled delta-table construction.  Every kernel
+      reproduces the reference bit for bit, so results are identical to
+      both other engines; with no C compiler the attack quietly runs as
+      plain vectorized.
+
+    :meth:`run` pins the kernels of its own tier, so a ``"vectorized"`` or
+    ``"reference"`` attack runs the NumPy kernels even in a process whose
+    default tier is ``compiled``.
 
     The engine selector also picks the *evaluation* path.  With
     ``"vectorized"``/``"compiled"`` and a stage-decomposable model,
@@ -229,13 +232,6 @@ class BitFlipAttack:
         #: stage and trial flips are evaluated through the engine's
         #: non-destructive peek path.  The reference engine keeps the
         #: retained full-forward evaluation exactly as before.
-        #: Whether :meth:`run` activates the compiled kernel tier.  Decided
-        #: once at construction: requesting ``"compiled"`` without a
-        #: backend warns (a single RuntimeWarning process-wide) and leaves
-        #: the attack on the plain vectorized path — bit-identical output.
-        self._kernels_active = (
-            engine == "compiled" and kernels.ensure_available(warn=True)
-        )
         self._evaluator: Optional[SuffixEvaluator] = None
         self._stage_of_tensor: Dict[str, int] = {}
         if engine != "reference":
@@ -445,18 +441,16 @@ class BitFlipAttack:
     # Main loop
     # ------------------------------------------------------------------
     def kernel_scope(self):
-        """Context manager activating this attack's kernel tier.
+        """Context manager pinning this attack's kernel tier.
 
-        ``engine="compiled"`` (with a backend available) activates the
-        registry's compiled kernels for the scope; the other engines — and
-        the unavailable-backend fallback — yield a no-op context.
+        ``engine="compiled"`` activates the registry's C kernels for the
+        scope (the NumPy kernels when no backend is available); the other
+        engines pin the NumPy kernels, whatever the process default.
         :meth:`run` enters this automatically; callers driving internal
         stages directly (the perf harness times ``_score_shortlist``
         standalone) wrap them in it to measure the same tier ``run`` uses.
         """
-        if self._kernels_active:
-            return kernels.use("compiled")
-        return nullcontext()
+        return kernels.use(self.engine)
 
     def run(self) -> AttackResult:
         """Execute the attack until the objective is met or budgets run out.

@@ -176,10 +176,10 @@ class ExperimentSpec:
     def victim_requirements(self) -> List[Tuple[str, int, Optional[int]]]:
         """Trained victims the work units need, as (model_key, seed, epochs).
 
-        Backends that pre-stage expensive artefacts (the shared-memory
-        process pool ships each listed victim's trained state to workers
-        once) read this; the default — no victims — keeps chip-only
-        experiments unaffected.
+        Backends that pre-stage expensive artefacts (the process pool
+        trains each listed victim once and seeds its workers with the
+        clean state through the pool initializer) read this; the
+        default — no victims — keeps chip-only experiments unaffected.
         """
         return []
 

@@ -9,7 +9,7 @@ the layer classes.
 
 The convolution primitives dispatch through the kernel registry
 (:mod:`repro.nn.kernels`): with the compiled tier active they run the
-Numba/C backend kernels, otherwise the NumPy reference implementations —
+C backend kernels, otherwise the NumPy reference implementations —
 which are bit-identical by the golden contract, so the dispatch point is
 invisible to every caller.
 """

@@ -1,66 +1,62 @@
-"""Kernel registry for the ``engine="compiled"`` op tier.
+"""Kernel registry: the one place that decides which kernels run.
 
 The op stack (:mod:`repro.nn.functional`, the batch-norm layers,
 :mod:`repro.nn.bitops`) routes its hot primitives through this registry.
-Three tiers exist per kernel:
+Each kernel has two implementations:
 
-- a **compiled backend** implementation (Numba JIT when ``numba`` imports,
-  else a C shared library built with the system compiler — see
-  :mod:`repro.nn.kernels.numba_backend` / :mod:`repro.nn.kernels.cc`),
+- the **C backend** in :mod:`repro.nn.kernels.cc`, a small shared library
+  built once with the system compiler, and
 - the **reference** NumPy implementation in
   :mod:`repro.nn.kernels.reference`, which is also the vectorized tier's
-  code path, and
-- nothing at all: a kernel a backend fails to provide silently falls back
-  to the reference implementation, per kernel.
+  code path.  A kernel the backend fails to provide falls back to it,
+  per kernel.
 
-Compiled kernels only run while the compiled tier is *active*: inside a
-``kernels.use("compiled")`` context (entered by
-:class:`repro.core.bfa.BitFlipAttack` when built with
-``engine="compiled"``), or process-wide when ``REPRO_DEFAULT_ENGINE`` is
-``compiled``.  Activation is thread-local, so a thread-pool worker running
-a compiled attack never switches kernels under a concurrent vectorized
-one.
+Backend kernels run only while the compiled tier is *active* on the
+calling thread: inside a ``kernels.use("compiled")`` scope, or, outside
+any scope, when the process default
+(:func:`repro.utils.validation.default_engine`, ``"compiled"`` unless
+``REPRO_DEFAULT_ENGINE`` says otherwise) is ``compiled``.
+``kernels.use("vectorized")`` or ``use("reference")`` pins the NumPy
+kernels for its scope; :class:`repro.core.bfa.BitFlipAttack` enters
+``use(engine)`` for its own tier.  Activation is thread-local, so a
+thread-pool worker running a compiled attack never switches kernels under
+a concurrent vectorized one.
 
 Every backend kernel must reproduce the reference bit for bit (the golden
 contract of docs/ENGINES.md); :func:`warmup` self-checks each kernel on
-small inputs and drops any that disagrees.  Requesting the compiled tier
-with no backend available warns once and falls back — never an error.
+small inputs and drops any that disagrees.  With no backend available the
+compiled tier quietly runs the reference kernels: the bytes are the same,
+only slower.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.kernels import reference
+from repro.utils.validation import default_engine
 
 #: Names every backend may implement (reference implements them all).
 KERNEL_NAMES: Tuple[str, ...] = tuple(reference.KERNELS)
 
-#: Probe order when ``REPRO_KERNEL_BACKEND`` does not force a backend.
-BACKEND_ORDER: Tuple[str, ...] = ("numba", "cc")
+#: Backends ``REPRO_KERNEL_BACKEND`` may force; ``none`` forces the fallback.
+BACKEND_ORDER: Tuple[str, ...] = ("cc",)
 
 _lock = threading.RLock()
 _state: Dict[str, object] = {
     "probed": False,
     "name": None,
     "kernels": {},
-    "warned": False,
     "warmed": False,
-    "default": None,
 }
 
 
 def _load_backend(name: str) -> Optional[Dict[str, Callable]]:
-    if name == "numba":
-        from repro.nn.kernels import numba_backend
-
-        return numba_backend.load()
     if name == "cc":
         from repro.nn.kernels import cc
 
@@ -92,13 +88,13 @@ def _probe() -> None:
 
 
 def available() -> bool:
-    """Whether any compiled backend loaded (numba or the C library)."""
+    """Whether the C backend loaded."""
     _probe()
     return bool(_state["kernels"])
 
 
 def backend_name() -> Optional[str]:
-    """Name of the loaded backend (``"numba"`` / ``"cc"``), or ``None``."""
+    """Name of the loaded backend (``"cc"``), or ``None``."""
     _probe()
     return _state["name"]
 
@@ -117,21 +113,15 @@ def get_kernel(name: str) -> Callable:
     return kernels.get(name, reference.KERNELS[name])
 
 
-def ensure_available(warn: bool = False) -> bool:
-    """Availability check that optionally warns (once) about the fallback."""
-    if available():
+def ensure_available() -> bool:
+    """Whether validated backend kernels can run; warms them on first call.
+
+    After the first call this is two dictionary reads, so the dispatch
+    path may ask it every time.
+    """
+    if not _state["warmed"]:
         warmup()
-        return True
-    if warn and not _state["warned"]:
-        _state["warned"] = True
-        warnings.warn(
-            "engine='compiled' requested but no kernel backend is available "
-            "(numba not importable and no C compiler found); falling back to "
-            "the vectorized engine — results are bit-identical, just slower",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return False
+    return bool(_state["kernels"])
 
 
 # ----------------------------------------------------------------------
@@ -145,33 +135,25 @@ class _Activation(threading.local):
 _ACTIVE = _Activation()
 
 
-def _default_enabled() -> bool:
-    if _state["default"] is None:
-        engine = os.environ.get("REPRO_DEFAULT_ENGINE", "").strip().lower()
-        _state["default"] = engine == "compiled" and ensure_available(warn=True)
-    return bool(_state["default"])
-
-
 def compiled_active() -> bool:
     """Whether compiled kernels dispatch on this thread right now."""
     stack = _ACTIVE.stack
     if stack:
         return stack[-1]
-    return _default_enabled()
+    return default_engine() == "compiled" and ensure_available()
 
 
 @contextmanager
 def use(engine: Optional[str]) -> Iterator[bool]:
     """Activate (or explicitly deactivate) compiled kernels in a scope.
 
-    ``use("compiled")`` enables the backend kernels for the current thread
-    — warning once and staying on the reference tier when no backend is
+    ``use("compiled")`` enables the backend kernels for the current thread,
+    or quietly stays on the reference kernels when no backend is
     available.  Any other value (``"vectorized"``, ``"reference"``,
-    ``None``) pins the reference tier, overriding a process-wide
-    ``REPRO_DEFAULT_ENGINE=compiled`` for the scope.  Yields whether the
-    compiled tier is actually active.
+    ``None``) pins the reference kernels for the scope, whatever the
+    process default.  Yields whether the compiled tier is actually active.
     """
-    enabled = engine == "compiled" and ensure_available(warn=True)
+    enabled = engine == "compiled" and ensure_available()
     _ACTIVE.stack.append(enabled)
     try:
         yield enabled
@@ -191,13 +173,13 @@ def active(name: str) -> Optional[Callable]:
 # Warmup and self-validation
 # ----------------------------------------------------------------------
 def warmup() -> Tuple[str, ...]:
-    """Compile/JIT every backend kernel once and self-check bit-identity.
+    """Run every backend kernel once and self-check bit-identity.
 
     Runs each backend kernel on small inputs (several stride/padding
     variants) and compares against the reference implementation with exact
     equality; a kernel that disagrees is dropped from the backend so its
     call sites fall back to reference.  Idempotent — perf harnesses call
-    this before timing so JIT/compile cost never lands in a timed region.
+    this before timing so build cost never lands in a timed region.
 
     Returns the names of the validated backend kernels.
     """
@@ -205,6 +187,7 @@ def warmup() -> Tuple[str, ...]:
         _probe()
         kernels: Dict[str, Callable] = _state["kernels"]  # type: ignore[assignment]
         if _state["warmed"] or not kernels:
+            _state["warmed"] = True
             return tuple(sorted(kernels))
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 2, 9, 9))
@@ -609,10 +592,8 @@ def delta_column(value, num_bits):
 
 
 def _reset_for_tests() -> None:
-    """Forget probed backends, warnings and scratch state (test helper)."""
+    """Forget the probed backend and scratch state (test helper)."""
     with _lock:
-        _state.update(
-            probed=False, name=None, kernels={}, warned=False, warmed=False, default=None
-        )
+        _state.update(probed=False, name=None, kernels={}, warmed=False)
     _ACTIVE.stack.clear()
     clear_scratch()

@@ -1,11 +1,13 @@
 """C-compiled kernel backend: a tiny shared library built with the system cc.
 
-This backend makes ``engine="compiled"`` real on boxes without Numba but
-with any C compiler on ``PATH`` (the common case for CI runners and dev
-machines).  The embedded C source below is compiled once into a cache
-directory keyed by the source hash and loaded through :mod:`ctypes`; a
-failed probe (no compiler, compile error, load error) makes :func:`load`
-return ``None`` and the registry falls back to the NumPy reference tier.
+This is the only kernel backend: it makes ``engine="compiled"``, the
+default tier, real on any box with a C compiler on ``PATH``.  The
+embedded C source below is compiled once into a cache directory keyed
+by the source hash (``~/.cache/repro-kernels``; 1–2 s the first time)
+and loaded through :mod:`ctypes` by every later process.  A failed probe
+(no compiler, compile error, load error) makes :func:`load` return
+``None`` and the registry quietly falls back to the NumPy reference
+kernels.
 
 Bit-identity notes:
 

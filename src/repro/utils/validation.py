@@ -7,7 +7,7 @@ substantive modules focused on behaviour rather than defensive boilerplate.
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import Dict, Union
 
 Number = Union[int, float]
 
@@ -50,10 +50,10 @@ def check_engine(engine: str) -> None:
     """Raise ``ValueError`` unless ``engine`` names a known flip-engine.
 
     The vectorized hot engines, their retained loop references and the
-    optional compiled kernel tier share this selector across the attack,
-    bank, profiler and sweep layers.  ``compiled`` runs the vectorized
-    algorithms with registry kernels swapped in (bit-identical, faster)
-    and degrades to plain vectorized when no backend is available.
+    compiled kernel tier share this selector across the attack, bank,
+    profiler and sweep layers.  ``compiled`` runs the vectorized
+    algorithms with the C kernels swapped in (bit-identical, faster) and
+    degrades quietly to plain vectorized when no backend is available.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -61,16 +61,24 @@ def check_engine(engine: str) -> None:
         )
 
 
+#: Raw ``REPRO_DEFAULT_ENGINE`` values already parsed, mapped to their tier.
+_PARSED_DEFAULTS: Dict[str, str] = {}
+
+
 def default_engine() -> str:
     """The process-wide default engine tier.
 
-    ``REPRO_DEFAULT_ENGINE`` overrides the built-in ``"vectorized"``
-    default — the CI compiled leg runs the entire suite under
-    ``REPRO_DEFAULT_ENGINE=compiled`` this way.  Invalid values raise
-    rather than silently running a different tier than requested.
+    ``REPRO_DEFAULT_ENGINE`` overrides the built-in ``"compiled"``
+    default.  Invalid values raise rather than silently running a
+    different tier than requested.  The kernel registry asks this on
+    every dispatch outside an explicit tier scope, so each distinct raw
+    value is parsed once; a call costs one environment lookup, and a
+    value changed in-process takes effect on the next call.
     """
-    engine = os.environ.get("REPRO_DEFAULT_ENGINE", "").strip().lower()
-    if not engine:
-        return "vectorized"
-    check_engine(engine)
+    raw = os.environ.get("REPRO_DEFAULT_ENGINE", "")
+    engine = _PARSED_DEFAULTS.get(raw)
+    if engine is None:
+        engine = raw.strip().lower() or "compiled"
+        check_engine(engine)
+        _PARSED_DEFAULTS[raw] = engine
     return engine

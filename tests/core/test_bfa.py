@@ -6,6 +6,7 @@ import pytest
 from repro.core.bfa import BitFlipAttack, BitSearchConfig, CandidateSet
 from repro.core.mapping import TensorCandidates
 from repro.core.objective import AttackObjective
+from repro.nn import kernels
 from repro.nn.quantization import quantized_parameters
 
 
@@ -147,3 +148,28 @@ class TestBitFlipAttack:
         result = BitFlipAttack(model, lenient, config=BitSearchConfig(max_flips=5)).run()
         assert result.num_flips == 0
         assert result.converged
+
+
+@pytest.mark.skipif(not kernels.available(), reason="no compiled kernel backend on this machine")
+@pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled"])
+def test_attack_runs_the_kernels_of_its_own_tier(
+    tiny_quantized_model, objective, monkeypatch, engine
+):
+    """Under a compiled process default, only a compiled attack gets C kernels."""
+    monkeypatch.setenv("REPRO_DEFAULT_ENGINE", "compiled")
+    # Start the registry as a fresh process with this default would.
+    kernels._reset_for_tests()
+    dispatched = []
+    registry_active = kernels.active
+
+    def spy(name):
+        impl = registry_active(name)
+        dispatched.append(impl is not None)
+        return impl
+
+    monkeypatch.setattr(kernels, "active", spy)
+    model, _ = tiny_quantized_model
+    config = BitSearchConfig(max_flips=2, top_k_layers=2, eval_batch_size=32)
+    BitFlipAttack(model, objective, config=config, engine=engine).run()
+    assert dispatched, "the attack never dispatched through the kernel registry"
+    assert set(dispatched) == {engine == "compiled"}

@@ -4,7 +4,9 @@ Engine tiers are contractually byte-identical (docs/ENGINES.md), so the
 tier is chosen by ``REPRO_DEFAULT_ENGINE`` alone and never enters a spec.
 One small spec of each kind that once carried an ``engine`` field runs
 under every tier here: the stored envelopes, and with them the spec
-hashes, must be byte-equal.
+hashes, must be byte-equal.  Each tier must also reach the kernel
+registry in-process, or the compiled leg would quietly train and attack
+on the NumPy kernels.
 """
 
 import json
@@ -21,6 +23,7 @@ from repro.experiments import (
     TrrSamplingSpec,
     spec_hash,
 )
+from repro.nn import kernels
 
 TIERS = ("vectorized", "compiled", "reference")
 
@@ -54,6 +57,8 @@ def test_stored_bytes_and_spec_hash_equal_across_tiers(tmp_path, monkeypatch, sp
     stored = {}
     for tier in TIERS:
         monkeypatch.setenv("REPRO_DEFAULT_ENGINE", tier)
+        if kernels.available():
+            assert kernels.compiled_active() == (tier == "compiled"), tier
         store = ResultStore(tmp_path / tier)
         ExperimentRunner(store=store).run(spec, save_as="exp")
         stored[tier] = store.path_for("exp").read_bytes()

@@ -2,13 +2,12 @@
 
 The compiled tier's whole contract is "same bits, less time" — these tests
 pin the registry mechanics (closed kernel set, per-kernel fallback,
-thread-local activation), byte-level agreement between every backend
-kernel and its reference, the exactly-one-warning toolchain-absent
-fallback, and the correctness guards of the scratch pool and the im2col
-memo used by the stacked suffix cascade.
+thread-local activation, the process default), byte-level agreement
+between every backend kernel and its reference, the silent
+toolchain-absent fallback, and the correctness guards of the scratch
+pool and the im2col memo used by the stacked suffix cascade.
 """
 
-import builtins
 import warnings
 
 import numpy as np
@@ -69,15 +68,29 @@ class TestRegistry:
 
 
 def pin_default_off(monkeypatch):
-    """Drop a process-wide ``REPRO_DEFAULT_ENGINE`` so the default is off."""
-    monkeypatch.delenv("REPRO_DEFAULT_ENGINE", raising=False)
+    """Make ``vectorized`` the process default so compiled kernels are off."""
+    monkeypatch.setenv("REPRO_DEFAULT_ENGINE", "vectorized")
 
 
 class TestActivation:
-    def test_inactive_by_default(self, fresh_registry):
+    @needs_backend
+    def test_active_by_default(self, fresh_registry):
+        fresh_registry.delenv("REPRO_DEFAULT_ENGINE", raising=False)
+        assert kernels.compiled_active()
+        assert kernels.active("im2col") is not None
+
+    def test_vectorized_default_turns_kernels_off(self, fresh_registry):
         pin_default_off(fresh_registry)
         assert not kernels.compiled_active()
         assert kernels.active("im2col") is None
+
+    @needs_backend
+    def test_default_follows_in_process_env_changes(self, monkeypatch):
+        # No registry reset between the switches: the registry and
+        # default_engine() read one source, so neither may go stale.
+        for tier in ("compiled", "vectorized", "compiled", "reference"):
+            monkeypatch.setenv("REPRO_DEFAULT_ENGINE", tier)
+            assert kernels.compiled_active() == (tier == "compiled"), tier
 
     @needs_backend
     def test_use_compiled_activates_in_scope_only(self, fresh_registry):
@@ -321,38 +334,24 @@ class TestBitIdentity:
 
 
 class TestFallback:
-    """engine="compiled" with no toolchain: warn once, stay bit-identical."""
+    """The compiled default with no toolchain: silent, bit-identical."""
 
     def _disable_backends(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
         monkeypatch.delenv("REPRO_DEFAULT_ENGINE", raising=False)
-        # Hide numba even if it were importable, so the probe exercises the
-        # true toolchain-absent path rather than relying on this box.
-        original_import = builtins.__import__
-
-        def no_numba(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("numba hidden for fallback test")
-            return original_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", no_numba)
 
     def test_backend_absent_reports_unavailable(self, fresh_registry):
         self._disable_backends(fresh_registry)
         assert not kernels.available()
         assert kernels.backend_name() is None
 
-    def test_requesting_compiled_warns_exactly_once(self, fresh_registry):
+    def test_fallback_is_silent(self, fresh_registry):
         self._disable_backends(fresh_registry)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not kernels.compiled_active()
             with kernels.use("compiled") as enabled:
                 assert not enabled
-            with kernels.use("compiled") as enabled:
-                assert not enabled
-        fallback = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(fallback) == 1
-        assert "falling back" in str(fallback[0].message)
 
     def test_fallback_results_are_reference_bit_identical(self, fresh_registry):
         self._disable_backends(fresh_registry)
@@ -360,19 +359,17 @@ class TestFallback:
         rng = np.random.default_rng(7)
         weight_matrix = rng.standard_normal((5, 3 * 9))
         bias = rng.standard_normal(5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with kernels.use("compiled"):
-                got_out, got_cols = kernels.conv2d_forward(
-                    x, weight_matrix, bias, (3, 3), 1, 1
-                )
-                got_bn = kernels.bn_infer(
-                    x, bias[:3], bias[:3], bias[:3], np.abs(bias[:3]) + 0.1, 1e-5
-                )
-                got_relu = kernels.relu(x)
-                got_table = kernels.delta_table(
-                    np.arange(-8, 8, dtype=np.int64), 4
-                )
+        with kernels.use("compiled"):
+            got_out, got_cols = kernels.conv2d_forward(
+                x, weight_matrix, bias, (3, 3), 1, 1
+            )
+            got_bn = kernels.bn_infer(
+                x, bias[:3], bias[:3], bias[:3], np.abs(bias[:3]) + 0.1, 1e-5
+            )
+            got_relu = kernels.relu(x)
+            got_table = kernels.delta_table(
+                np.arange(-8, 8, dtype=np.int64), 4
+            )
         want_out, want_cols = reference.conv2d_forward(
             x, weight_matrix, bias, (3, 3), 1, 1
         )
