@@ -20,11 +20,10 @@ Environment knobs:
   ``REPRO_TABLE1_TARGET_CLASS`` (defaults 0 / 1).
 * ``REPRO_TABLE1_PRECISION`` — deployed victim precision for the Table-I
   benchmark: ``float32`` (default), ``int8`` or ``int4``.
-* ``REPRO_BENCH_BACKEND`` — ``serial`` (default), ``thread`` or
-  ``process`` to fan the experiment work units out over a pool (the
-  process pool trains each victim once and hands it to its workers
-  through the pool initializer).
-* ``REPRO_BENCH_WORKERS`` — pool size for the parallel backends.
+* ``REPRO_BENCH_BACKEND`` — ``serial`` (default) or ``process`` to fan
+  the experiment work units out over a process pool (it trains each
+  victim once and hands it to its workers through the pool initializer).
+* ``REPRO_BENCH_WORKERS`` — pool size for the process backend.
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ The ten cases mirror the perf-critical layers:
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -518,8 +519,30 @@ def _make_end_to_end_case(
 
 
 # ----------------------------------------------------------------------
-# Case 9: process-pool victim seeding through the pool initializer
+# Cases 9 + 10: the experiment and service layers
 # ----------------------------------------------------------------------
+def _on_default_engine(engine: str, leg: Callable[[], Any]) -> Callable[[], Any]:
+    """``leg`` run with ``REPRO_DEFAULT_ENGINE=engine``, restored afterwards.
+
+    The runner cases' committed ratios were measured on the NumPy
+    kernels, so both legs pin that tier.  Forked pool workers inherit the
+    environment but not a ``kernels.use`` scope, hence the variable.
+    """
+
+    def run():
+        previous = os.environ.get("REPRO_DEFAULT_ENGINE")
+        os.environ["REPRO_DEFAULT_ENGINE"] = engine
+        try:
+            return leg()
+        finally:
+            if previous is None:
+                del os.environ["REPRO_DEFAULT_ENGINE"]
+            else:
+                os.environ["REPRO_DEFAULT_ENGINE"] = previous
+
+    return run
+
+
 def _make_runner_shared_memory_case(repetitions: int) -> PerfCase:
     from repro.core.bfa import BitSearchConfig
     from repro.experiments import (
@@ -555,8 +578,8 @@ def _make_runner_shared_memory_case(repetitions: int) -> PerfCase:
         description=case_description(
             "runner_shared_memory", {"runner_repetitions": repetitions}
         ),
-        reference=lambda: run(False),
-        vectorized=lambda: run(True),
+        reference=_on_default_engine("vectorized", lambda: run(False)),
+        vectorized=_on_default_engine("vectorized", lambda: run(True)),
     )
 
 
@@ -605,8 +628,8 @@ def _make_runner_service_throughput_case(num_specs: int) -> PerfCase:
         description=case_description(
             "runner_service_throughput", {"service_specs": num_specs}
         ),
-        reference=cold_runners,
-        vectorized=warm_service,
+        reference=_on_default_engine("vectorized", cold_runners),
+        vectorized=_on_default_engine("vectorized", warm_service),
     )
 
 

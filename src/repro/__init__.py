@@ -46,7 +46,6 @@ __version__ = "1.1.0"
 _LAZY_EXPORTS = {
     # repro.core comparison harness
     "prepare_victim": "repro.core.comparison",
-    "compare_mechanisms_for_model": "repro.core.comparison",
     "ComparisonConfig": "repro.core.comparison",
     "ModelComparisonResult": "repro.core.comparison",
     "build_deployment_profiles": "repro.core.comparison",
@@ -101,7 +100,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis-only imports
         ComparisonConfig,
         ModelComparisonResult,
         build_deployment_profiles,
-        compare_mechanisms_for_model,
         prepare_victim,
     )
     from repro.core.objective import (  # noqa: F401

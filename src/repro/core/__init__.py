@@ -12,16 +12,17 @@ Pipeline (Section VI):
 3. :mod:`repro.core.profile_aware` combines the two into Algorithm 3 — the
    search is confined to weight bits that land on profiled vulnerable cells
    and respects each cell's flip direction.
-4. :mod:`repro.core.comparison` runs the attack under both profiles for the
-   whole Table-I roster, producing the rows, ratios and accuracy curves of
-   Table I and Fig. 7.
+4. :mod:`repro.core.comparison` holds the per-model building blocks
+   (deployment profiles, victim preparation, one seeded attack repetition)
+   that :class:`repro.experiments.ComparisonSpec` runs under both profiles
+   for the whole Table-I roster, producing the rows, ratios and accuracy
+   curves of Table I and Fig. 7.
 """
 
 from repro.core.bfa import BitFlipAttack, BitSearchConfig, CandidateSet
 from repro.core.comparison import (
     ComparisonConfig,
     ModelComparisonResult,
-    compare_mechanisms_for_model,
     prepare_victim,
 )
 from repro.core.mapping import WeightBitMapping, DNN_DEPLOYMENT_GEOMETRY
@@ -44,7 +45,6 @@ __all__ = [
     "CandidateSet",
     "ComparisonConfig",
     "ModelComparisonResult",
-    "compare_mechanisms_for_model",
     "prepare_victim",
     "WeightBitMapping",
     "DNN_DEPLOYMENT_GEOMETRY",

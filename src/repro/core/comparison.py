@@ -7,8 +7,9 @@ This module produces the data behind the paper's headline DNN results:
 * Fig. 7  — the accuracy-vs-flips degradation curves under both profiles;
 * Takeaway 3 — the average ratio of RowHammer flips to RowPress flips.
 
-The harness trains a surrogate victim once per model, snapshots its clean
-weights, and then, for each mechanism and repetition, restores the snapshot,
+:class:`repro.experiments.ComparisonSpec` runs these building blocks: it
+trains a surrogate victim once per model, snapshots its clean weights,
+and then, for each mechanism and repetition, restores the snapshot,
 re-applies 8-bit post-training quantization, samples a fresh attack batch /
 memory placement and runs the profile-aware attack.  Averaging over
 repetitions mirrors the paper's "three runs with random attack
@@ -17,11 +18,8 @@ initialisation" protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.experiments.cache import VictimCache
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +36,7 @@ from repro.nn.data import Dataset
 from repro.nn.module import Module
 from repro.nn.quantization import DEFAULT_NUM_BITS, precision_num_bits, quantize_model
 from repro.nn.training import evaluate_on_dataset, train
-from repro.utils.rng import mix_seed, spawn_seeds
+from repro.utils.rng import mix_seed
 from repro.utils.validation import check_engine, check_positive
 
 #: Attack budgets used when thresholding the vulnerability model into the
@@ -262,10 +260,9 @@ def run_single_attack(
 ) -> AttackResult:
     """One seeded profile-aware attack repetition from a clean snapshot.
 
-    This is the work unit shared by :func:`compare_mechanisms_for_model`
-    and the :mod:`repro.experiments` runner: given the same inputs it
-    produces the same :class:`AttackResult` regardless of which process
-    executes it.
+    This is the work unit :class:`repro.experiments.ComparisonSpec`
+    executes: given the same inputs it produces the same
+    :class:`AttackResult` regardless of which process executes it.
     """
     model.load_state_dict(clean_state)
     tensor_infos = quantize_model(model, num_bits=config.num_bits)
@@ -291,67 +288,6 @@ def run_single_attack(
     return attack.run()
 
 
-def compare_mechanisms_for_model(
-    spec: ModelSpec,
-    profiles: ProfilePair,
-    config: Optional[ComparisonConfig] = None,
-    victim: Optional[Tuple[Module, Dataset, Dict[str, np.ndarray]]] = None,
-    victim_cache: Optional["VictimCache"] = None,
-) -> ModelComparisonResult:
-    """Run the RowHammer-profile and RowPress-profile attacks on one model.
-
-    Maintained for callers that hold arbitrary in-memory ``profiles``;
-    declarative experiments should go through
-    :class:`repro.experiments.ComparisonSpec` and
-    :class:`repro.experiments.ExperimentRunner` instead, which add victim
-    caching, parallel execution and persistent results on top of the same
-    per-repetition work units.  Passing a
-    :class:`~repro.experiments.cache.VictimCache` avoids retraining the
-    surrogate across calls.
-    """
-    config = config or ComparisonConfig()
-    if victim is None:
-        if victim_cache is not None:
-            victim = victim_cache.get_or_prepare(
-                spec, seed=config.seed, training_epochs=config.training_epochs
-            )
-        else:
-            victim = prepare_victim(spec, seed=config.seed, training_epochs=config.training_epochs)
-    model, dataset, clean_state = victim
-
-    clean_accuracy = measure_clean_accuracy(model, dataset, clean_state, num_bits=config.num_bits)
-
-    outcomes: Dict[str, MechanismOutcome] = {
-        "rowhammer": MechanismOutcome("rowhammer"),
-        "rowpress": MechanismOutcome("rowpress"),
-    }
-    repetition_seeds = spawn_seeds(mix_seed(config.seed, spec.key, "attack"), config.repetitions)
-    for mechanism in ("rowhammer", "rowpress"):
-        profile = profiles.profile_for(mechanism)
-        for repetition_seed in repetition_seeds:
-            result = run_single_attack(
-                model,
-                dataset,
-                clean_state,
-                profile,
-                config,
-                repetition_seed=repetition_seed,
-                model_name=spec.display_name,
-            )
-            outcomes[mechanism].results.append(result)
-
-    return ModelComparisonResult(
-        model_key=spec.key,
-        display_name=spec.display_name,
-        dataset_name=spec.paper_dataset,
-        num_parameters=model.num_parameters(),
-        clean_accuracy=clean_accuracy,
-        random_guess_accuracy=dataset.random_guess_accuracy,
-        rowhammer=outcomes["rowhammer"],
-        rowpress=outcomes["rowpress"],
-    )
-
-
 def average_flip_ratio(results: List[ModelComparisonResult]) -> float:
     """Mean RowHammer/RowPress flip ratio over a set of models (Takeaway 3).
 
@@ -360,6 +296,3 @@ def average_flip_ratio(results: List[ModelComparisonResult]) -> float:
     ratios = [r.flip_ratio for r in results if np.isfinite(r.flip_ratio)]
     return float(np.mean(ratios)) if ratios else float("nan")
 
-
-#: Backwards-compatible alias for the pre-``repro.experiments`` private name.
-_run_single_attack = run_single_attack

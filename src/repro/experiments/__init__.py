@@ -8,9 +8,9 @@ reproduction defines:
   (Table I / Fig. 7 comparisons, the defense-bypass matrix, Fig. 6
   budget sweeps, Fig. 4 profiling, the profile-density ablation);
 * :mod:`~repro.experiments.runner` — :class:`ExperimentRunner` with
-  pluggable serial / thread-pool / process-pool backends that produce
-  identical, seed-determined results (both pools seed their workers with
-  the victims the runner trained, so no worker retrains);
+  a serial and a process-pool backend that produce identical,
+  seed-determined results (the pool seeds its workers with the victims
+  the runner trained, so no worker retrains);
 * :mod:`~repro.experiments.cache` — :class:`VictimCache`, training each
   surrogate victim once and sharing clean-state snapshots across
   experiments;
@@ -39,11 +39,7 @@ Quick start::
 
 from repro.core.objective import ObjectiveConfig
 from repro.experiments.cache import ExperimentContext, VictimCache, VictimKey
-from repro.experiments.checkpoint import (
-    CheckpointedBackend,
-    ChunkCheckpoint,
-    checkpoint_chunks,
-)
+from repro.experiments.checkpoint import CheckpointedBackend, ChunkCheckpoint
 from repro.experiments.fsck import (
     FsckIssue,
     FsckReport,
@@ -58,7 +54,7 @@ from repro.experiments.runner import (
     ExperimentRunner,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
+    checkpoint_chunks,
     make_backend,
 )
 from repro.experiments.service import (
@@ -138,7 +134,6 @@ __all__ = [
     "ServiceClient",
     "ServiceOverloadError",
     "ServiceUnavailableError",
-    "ThreadPoolBackend",
     "VictimCache",
     "VictimKey",
     "WatchdogTimeout",

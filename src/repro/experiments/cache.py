@@ -44,12 +44,12 @@ class VictimKey:
 class VictimCache:
     """Process-local cache of trained surrogate victims.
 
-    The cache is deliberately *not* shared across threads or processes:
-    parallel execution backends instantiate one cache per worker, which
-    keeps the semantics identical to serial execution (training is
-    deterministic in the key).  Workers still never retrain what the
-    runner already trained: the backends hand them the runner's clean
-    states, registered with :meth:`seed_states`.
+    The cache is deliberately *not* shared across processes: each
+    process-pool worker instantiates its own cache, which keeps the
+    semantics identical to serial execution (training is deterministic
+    in the key).  Workers still never retrain what the runner already
+    trained: the pool hands them the runner's clean states, registered
+    with :meth:`seed_states`.
 
     ``max_entries`` bounds the number of resident victims: inserting past
     the bound evicts the least-recently-used entry (an evicted victim is
@@ -119,7 +119,7 @@ class VictimCache:
     def seed_states(self, states: Dict[VictimKey, Dict[str, np.ndarray]]) -> None:
         """Register in-process clean states to materialise victims from.
 
-        The parallel backends seed every worker context with the states
+        The process pool seeds every worker context with the states
         the runner trained: a later cache miss whose key matches builds the
         untrained model and loads the given state instead of retraining.
         """
@@ -183,8 +183,8 @@ class ExperimentContext:
     Holds the :class:`VictimCache` plus a small memo table for other
     expensive deterministic artefacts (e.g. the deployment-chip profile
     pair).  The serial backend keeps one context for the runner's whole
-    lifetime, so artefacts are shared *across* experiments; each thread
-    or process-pool worker builds its own.  The memo keeps only the
+    lifetime, so artefacts are shared *across* experiments; each
+    process-pool worker builds its own.  The memo keeps only the
     :data:`MEMO_ENTRIES` most recently used artefacts: one spec's work
     units run back to back and share one build, while a daemon serving
     many specs does not hold every profile pair (tens of MB each) for its

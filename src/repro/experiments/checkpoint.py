@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.experiments.cache import ExperimentContext
-from repro.experiments.runner import ExecutionBackend
+from repro.experiments.runner import ExecutionBackend, checkpoint_chunks
 from repro.experiments.specs import ExperimentSpec
 from repro.testing import chaos
 from repro.utils.resilience import Deadline
@@ -41,29 +41,14 @@ _CHUNK_PREFIX = "chunk-"
 #: A flipped bit anywhere in the file (silent bit-rot, the chaos
 #: ``corrupt`` kind) breaks the digest, the chunk is dropped at load time
 #: and simply rerun — a corrupted checkpoint can never smuggle wrong
-#: values into a resumed job.  Headerless files (legacy format) are still
-#: read as bare pickles.
+#: values into a resumed job.  A file without the header is never
+#: unpickled, and a payload that is not the writer's ``{"owner",
+#: "outputs"}`` dict is never resumed: either way the chunk is rerun.
 _CHUNK_MAGIC = b"ckpt1"
 
 
 class ChaosWriteError(OSError):
     """A cooperatively injected write failure (see ``checkpoint.write``)."""
-
-
-def checkpoint_chunks(units: Sequence, chunk_size: Optional[int] = None) -> List[Sequence]:
-    """Split ``units`` into the stable chunks checkpoints are keyed by.
-
-    The boundaries depend only on ``len(units)`` (and an explicit
-    ``chunk_size``), **never** on worker counts or timing, so a restarted
-    job re-derives the identical chunk map and its saved chunk files line
-    up.  Default sizing targets ~16 chunks — fine-grained enough that a
-    crash loses little work, coarse enough that checkpoint I/O is noise.
-    """
-    if chunk_size is None:
-        chunk_size = max(1, len(units) // 16)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [units[start : start + chunk_size] for start in range(0, len(units), chunk_size)]
 
 
 class ChunkCheckpoint:
@@ -129,26 +114,19 @@ class ChunkCheckpoint:
             try:
                 index = int(path.stem[len(_CHUNK_PREFIX):])
                 raw = path.read_bytes()
-                if raw.startswith(_CHUNK_MAGIC):
-                    digest = raw[len(_CHUNK_MAGIC) : len(_CHUNK_MAGIC) + 32]
-                    blob = raw[len(_CHUNK_MAGIC) + 32 :]
-                    if hashlib.sha256(blob).digest() != digest:
-                        continue  # corrupted checkpoint: rerun the chunk
-                else:
-                    blob = raw  # legacy headerless chunk file
+                if not raw.startswith(_CHUNK_MAGIC):
+                    continue  # headerless file: never unpickled, rerun the chunk
+                digest = raw[len(_CHUNK_MAGIC) : len(_CHUNK_MAGIC) + 32]
+                blob = raw[len(_CHUNK_MAGIC) + 32 :]
+                if hashlib.sha256(blob).digest() != digest:
+                    continue  # corrupted checkpoint: rerun the chunk
                 payload = pickle.loads(blob)
-                if isinstance(payload, dict) and "outputs" in payload:
-                    chunk_owner = payload.get("owner")
-                    if (
-                        self.owner is not None
-                        and chunk_owner is not None
-                        and chunk_owner != self.owner
-                    ):
-                        continue  # foreign job's chunk: never resume it
-                    outputs = payload["outputs"]
-                else:
-                    outputs = payload  # legacy bare-outputs chunk file
-                completed[index] = outputs
+                if not (isinstance(payload, dict) and "outputs" in payload):
+                    continue  # not a payload the writer produces: rerun it
+                chunk_owner = payload.get("owner")
+                if self.owner is not None and chunk_owner not in (None, self.owner):
+                    continue  # foreign job's chunk: never resume it
+                completed[index] = payload["outputs"]
             except (ValueError, OSError, pickle.UnpicklingError, EOFError):
                 continue
         return completed
@@ -169,9 +147,7 @@ class CheckpointedBackend(ExecutionBackend):
     report the split for observability and tests.
 
     The per-chunk inner calls trade pool amortisation for durability;
-    the service's default serial backend makes that trade free.  Use a
-    larger ``chunk_size`` to bias back toward throughput under pooled
-    inner backends.
+    the service's default serial backend makes that trade free.
 
     A :class:`~repro.utils.resilience.Deadline` assigned to
     :attr:`deadline` is checked before every chunk: a job whose budget is
@@ -195,10 +171,8 @@ class CheckpointedBackend(ExecutionBackend):
         self,
         inner: ExecutionBackend,
         checkpoint: Optional[ChunkCheckpoint] = None,
-        chunk_size: Optional[int] = None,
     ):
         self.inner = inner
-        self.chunk_size = chunk_size
         self.last_resumed = 0
         self.last_executed = 0
         self._bound = threading.local()
@@ -234,7 +208,7 @@ class CheckpointedBackend(ExecutionBackend):
             return []
         if self.checkpoint is None:
             return self.inner.run_units(spec, units, context)
-        chunks = checkpoint_chunks(units, self.chunk_size)
+        chunks = checkpoint_chunks(units)
         completed = self.checkpoint.load()
         # A stale checkpoint whose chunk map no longer lines up (the spec
         # changed unit count under the same job id) must not be combined.

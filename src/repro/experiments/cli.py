@@ -51,7 +51,7 @@ DEFAULT_STORE = "benchmarks/results"
 DEFAULT_QUEUE = "benchmarks/queue"
 
 #: Backends selectable from the command line.
-BACKEND_CHOICES = ("serial", "thread", "process")
+BACKEND_CHOICES = ("serial", "process")
 
 
 def _objective_config(args: argparse.Namespace) -> ObjectiveConfig:

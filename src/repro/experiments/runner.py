@@ -1,4 +1,4 @@
-"""Experiment execution: pluggable serial / thread / process backends.
+"""Experiment execution: a serial backend and a process-pool backend.
 
 The runner is intentionally small: a spec already knows how to decompose
 itself into independent work units and how to combine the unit outputs
@@ -6,35 +6,29 @@ itself into independent work units and how to combine the unit outputs
 units run.
 
 Determinism contract: every unit derives its randomness from the spec's
-explicit seeds, never from process-global state, so every backend —
-:class:`ProcessPoolBackend` (with or without victim seeding, chunked or
-not) and :class:`ThreadPoolBackend` alike — is required to produce
-results identical to :class:`SerialBackend` for the same spec.  The test
-suite asserts this bit-for-bit on the attack results.
+explicit seeds, never from process-global state, so
+:class:`ProcessPoolBackend` (with or without victim seeding) is required
+to produce results identical to :class:`SerialBackend` for the same
+spec.  The test suite asserts this bit-for-bit on the attack results.
 
 Scale machinery:
 
-* **Victim seeding** — both parallel backends train each victim the spec
+* **Victim seeding** — the process pool trains each victim the spec
   declares (:meth:`ExperimentSpec.victim_requirements`) once in the
-  runner's context and hand the clean states to their workers
-  (:func:`_victim_states`): thread contexts directly, process-pool
-  workers through the pool initializer.  Workers materialise private
+  runner's context and hands the clean states to its workers through the
+  pool initializer (:func:`_victim_states`).  Workers materialise private
   models from those states (:meth:`VictimCache.seed_states`) and never
   retrain.
-* **Chunked unit scheduling** — both parallel backends group units into
-  contiguous chunks, cutting per-task dispatch overhead while preserving
-  unit order (outputs are flattened in submission order).
-* **Thread pool** — the heavy numpy kernels release the GIL, so
-  evaluation-bound sweeps parallelise in one process with zero
-  serialisation; each worker thread owns a private
-  :class:`~repro.experiments.cache.ExperimentContext` because work units
-  mutate the models they attack.
+* **Chunked unit scheduling** — :func:`checkpoint_chunks` cuts units
+  into contiguous chunks that depend only on the unit count.  The pool
+  submits one task per chunk, and the checkpointing wrapper
+  (:mod:`repro.experiments.checkpoint`) persists one file per chunk;
+  outputs are flattened in submission order either way.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -66,13 +60,18 @@ def _execute_chunk(
     return [spec.run_unit(unit, _WORKER_CONTEXT) for unit in units]
 
 
-def _chunk(units: Sequence, chunk_size: Optional[int], workers: int) -> List[Sequence]:
-    """Contiguous unit chunks; auto-sizes to ~4 tasks per worker when unset."""
-    if chunk_size is None:
-        chunk_size = max(1, len(units) // (workers * 4))
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [units[start : start + chunk_size] for start in range(0, len(units), chunk_size)]
+def checkpoint_chunks(units: Sequence) -> List[Sequence]:
+    """Split ``units`` into the stable, contiguous chunks work is cut into.
+
+    The boundaries depend only on ``len(units)``, **never** on worker
+    counts or timing, so a restarted job re-derives the identical chunk
+    map and its saved checkpoint files line up.  Sizing targets ~16
+    chunks: fine-grained enough that a crash loses little work and a
+    pool stays busy, coarse enough that checkpoint I/O and task dispatch
+    are noise.
+    """
+    size = max(1, len(units) // 16)
+    return [units[start : start + size] for start in range(0, len(units), size)]
 
 
 def _victim_states(spec: ExperimentSpec, context: ExperimentContext) -> VictimStates:
@@ -120,58 +119,6 @@ class SerialBackend(ExecutionBackend):
         return [spec.run_unit(unit, context) for unit in units]
 
 
-class ThreadPoolBackend(ExecutionBackend):
-    """Fan unit chunks out over threads in this process.
-
-    The hot paths (training, the vectorized bit search, the incremental
-    evaluation engine) spend their time inside numpy kernels that release
-    the GIL, so evaluation-bound sweeps scale across cores without any
-    spec serialisation or process startup.  Every worker thread lazily
-    builds its **own** :class:`~repro.experiments.cache.ExperimentContext`:
-    work units mutate the victims they attack, so sharing cached model
-    objects across threads would race.  The victims the spec declares are
-    trained **once** by the runner's context, and each thread context is
-    seeded with the clean states (:meth:`VictimCache.seed_states`), so
-    threads materialise private model copies without retraining.  Unit
-    outputs are collected in submission order, and each unit is
-    deterministic in the spec's seeds, so results are bit-identical to
-    :class:`SerialBackend`.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None, chunk_size: Optional[int] = None):
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-
-    def run_units(
-        self,
-        spec: ExperimentSpec,
-        units: Sequence[Mapping[str, Any]],
-        context: ExperimentContext,
-    ) -> List[Any]:
-        if not units:
-            return []
-        workers = self.max_workers or min(len(units), 4)
-        chunks = _chunk(units, self.chunk_size, workers)
-        seeded = _victim_states(spec, context)
-        local = threading.local()
-
-        def run_chunk(chunk: Sequence[Mapping[str, Any]]) -> List[Any]:
-            thread_context = getattr(local, "context", None)
-            if thread_context is None:
-                thread_context = local.context = ExperimentContext()
-                thread_context.victims.seed_states(seeded)
-            return [spec.run_unit(unit, thread_context) for unit in chunk]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_chunk, chunk) for chunk in chunks]
-            outputs: List[Any] = []
-            for future in futures:
-                outputs.extend(future.result())
-        return outputs
-
-
 class ProcessPoolBackend(ExecutionBackend):
     """Fan unit chunks out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
@@ -184,25 +131,18 @@ class ProcessPoolBackend(ExecutionBackend):
     the spec declares via :meth:`ExperimentSpec.victim_requirements` once
     in the parent — reusing the runner's cache when it is already warm —
     and hands the clean states to every worker through the pool
-    initializer, exactly as :class:`ThreadPoolBackend` seeds its threads.
-    Under ``fork`` the workers inherit the states without pickling;
-    under ``spawn`` they are pickled once per worker.  Workers materialise
-    the victim from the state without retraining, so results stay
-    bit-identical to serial execution.  ``share_victims=False`` makes
+    initializer.  Under ``fork`` the workers inherit the states without
+    pickling; under ``spawn`` they are pickled once per worker.  Workers
+    materialise the victim from the state without retraining, so results
+    stay bit-identical to serial execution.  ``share_victims=False`` makes
     every worker train its own copy instead.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        share_victims: bool = True,
-        chunk_size: Optional[int] = None,
-    ):
+    def __init__(self, max_workers: Optional[int] = None, share_victims: bool = True):
         self.max_workers = max_workers
         self.share_victims = share_victims
-        self.chunk_size = chunk_size
 
     def run_units(
         self,
@@ -213,7 +153,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if not units:
             return []
         workers = self.max_workers or min(len(units), 4)
-        chunks = _chunk(units, self.chunk_size, workers)
+        chunks = checkpoint_chunks(units)
         states = _victim_states(spec, context) if self.share_victims else {}
         payload = spec.to_dict()
         with ProcessPoolExecutor(
@@ -228,13 +168,12 @@ class ProcessPoolBackend(ExecutionBackend):
 
 BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadPoolBackend,
     "process": ProcessPoolBackend,
 }
 
 
 def make_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Build a backend by name: ``serial``, ``thread`` or ``process``."""
+    """Build a backend by name: ``serial`` or ``process``."""
     try:
         backend_cls = BACKENDS[name]
     except KeyError as exc:

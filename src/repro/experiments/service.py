@@ -124,19 +124,19 @@ class ExperimentService:
 
     ``queue_dir`` holds job state (and the ``endpoint.json`` discovery
     file); ``store_dir`` is the result store jobs save into.
-    ``backend`` names the execution backend jobs run under (``serial``,
-    ``thread`` or ``process``).  The runner's unbounded
+    ``backend`` names the execution backend jobs run under (``serial`` or
+    ``process``).  The runner's unbounded
     :class:`~repro.experiments.cache.VictimCache` lives as long as the
     daemon, so consecutive jobs reuse every victim an earlier job
-    trained; the parallel backends seed their workers from it.
+    trained; the process pool seeds its workers from it.
 
     Use :meth:`start` + :meth:`stop` (or :meth:`serve_forever`) for the
     network daemon; tests drive the same object deterministically with
     :meth:`process_once` / :meth:`drain` and no socket at all.
 
     Jobs execute through a
-    :class:`~repro.experiments.checkpoint.CheckpointedBackend` (unless
-    ``checkpoint=False``): each job's completed chunks are persisted under
+    :class:`~repro.experiments.checkpoint.CheckpointedBackend`: each job's
+    completed chunks are persisted under
     ``<queue_dir>/checkpoints/<job_id>/`` as they finish, so a daemon
     killed mid-job and restarted resumes the requeued job from its
     checkpoints instead of rerunning completed chunks.
@@ -160,7 +160,6 @@ class ExperimentService:
         max_workers: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        checkpoint: bool = True,
         max_pending: Optional[int] = None,
         watchdog_timeout: Optional[float] = None,
     ):
@@ -172,17 +171,14 @@ class ExperimentService:
         #: ``runner.context.victims``; the name is kept for callers that
         #: read its ``hits``/``misses`` counters.
         self.registry = VictimCache()
-        execution = make_backend(backend, max_workers=max_workers)
         #: Where per-job chunk checkpoints live (one subdirectory per job).
         self.checkpoint_root = self.queue.directory / "checkpoints"
-        #: The checkpointing wrapper jobs execute through; ``None`` when
-        #: checkpointing is disabled.
-        self.checkpointed: Optional[CheckpointedBackend] = None
-        if checkpoint:
-            self.checkpointed = CheckpointedBackend(execution)
-            execution = self.checkpointed
+        #: The checkpointing wrapper every job executes through.
+        self.checkpointed = CheckpointedBackend(
+            make_backend(backend, max_workers=max_workers)
+        )
         self.runner = ExperimentRunner(
-            backend=execution, store=self.store, victim_cache=self.registry
+            backend=self.checkpointed, store=self.store, victim_cache=self.registry
         )
         self.host = host
         self.port = port
@@ -201,10 +197,7 @@ class ExperimentService:
 
     # -- job execution -------------------------------------------------
     def _run_job(
-        self,
-        job: Job,
-        checkpoint: Optional[ChunkCheckpoint] = None,
-        deadline: Optional[Deadline] = None,
+        self, job: Job, checkpoint: ChunkCheckpoint, deadline: Optional[Deadline]
     ) -> None:
         """Execute one claimed job through the runner (raises on failure).
 
@@ -222,16 +215,14 @@ class ExperimentService:
         # the next start's queue recovery requeues it and the kept
         # checkpoints resume it.
         chaos.fault_point("service.claim")
-        if self.checkpointed is not None:
-            self.checkpointed.checkpoint = checkpoint
-            self.checkpointed.deadline = deadline
+        self.checkpointed.checkpoint = checkpoint
+        self.checkpointed.deadline = deadline
         try:
             spec = spec_from_dict(job.spec)
             self.runner.run(spec, save_as=job.name)
         finally:
-            if self.checkpointed is not None:
-                self.checkpointed.checkpoint = None
-                self.checkpointed.deadline = None
+            self.checkpointed.checkpoint = None
+            self.checkpointed.deadline = None
 
     def process_once(self) -> Optional[Job]:
         """Claim and run one pending job; ``None`` when the queue is idle.
@@ -249,17 +240,13 @@ class ExperimentService:
             return None
         started = time.monotonic()
         self._active_job = job.job_id
-        checkpoint: Optional[ChunkCheckpoint] = None
+        # The owner tag means a chunk written by any other job —
+        # including one a previous watchdog abandoned — is rejected
+        # on resume rather than combined into this job's result.
+        checkpoint = ChunkCheckpoint(self.checkpoint_root / job.job_id, owner=job.job_id)
         deadline: Optional[Deadline] = None
-        if self.checkpointed is not None:
-            # The owner tag means a chunk written by any other job —
-            # including one a previous watchdog abandoned — is rejected
-            # on resume rather than combined into this job's result.
-            checkpoint = ChunkCheckpoint(
-                self.checkpoint_root / job.job_id, owner=job.job_id
-            )
-            if job.deadline is not None:
-                deadline = Deadline(max(0.0, job.deadline - time.time()))
+        if job.deadline is not None:
+            deadline = Deadline(max(0.0, job.deadline - time.time()))
         try:
             if self.watchdog_timeout is None:
                 self._run_job(job, checkpoint, deadline)
@@ -272,15 +259,11 @@ class ExperimentService:
         finally:
             self._active_job = None
         self._record_duration(time.monotonic() - started)
-        if checkpoint is not None:
-            checkpoint.clear()
+        checkpoint.clear()
         return self.queue.complete(job.job_id)
 
     def _run_watched(
-        self,
-        job: Job,
-        checkpoint: Optional[ChunkCheckpoint] = None,
-        deadline: Optional[Deadline] = None,
+        self, job: Job, checkpoint: ChunkCheckpoint, deadline: Optional[Deadline]
     ) -> None:
         """Run a job on a watched thread; raise if the backend wedges.
 

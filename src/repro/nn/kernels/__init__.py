@@ -19,8 +19,8 @@ any scope, when the process default
 ``kernels.use("vectorized")`` or ``use("reference")`` pins the NumPy
 kernels for its scope; :class:`repro.core.bfa.BitFlipAttack` enters
 ``use(engine)`` for its own tier.  Activation is thread-local, so a
-thread-pool worker running a compiled attack never switches kernels under
-a concurrent vectorized one.
+thread running a compiled attack never switches kernels under a
+concurrent vectorized one.
 
 Every backend kernel must reproduce the reference bit for bit (the golden
 contract of docs/ENGINES.md); :func:`warmup` self-checks each kernel on

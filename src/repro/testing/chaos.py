@@ -22,8 +22,6 @@ Fault kinds
 ``error``
     Raise :class:`ChaosError` (an ``OSError`` subclass, so every
     production handler that tolerates I/O failure tolerates injection).
-``disconnect``
-    Raise :class:`ConnectionError` — a peer vanishing mid-protocol.
 ``delay``
     Sleep ``delay`` seconds, then continue — stalls that trip timeouts
     and watchdogs.
@@ -75,7 +73,6 @@ ALLOW_CRASH_ENV = "REPRO_CHAOS_ALLOW_CRASH"
 #: The fault kinds a plan may request.
 KINDS = (
     "error",
-    "disconnect",
     "delay",
     "crash",
     "enospc",
@@ -339,8 +336,6 @@ def fault_point(name: str) -> Optional[str]:
         return None
     if fault.kind == "error":
         raise ChaosError(f"chaos[{name}]: {fault.message}")
-    if fault.kind == "disconnect":
-        raise ConnectionError(f"chaos[{name}]: {fault.message}")
     if fault.kind == "enospc":
         raise OSError(errno.ENOSPC, f"chaos[{name}]: No space left on device")
     if fault.kind == "delay":

@@ -13,10 +13,9 @@ from repro.core.comparison import (
     ModelComparisonResult,
     average_flip_ratio,
     build_deployment_profiles,
-    compare_mechanisms_for_model,
 )
 from repro.core.results import AttackResult
-from repro.models.registry import get_spec
+from repro.experiments import ComparisonSpec, ExperimentRunner
 
 
 def make_outcome(mechanism, flips_list, accuracy=10.0, converged=True):
@@ -145,15 +144,16 @@ class TestDeploymentProfiles:
 @pytest.mark.slow
 class TestEndToEndComparison:
     def test_single_model_comparison_shape(self):
-        profiles = build_deployment_profiles(seed=5)
-        config = ComparisonConfig(
+        spec = ComparisonSpec(
+            model_keys=("resnet20",),
             repetitions=1,
             search=BitSearchConfig(max_flips=40, top_k_layers=4, eval_batch_size=48),
             eval_samples=48,
             training_epochs=3,
             seed=5,
+            profile_seed=5,
         )
-        result = compare_mechanisms_for_model(get_spec("resnet20"), profiles, config)
+        (result,) = ExperimentRunner().run(spec).payload
         assert result.model_key == "resnet20"
         assert result.clean_accuracy > result.random_guess_accuracy
         assert result.rowhammer.mean_flips > 0

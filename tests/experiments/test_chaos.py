@@ -34,7 +34,7 @@ class TestFaultSpec:
         assert not fault.matches("store.write", 4)
 
     def test_glob_points(self):
-        fault = FaultSpec(point="store.*", kind="disconnect")
+        fault = FaultSpec(point="store.*", kind="error")
         assert fault.matches("store.write", 1)
         assert fault.matches("store.index", 1)
         assert not fault.matches("queue.persist", 1)
@@ -42,6 +42,8 @@ class TestFaultSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             FaultSpec(point="x", kind="meteor-strike")
+        with pytest.raises(ValueError, match="kind"):
+            FaultSpec(point="x", kind="disconnect")  # retired with the TCP backend
         with pytest.raises(ValueError):
             FaultSpec(point="x", kind="error", after=0)
         with pytest.raises(ValueError):
@@ -99,11 +101,11 @@ class TestActivation:
     def test_active_plan_restores_and_records(self):
         outer = FaultPlan.single("a", "error")
         chaos.install_plan(outer)
-        with chaos.active_plan(FaultPlan.single("b", "disconnect")) as scope:
+        with chaos.active_plan(FaultPlan.single("b", "error")) as scope:
             assert chaos.fault_point("a") is None  # outer plan not active
-            with pytest.raises(ConnectionError):
+            with pytest.raises(ChaosError):
                 chaos.fault_point("b")
-        assert scope.fired == [("b", "disconnect")]  # usable after exit
+        assert scope.fired == [("b", "error")]  # usable after exit
         with pytest.raises(ChaosError):
             chaos.fault_point("a")  # outer plan restored
 
@@ -134,11 +136,6 @@ class TestKinds:
     def test_error_is_oserror(self):
         chaos.install_plan(FaultPlan.single("p", "error"))
         with pytest.raises(OSError):
-            chaos.fault_point("p")
-
-    def test_disconnect(self):
-        chaos.install_plan(FaultPlan.single("p", "disconnect"))
-        with pytest.raises(ConnectionError):
             chaos.fault_point("p")
 
     def test_delay_sleeps_then_continues(self):

@@ -1,5 +1,6 @@
 """Chunk checkpointing: stable boundaries, atomic saves, resumed execution."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -13,7 +14,7 @@ from repro.experiments import (
     SerialBackend,
     checkpoint_chunks,
 )
-from repro.experiments.checkpoint import ChaosWriteError
+from repro.experiments.checkpoint import _CHUNK_MAGIC, ChaosWriteError
 from repro.testing import chaos
 from repro.testing.chaos import FaultPlan
 
@@ -30,12 +31,6 @@ class TestCheckpointChunks:
         assert checkpoint_chunks(units) == checkpoint_chunks(list(units))
         flat = [u for chunk in checkpoint_chunks(units) for u in chunk]
         assert flat == units
-
-    def test_explicit_chunk_size(self):
-        chunks = checkpoint_chunks(list(range(10)), chunk_size=4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        with pytest.raises(ValueError):
-            checkpoint_chunks(list(range(10)), chunk_size=0)
 
     def test_small_unit_counts_get_single_unit_chunks(self):
         assert [len(c) for c in checkpoint_chunks(list(range(5)))] == [1] * 5
@@ -75,13 +70,16 @@ class TestChunkCheckpoint:
         ChunkCheckpoint(tmp_path / "job", owner="job-a").save_chunk(0, ["x"])
         assert ChunkCheckpoint(tmp_path / "job").load() == {0: ["x"]}
 
-    def test_legacy_bare_pickle_chunks_still_load(self, tmp_path):
+    def test_framed_bare_outputs_payload_is_never_loaded(self, tmp_path):
+        # A digest-valid file whose payload lacks the owner stamp is not
+        # what the writer produces, so the owner check cannot vouch for it.
         checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
         checkpoint.directory.mkdir(parents=True)
+        blob = pickle.dumps(["bare"], protocol=pickle.HIGHEST_PROTOCOL)
         checkpoint.path_for(0).write_bytes(
-            pickle.dumps(["legacy"], protocol=pickle.HIGHEST_PROTOCOL)
+            _CHUNK_MAGIC + hashlib.sha256(blob).digest() + blob
         )
-        assert checkpoint.load() == {0: ["legacy"]}
+        assert checkpoint.load() == {}
 
     def test_injected_partial_write_never_corrupts_a_checkpoint(self, tmp_path):
         checkpoint = ChunkCheckpoint(tmp_path / "job")
@@ -161,6 +159,23 @@ class TestCheckpointedBackend:
         backend = CheckpointedBackend(SerialBackend(), checkpoint=checkpoint)
         outputs = backend.run_units(spec, units, ExperimentContext())
         assert backend.last_resumed == 0  # nothing stale was trusted
+        expected = SerialBackend().run_units(spec, units, ExperimentContext())
+        assert repr(outputs) == repr(expected)
+
+    def test_headerless_chunk_file_is_rerun(self, tmp_path):
+        # A bare pickle carries no digest and no owner stamp: even with the
+        # right outputs for chunk 0 it is never resumed, only rerun.
+        spec = _cheap_spec()
+        units = spec.work_units()
+        checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
+        checkpoint.directory.mkdir(parents=True)
+        first_chunk = checkpoint_chunks(units)[0]
+        outputs = SerialBackend().run_units(spec, first_chunk, ExperimentContext())
+        checkpoint.path_for(0).write_bytes(pickle.dumps(outputs))
+        backend = CheckpointedBackend(SerialBackend(), checkpoint=checkpoint)
+        outputs = backend.run_units(spec, units, ExperimentContext())
+        assert backend.last_resumed == 0
+        assert backend.last_executed == len(checkpoint_chunks(units))
         expected = SerialBackend().run_units(spec, units, ExperimentContext())
         assert repr(outputs) == repr(expected)
 

@@ -110,7 +110,6 @@ class TestPackageSurface:
 
         for name in (
             "prepare_victim",
-            "compare_mechanisms_for_model",
             "ComparisonConfig",
             "get_spec",
             "ComparisonSpec",

@@ -22,7 +22,6 @@ from repro.experiments import (
     FlipSweepSpec,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     VictimCache,
     make_backend,
 )
@@ -50,32 +49,22 @@ class TestBackendFactory:
         backend = make_backend("process", max_workers=2)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 2
-        threaded = make_backend("thread", max_workers=3)
-        assert isinstance(threaded, ThreadPoolBackend)
-        assert threaded.max_workers == 3
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu")
 
     def test_distributed_backend_is_gone(self):
-        with pytest.raises(ValueError, match=r"known backends: process, serial, thread$"):
+        with pytest.raises(ValueError, match=r"known backends: process, serial$"):
             make_backend("distributed")
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            make_backend("thread")
 
 
-class TestChunkSize:
-    @pytest.mark.parametrize("backend_cls", [ThreadPoolBackend, ProcessPoolBackend])
-    @pytest.mark.parametrize("chunk_size", [0, -1])
-    def test_non_positive_chunk_size_is_rejected(self, backend_cls, chunk_size):
-        # A negative size used to yield zero chunks (an empty payload that
-        # "succeeded"); zero died inside range().
-        backend = backend_cls(max_workers=2, chunk_size=chunk_size)
-        with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
-            ExperimentRunner(backend=backend).run(DefenseMatrixSpec(geometry=SMALL_GEOMETRY))
+class TestProcessBackendQuick:
+    """Fast-tier parallel == serial checks on specs that fork in well under a second."""
 
-
-class TestThreadBackendQuick:
-    def test_thread_equals_serial_for_flip_sweep(self):
+    def test_process_equals_serial_for_flip_sweep(self):
         spec = FlipSweepSpec(
             geometry=SMALL_GEOMETRY,
             hammer_counts=(50_000, 200_000),
@@ -83,16 +72,14 @@ class TestThreadBackendQuick:
             max_rows_per_bank=4,
         )
         serial = ExperimentRunner(backend=SerialBackend()).run(spec).payload
-        threaded = ExperimentRunner(backend=ThreadPoolBackend(max_workers=3)).run(spec).payload
-        assert np.array_equal(serial.rowhammer.flips, threaded.rowhammer.flips)
-        assert np.array_equal(serial.rowpress.flips, threaded.rowpress.flips)
+        parallel = ExperimentRunner(backend=ProcessPoolBackend(max_workers=2)).run(spec).payload
+        assert np.array_equal(serial.rowhammer.flips, parallel.rowhammer.flips)
+        assert np.array_equal(serial.rowpress.flips, parallel.rowpress.flips)
 
     def test_chunking_preserves_unit_order(self):
         spec = DefenseMatrixSpec(geometry=SMALL_GEOMETRY)
         serial = ExperimentRunner().run(spec).payload
-        chunked = ExperimentRunner(
-            backend=ThreadPoolBackend(max_workers=2, chunk_size=3)
-        ).run(spec).payload
+        chunked = ExperimentRunner(backend=ProcessPoolBackend(max_workers=2)).run(spec).payload
         assert set(chunked) == set(serial)
         for name, row in serial.items():
             for mechanism, outcome in row.items():
@@ -193,27 +180,6 @@ class TestParallelDeterminism:
             backend=ProcessPoolBackend(max_workers=2, share_victims=False)
         ).run(spec).payload
         assert serial[0] == retrained[0]
-
-    def test_thread_backend_attack_determinism(self):
-        """The thread pool honours the same bit-identical contract."""
-        spec = _tiny_comparison_spec()
-        serial = ExperimentRunner(backend=SerialBackend()).run(spec).payload
-        runner = ExperimentRunner(backend=ThreadPoolBackend(max_workers=3))
-        threaded = runner.run(spec).payload
-        assert serial[0] == threaded[0]
-        assert serial[0].rowhammer.results == threaded[0].rowhammer.results
-        assert serial[0].rowpress.results == threaded[0].rowpress.results
-        # The runner's context trained the victim exactly once; worker
-        # threads materialised their private copies from the seeded state.
-        assert runner.context.victims.stats()["misses"] == 1
-
-    def test_chunked_process_pool_is_bit_identical(self):
-        spec = _tiny_comparison_spec()
-        serial = ExperimentRunner(backend=SerialBackend()).run(spec).payload
-        chunked = ExperimentRunner(
-            backend=ProcessPoolBackend(max_workers=2, chunk_size=2)
-        ).run(spec).payload
-        assert serial[0] == chunked[0]
 
     def test_workers_never_train_when_sharing(self, monkeypatch):
         """Seeded process-pool workers materialise; they never train."""

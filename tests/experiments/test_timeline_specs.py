@@ -2,7 +2,7 @@
 
 The ``trr_sampling`` and ``refsync_sweep`` specs ride the same rails as the
 older chip experiments: JSON round-trips through ``spec_from_dict``, stable
-spec hashes, byte-identical stored envelopes across serial / thread /
+spec hashes, byte-identical stored envelopes across the serial and
 process backends, and nan-aware persistence (a refsync cell with zero
 activations has an undefined sampled fraction; it must survive a store
 round-trip as nan and render as ``-`` in reports).
@@ -21,7 +21,6 @@ from repro.experiments import (
     ProcessPoolBackend,
     RefsyncSweepSpec,
     ResultStore,
-    ThreadPoolBackend,
     TrrSamplingSpec,
     spec_from_dict,
     spec_hash,
@@ -115,17 +114,6 @@ class TestBackendDeterminism:
         ExperimentRunner(store=store, backend=backend).run(spec, save_as="exp")
         return store.path_for("exp").read_text()
 
-    @pytest.mark.parametrize(
-        "spec", [SMALL_TRR, SMALL_REFSYNC], ids=["trr", "refsync"]
-    )
-    def test_thread_pool_matches_serial(self, tmp_path, spec):
-        serial = self._stored_bytes(tmp_path, "serial", None, spec)
-        threaded = self._stored_bytes(
-            tmp_path, "thread", ThreadPoolBackend(max_workers=3), spec
-        )
-        assert threaded == serial
-
-    @pytest.mark.slow
     @pytest.mark.parametrize(
         "spec", [SMALL_TRR, SMALL_REFSYNC], ids=["trr", "refsync"]
     )
