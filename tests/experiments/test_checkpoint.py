@@ -11,6 +11,7 @@ from repro.experiments import (
     ChunkCheckpoint,
     DefenseMatrixSpec,
     ExperimentContext,
+    ProcessPoolBackend,
     SerialBackend,
     checkpoint_chunks,
 )
@@ -34,6 +35,26 @@ class TestCheckpointChunks:
 
     def test_small_unit_counts_get_single_unit_chunks(self):
         assert [len(c) for c in checkpoint_chunks(list(range(5)))] == [1] * 5
+
+    @pytest.mark.parametrize(
+        "count, lengths",
+        [
+            (0, []),
+            (1, [1]),
+            (16, [1] * 16),
+            (17, [1] * 17),
+            (40, [2] * 20),
+            (50, [3] * 16 + [2]),
+            (1000, [62] * 16 + [8]),
+        ],
+    )
+    def test_chunk_map_is_pinned(self, count, lengths):
+        # Saved chunk files are keyed by chunk index: a changed map would
+        # make every checkpoint on disk unusable on the next restart.
+        units = list(range(count))
+        chunks = checkpoint_chunks(units)
+        assert [len(c) for c in chunks] == lengths
+        assert [u for chunk in chunks for u in chunk] == units
 
 
 class TestChunkCheckpoint:
@@ -176,6 +197,24 @@ class TestCheckpointedBackend:
         outputs = backend.run_units(spec, units, ExperimentContext())
         assert backend.last_resumed == 0
         assert backend.last_executed == len(checkpoint_chunks(units))
+        expected = SerialBackend().run_units(spec, units, ExperimentContext())
+        assert repr(outputs) == repr(expected)
+
+    @pytest.mark.slow
+    def test_resume_over_process_pool_matches_serial(self, tmp_path):
+        # The process pool cuts units by the same rule, so chunks saved by
+        # a serial run resume under it and the combined outputs agree.
+        spec = _cheap_spec()
+        units = spec.work_units()
+        checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
+        first_chunk = checkpoint_chunks(units)[0]
+        checkpoint.save_chunk(
+            0, SerialBackend().run_units(spec, first_chunk, ExperimentContext())
+        )
+        backend = CheckpointedBackend(ProcessPoolBackend(max_workers=2), checkpoint=checkpoint)
+        outputs = backend.run_units(spec, units, ExperimentContext())
+        assert backend.last_resumed == 1
+        assert backend.last_executed == len(checkpoint_chunks(units)) - 1
         expected = SerialBackend().run_units(spec, units, ExperimentContext())
         assert repr(outputs) == repr(expected)
 

@@ -92,6 +92,15 @@ class TestRunAndReport:
         assert "'sed'" in capsys.readouterr().err
 
 
+class TestBackendChoices:
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_thread_backend_is_rejected(self, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--backend", "thread", "--store", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
 class TestRetiredFailureModelEnv:
     def test_stale_failure_model_variables_are_ignored(self, tmp_path, monkeypatch):
         # Variables of the retired multi-host failure model must neither
@@ -119,6 +128,15 @@ class TestPackageSurface:
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
+
+    def test_retired_execution_paths_are_gone(self):
+        import repro
+        import repro.core
+        import repro.experiments
+
+        assert "compare_mechanisms_for_model" not in repro.__all__
+        assert not hasattr(repro.core, "compare_mechanisms_for_model")
+        assert not hasattr(repro.experiments, "ThreadPoolBackend")
 
     def test_unknown_attribute_raises(self):
         import repro

@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.core.comparison as comparison
+import repro.experiments.runner as runner_module
 
 from repro.core.bfa import BitSearchConfig
 from repro.core.objective import ObjectiveConfig
@@ -20,9 +22,11 @@ from repro.experiments import (
     DefenseMatrixSpec,
     ExperimentRunner,
     FlipSweepSpec,
+    ExperimentContext,
     ProcessPoolBackend,
     SerialBackend,
     VictimCache,
+    checkpoint_chunks,
     make_backend,
 )
 
@@ -75,6 +79,36 @@ class TestProcessBackendQuick:
         parallel = ExperimentRunner(backend=ProcessPoolBackend(max_workers=2)).run(spec).payload
         assert np.array_equal(serial.rowhammer.flips, parallel.rowhammer.flips)
         assert np.array_equal(serial.rowpress.flips, parallel.rowpress.flips)
+
+    def test_pool_tasks_are_the_checkpoint_chunks(self, monkeypatch):
+        # An in-process stand-in for the executor records every task, so
+        # the chunk map the pool submits can be compared with the rule.
+        submitted = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, payload, chunk):
+                submitted.append(list(chunk))
+                future = Future()
+                future.set_result(fn(payload, chunk))
+                return future
+
+        monkeypatch.setattr(runner_module, "_WORKER_CONTEXT", None)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", InlineExecutor)
+        spec = DefenseMatrixSpec(geometry=SMALL_GEOMETRY)
+        units = spec.work_units()
+        outputs = ProcessPoolBackend(max_workers=3).run_units(spec, units, ExperimentContext())
+        assert submitted == [list(chunk) for chunk in checkpoint_chunks(units)]
+        expected = SerialBackend().run_units(spec, units, ExperimentContext())
+        assert repr(outputs) == repr(expected)
 
     def test_chunking_preserves_unit_order(self):
         spec = DefenseMatrixSpec(geometry=SMALL_GEOMETRY)
