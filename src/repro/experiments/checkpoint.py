@@ -140,20 +140,21 @@ class CheckpointedBackend(ExecutionBackend):
     """Wrap a backend so completed chunks survive a daemon crash.
 
     ``run_units`` splits the units with :func:`checkpoint_chunks`, loads
-    every chunk the checkpoint directory already holds, executes only the
-    missing chunks through the inner backend (one inner call per chunk,
-    so each completion is durable the moment it happens), and returns the
-    combined outputs in unit order.  ``last_resumed``/``last_executed``
-    report the split for observability and tests.
-
-    The per-chunk inner calls trade pool amortisation for durability;
-    the service's default serial backend makes that trade free.
+    every chunk the checkpoint directory already holds, hands only the
+    missing chunks to the inner backend's
+    :meth:`~repro.experiments.runner.ExecutionBackend.run_chunks` (one
+    process pool per job), saves each chunk's outputs as they arrive in
+    chunk order, so each completion is durable the moment it is
+    collected, and returns the combined outputs in unit order.
+    ``last_resumed``/``last_executed`` report the split for observability
+    and tests.
 
     A :class:`~repro.utils.resilience.Deadline` assigned to
-    :attr:`deadline` is checked before every chunk: a job whose budget is
-    spent raises ``DeadlineExceeded`` at the next chunk boundary instead
-    of running on — completed chunks stay checkpointed, so a later
-    resubmission with a fresh budget resumes rather than reruns.
+    :attr:`deadline` is checked at every chunk boundary: a job whose
+    budget is spent raises ``DeadlineExceeded`` there instead of running
+    on, and the pool's not-yet-started chunks are cancelled — completed
+    chunks stay checkpointed, so a later resubmission with a fresh budget
+    resumes rather than reruns.
 
     :attr:`checkpoint` and :attr:`deadline` are **thread-bound**: an
     assignment is visible only to the assigning thread (the constructor
@@ -218,16 +219,19 @@ class CheckpointedBackend(ExecutionBackend):
         self.last_resumed = len(completed)
         self.last_executed = 0
         outputs_by_chunk: Dict[int, List[Any]] = dict(completed)
-        for index, chunk in enumerate(chunks):
-            if index in outputs_by_chunk:
-                continue
-            if self.deadline is not None:
-                self.deadline.check("job")
-            chaos.fault_point("service.chunk")
-            outputs = self.inner.run_units(spec, chunk, context)
-            self.checkpoint.save_chunk(index, outputs)
-            outputs_by_chunk[index] = outputs
-            self.last_executed += 1
+        missing = [index for index in range(len(chunks)) if index not in completed]
+        results = self.inner.run_chunks(spec, [chunks[index] for index in missing], context)
+        try:
+            for index in missing:
+                if self.deadline is not None:
+                    self.deadline.check("job")
+                chaos.fault_point("service.chunk")
+                outputs = next(results)
+                self.checkpoint.save_chunk(index, outputs)
+                outputs_by_chunk[index] = outputs
+                self.last_executed += 1
+        finally:
+            results.close()
         combined: List[Any] = []
         for index in range(len(chunks)):
             combined.extend(outputs_by_chunk[index])

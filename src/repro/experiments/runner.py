@@ -22,15 +22,16 @@ Scale machinery:
 * **Chunked unit scheduling** — :func:`checkpoint_chunks` cuts units
   into contiguous chunks that depend only on the unit count.  The pool
   submits one task per chunk, and the checkpointing wrapper
-  (:mod:`repro.experiments.checkpoint`) persists one file per chunk;
-  outputs are flattened in submission order either way.
+  (:mod:`repro.experiments.checkpoint`) persists one file per chunk as
+  :meth:`ExecutionBackend.run_chunks` hands it over; outputs are
+  flattened in submission order either way.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -104,6 +105,21 @@ class ExecutionBackend:
         """Execute every unit, returning outputs in unit order."""
         raise NotImplementedError
 
+    def run_chunks(
+        self,
+        spec: ExperimentSpec,
+        chunks: Sequence[Sequence[Mapping[str, Any]]],
+        context: ExperimentContext,
+    ) -> Generator[List[Any], None, None]:
+        """Yield each chunk's outputs, in chunk order.
+
+        The default runs a chunk only when the caller asks for it, one
+        :meth:`run_units` call per chunk.  A caller that stops early
+        closes the iterator.
+        """
+        for chunk in chunks:
+            yield self.run_units(spec, chunk, context)
+
 
 class SerialBackend(ExecutionBackend):
     """In-process execution sharing the runner's long-lived context."""
@@ -150,20 +166,38 @@ class ProcessPoolBackend(ExecutionBackend):
         units: Sequence[Mapping[str, Any]],
         context: ExperimentContext,
     ) -> List[Any]:
-        if not units:
-            return []
-        workers = self.max_workers or min(len(units), 4)
-        chunks = checkpoint_chunks(units)
+        outputs: List[Any] = []
+        for chunk_outputs in self.run_chunks(spec, checkpoint_chunks(units), context):
+            outputs.extend(chunk_outputs)
+        return outputs
+
+    def run_chunks(
+        self,
+        spec: ExperimentSpec,
+        chunks: Sequence[Sequence[Mapping[str, Any]]],
+        context: ExperimentContext,
+    ) -> Generator[List[Any], None, None]:
+        """Submit every chunk to one pool and yield results in chunk order.
+
+        The pool starts when the first result is requested.  Closing the
+        iterator early cancels the chunks no worker has started and
+        waits for the running ones.
+        """
+        if not chunks:
+            return
+        workers = self.max_workers or min(sum(len(chunk) for chunk in chunks), 4)
         states = _victim_states(spec, context) if self.share_victims else {}
         payload = spec.to_dict()
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(states,)
         ) as pool:
             futures = [pool.submit(_execute_chunk, payload, chunk) for chunk in chunks]
-            outputs: List[Any] = []
-            for future in futures:
-                outputs.extend(future.result())
-        return outputs
+            try:
+                for future in futures:
+                    yield future.result()
+            finally:
+                for future in futures:
+                    future.cancel()
 
 
 BACKENDS = {

@@ -44,7 +44,6 @@ from repro.core.comparison import (
     MechanismOutcome,
     ModelComparisonResult,
     build_deployment_profiles,
-    measure_clean_accuracy,
     run_single_attack,
 )
 from repro.core.mapping import DNN_DEPLOYMENT_GEOMETRY
@@ -333,8 +332,8 @@ class ComparisonSpec(ExperimentSpec):
         )
         if unit["task"] == "clean":
             return {
-                "clean_accuracy": measure_clean_accuracy(
-                    model, dataset, clean_state,
+                "clean_accuracy": context.victims.clean_accuracy(
+                    model_spec, seed=self.seed, training_epochs=self.training_epochs,
                     num_bits=precision_num_bits(self.victim_precision),
                 ),
                 "num_parameters": model.num_parameters(),

@@ -34,7 +34,7 @@ from repro.nn.quantization import (
     quantized_parameters,
     total_quantized_bits,
 )
-from repro.nn.training import TrainingResult, evaluate, evaluate_on_dataset, train
+from repro.nn.training import TrainingResult, evaluate, evaluate_on_dataset, predict, train
 
 __all__ = [
     "Tensor",
@@ -66,5 +66,6 @@ __all__ = [
     "TrainingResult",
     "evaluate",
     "evaluate_on_dataset",
+    "predict",
     "train",
 ]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, ContextManager, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -144,7 +144,15 @@ def compiled_active() -> bool:
 
 
 @contextmanager
-def use(engine: Optional[str]) -> Iterator[bool]:
+def _scope(enabled: bool) -> Iterator[bool]:
+    _ACTIVE.stack.append(enabled)
+    try:
+        yield enabled
+    finally:
+        _ACTIVE.stack.pop()
+
+
+def use(engine: Optional[str]) -> ContextManager[bool]:
     """Activate (or explicitly deactivate) compiled kernels in a scope.
 
     ``use("compiled")`` enables the backend kernels for the current thread,
@@ -153,12 +161,18 @@ def use(engine: Optional[str]) -> Iterator[bool]:
     ``None``) pins the reference kernels for the scope, whatever the
     process default.  Yields whether the compiled tier is actually active.
     """
-    enabled = engine == "compiled" and ensure_available()
-    _ACTIVE.stack.append(enabled)
-    try:
-        yield enabled
-    finally:
-        _ACTIVE.stack.pop()
+    return _scope(engine == "compiled" and ensure_available())
+
+
+def hold() -> ContextManager[bool]:
+    """Fix this thread's current dispatch decision for a scope.
+
+    Inside an enclosing :func:`use` scope the scope's decision carries
+    on; outside any scope the process default is read once here instead
+    of on every dispatch.  Training and evaluation loops, which dispatch
+    thousands of kernels per call, enter this once per call.
+    """
+    return _scope(compiled_active())
 
 
 def active(name: str) -> Optional[Callable]:

@@ -7,7 +7,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn import kernels
+from repro.nn.autograd import Tensor, no_grad
 from repro.nn.data import Dataset
 from repro.nn.loss import accuracy, cross_entropy
 from repro.nn.module import Module
@@ -30,21 +31,28 @@ class TrainingResult:
         return self.train_losses[-1] if self.train_losses else float("nan")
 
 
-def evaluate(model: Module, x: np.ndarray, y: np.ndarray, batch_size: int = 64) -> float:
-    """Top-1 accuracy (%) of ``model`` on the given samples."""
+def predict(model: Module, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """Logits of ``model`` on ``x``, ``batch_size`` samples per forward pass.
+
+    The forward passes run under :class:`~repro.nn.autograd.no_grad`: no
+    graph is built, and the logits are byte-identical to a graph-mode
+    forward's.  The kernel dispatch decision is fixed once for the call
+    (:func:`repro.nn.kernels.hold`), so an enclosing ``kernels.use``
+    scope still decides.
+    """
     check_positive("batch_size", batch_size)
     model.eval()
-    correct_logits = []
-    labels = []
-    for start in range(0, x.shape[0], batch_size):
-        batch_x = x[start : start + batch_size]
-        batch_y = y[start : start + batch_size]
-        logits = model(Tensor(batch_x))
-        correct_logits.append(logits.data)
-        labels.append(batch_y)
-    if not correct_logits:
-        return 0.0
-    return accuracy(np.concatenate(correct_logits), np.concatenate(labels))
+    with no_grad(), kernels.hold():
+        batches = [
+            model(Tensor(x[start : start + batch_size])).data
+            for start in range(0, x.shape[0], batch_size)
+        ]
+    return np.concatenate(batches) if batches else np.empty((0,))
+
+
+def evaluate(model: Module, x: np.ndarray, y: np.ndarray, batch_size: int = 64) -> float:
+    """Top-1 accuracy (%) of ``model`` on the given samples (see :func:`predict`)."""
+    return accuracy(predict(model, x, batch_size=batch_size), y)
 
 
 def evaluate_on_dataset(model: Module, dataset: Dataset, batch_size: int = 64) -> float:
@@ -66,34 +74,37 @@ def train(
 
     The surrogates only need to reach comfortably-above-chance accuracy for
     the attack experiments to be meaningful, so the defaults favour a short
-    training schedule.
+    training schedule.  The kernel dispatch decision is fixed once for
+    the call (:func:`repro.nn.kernels.hold`), so an enclosing
+    ``kernels.use`` scope still decides.
     """
     check_positive("epochs", epochs)
     check_positive("batch_size", batch_size)
     optimizer = optimizer or Adam(model.parameters(), lr=lr)
     result = TrainingResult(epochs=epochs)
 
-    for epoch in range(epochs):
-        model.train()
-        epoch_losses = []
-        epoch_logits = []
-        epoch_labels = []
-        for batch_x, batch_y in dataset.batches(batch_size, seed=seed + epoch, train=True):
-            optimizer.zero_grad()
-            logits = model(Tensor(batch_x))
-            loss = cross_entropy(logits, batch_y)
-            loss.backward()
-            optimizer.step()
-            epoch_losses.append(loss.item())
-            epoch_logits.append(logits.data)
-            epoch_labels.append(batch_y)
-        epoch_loss = float(np.mean(epoch_losses))
-        epoch_accuracy = accuracy(np.concatenate(epoch_logits), np.concatenate(epoch_labels))
-        result.train_losses.append(epoch_loss)
-        result.train_accuracies.append(epoch_accuracy)
-        if verbose:  # pragma: no cover - logging only
-            print(f"epoch {epoch + 1}/{epochs}: loss={epoch_loss:.4f} acc={epoch_accuracy:.2f}%")
+    with kernels.hold():
+        for epoch in range(epochs):
+            model.train()
+            epoch_losses = []
+            epoch_logits = []
+            epoch_labels = []
+            for batch_x, batch_y in dataset.batches(batch_size, seed=seed + epoch, train=True):
+                optimizer.zero_grad()
+                logits = model(Tensor(batch_x))
+                loss = cross_entropy(logits, batch_y)
+                loss.backward()
+                optimizer.step()
+                epoch_losses.append(loss.item())
+                epoch_logits.append(logits.data)
+                epoch_labels.append(batch_y)
+            epoch_loss = float(np.mean(epoch_losses))
+            epoch_accuracy = accuracy(np.concatenate(epoch_logits), np.concatenate(epoch_labels))
+            result.train_losses.append(epoch_loss)
+            result.train_accuracies.append(epoch_accuracy)
+            if verbose:  # pragma: no cover - logging only
+                print(f"epoch {epoch + 1}/{epochs}: loss={epoch_loss:.4f} acc={epoch_accuracy:.2f}%")
 
-    result.test_accuracy = evaluate_on_dataset(model, dataset, batch_size=batch_size)
+        result.test_accuracy = evaluate_on_dataset(model, dataset, batch_size=batch_size)
     model.eval()
     return result

@@ -1,10 +1,19 @@
-"""VictimCache hit/miss semantics (training counted via monkeypatching)."""
+"""VictimCache hit/miss semantics (training counted via monkeypatching) and
+its clean-accuracy memo."""
 
 import numpy as np
 import pytest
 
 import repro.core.comparison as comparison
-from repro.experiments import ExperimentContext, VictimCache, VictimKey
+from repro.core.bfa import BitSearchConfig
+from repro.experiments import (
+    ComparisonSpec,
+    ExperimentContext,
+    ExperimentRunner,
+    ResultStore,
+    VictimCache,
+    VictimKey,
+)
 from repro.models.registry import get_spec
 
 
@@ -177,3 +186,67 @@ class TestContextMemo:
         context.memo(1, builder(1))
         assert built == list(range(bound + 1)) + [1]
         assert len(context._memo) == bound
+
+
+class TestCleanAccuracyMemo:
+    """A warm cache measures each victim's clean accuracy once per precision."""
+
+    SEARCH = BitSearchConfig(max_flips=2, top_k_layers=2, eval_batch_size=32)
+
+    def _spec(self, **overrides):
+        fields = dict(
+            model_keys=("m11",), repetitions=1, attack_batch_size=16, eval_samples=32, search=self.SEARCH,
+            training_epochs=1, seed=5, profile_seed=5,
+        )
+        fields.update(overrides)
+        return ComparisonSpec(**fields)
+
+    @pytest.fixture
+    def measured(self, monkeypatch):
+        """Record every clean-accuracy measurement by deployed precision."""
+        calls = []
+        real = comparison.measure_clean_accuracy
+
+        def spy(model, dataset, clean_state, num_bits=8):
+            calls.append(num_bits)
+            return real(model, dataset, clean_state, num_bits=num_bits)
+
+        monkeypatch.setattr(comparison, "measure_clean_accuracy", spy)
+        return calls
+
+    def test_measured_once_per_victim_and_precision(self, tmp_path, measured):
+        specs = {"a": self._spec(), "b": self._spec(profile_seed=6)}
+        store = ResultStore(tmp_path / "warm")
+        runner = ExperimentRunner(store=store)
+        for name, spec in specs.items():
+            runner.run(spec, save_as=name)
+        assert measured == [8]
+        runner.run(self._spec(victim_precision="int4"))
+        assert measured == [8, 4]
+        # The memoised accuracy is the one a fresh runner measures.
+        for name, spec in specs.items():
+            fresh = ResultStore(tmp_path / f"fresh-{name}")
+            ExperimentRunner(store=fresh).run(spec, save_as=name)
+            assert store.path_for(name).read_bytes() == fresh.path_for(name).read_bytes()
+
+    def test_eviction_and_clear_drop_the_memo(self, counting_prepare, monkeypatch):
+        measured = []
+        monkeypatch.setattr(
+            comparison, "measure_clean_accuracy",
+            lambda model, dataset, clean_state, num_bits=8: measured.append(num_bits) or 50.0,
+        )
+        spec = get_spec("resnet20")
+        cache = VictimCache(max_entries=1)
+        assert cache.clean_accuracy(spec, seed=1) == 50.0
+        cache.clean_accuracy(spec, seed=1)
+        assert measured == [8]
+        cache.get_or_prepare(spec, seed=2)  # evicts seed 1 with its memo
+        cache.clean_accuracy(spec, seed=1)
+        assert measured == [8, 8]
+        cache.clean_accuracy(spec, seed=1, num_bits=4)
+        assert measured == [8, 8, 4]
+        cache.clear()
+        cache.clean_accuracy(spec, seed=1)
+        assert measured == [8, 8, 4, 8]
+        # Only get_or_prepare's own lookups count as hits.
+        assert cache.stats()["hits"] == 0

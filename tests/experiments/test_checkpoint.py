@@ -2,8 +2,11 @@
 
 import hashlib
 import pickle
+from concurrent.futures import Future
 
 import pytest
+
+import repro.experiments.runner as runner_module
 
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
@@ -18,6 +21,7 @@ from repro.experiments import (
 from repro.experiments.checkpoint import _CHUNK_MAGIC, ChaosWriteError
 from repro.testing import chaos
 from repro.testing.chaos import FaultPlan
+from repro.utils.resilience import DeadlineExceeded
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
 
@@ -217,6 +221,60 @@ class TestCheckpointedBackend:
         assert backend.last_executed == len(checkpoint_chunks(units)) - 1
         expected = SerialBackend().run_units(spec, units, ExperimentContext())
         assert repr(outputs) == repr(expected)
+
+    def test_deadline_cancels_the_pools_pending_chunks(self, tmp_path, monkeypatch):
+        # A stand-in executor whose tasks run only when their result is
+        # read, so the chunks still pending when the deadline fires are
+        # observable.
+        submitted = []
+
+        class LazyFuture(Future):
+            def __init__(self, fn, *args):
+                super().__init__()
+                self.call = (fn, args)
+
+            def result(self, timeout=None):
+                if not self.done():
+                    fn, args = self.call
+                    self.set_result(fn(*args))
+                return super().result(timeout)
+
+        class LazyExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, payload, chunk):
+                submitted.append(LazyFuture(fn, payload, chunk))
+                return submitted[-1]
+
+        class ExpiresAfter:
+            def __init__(self, checks):
+                self.checks = checks
+
+            def check(self, what):
+                if self.checks == 0:
+                    raise DeadlineExceeded(what)
+                self.checks -= 1
+
+        monkeypatch.setattr(runner_module, "_WORKER_CONTEXT", None)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", LazyExecutor)
+        spec = _cheap_spec()
+        units = spec.work_units()
+        checkpoint = ChunkCheckpoint(tmp_path / "job")
+        backend = CheckpointedBackend(ProcessPoolBackend(max_workers=2), checkpoint=checkpoint)
+        backend.deadline = ExpiresAfter(3)
+        with pytest.raises(DeadlineExceeded):
+            backend.run_units(spec, units, ExperimentContext())
+        chunks = checkpoint_chunks(units)
+        assert len(submitted) == len(chunks)
+        assert sorted(checkpoint.load()) == [0, 1, 2]
+        assert [future.cancelled() for future in submitted] == [False] * 3 + [True] * (len(chunks) - 3)
 
     def test_empty_units(self, tmp_path):
         backend = CheckpointedBackend(

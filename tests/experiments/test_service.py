@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import repro.experiments.runner as runner_module
+
 from repro.core.bfa import BitSearchConfig
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
@@ -111,6 +113,29 @@ class TestOfflineExecution:
         assert jobs[second["job_id"]] == "cancelled"
         # Only the non-cancelled job produced a result.
         assert len(service.store.names()) == 1
+
+
+class TestProcessBackend:
+    def test_one_pool_per_job_and_serial_bytes(self, tmp_path, monkeypatch):
+        pools = []
+        executor = runner_module.ProcessPoolExecutor
+
+        def counting_executor(*args, **kwargs):
+            pools.append(kwargs)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", counting_executor)
+        spec = DefenseMatrixSpec()
+        service = _service(tmp_path, backend="process", max_workers=2)
+        service._dispatch({"op": "submit", "spec": spec.to_dict(), "name": "dmx"})
+        job = service.process_once()
+        assert job.state == "done", job.error
+        assert service.checkpointed.last_executed == len(spec.work_units())  # one unit a chunk
+        assert len(pools) == 1
+
+        serial_store = ResultStore(tmp_path / "serial")
+        ExperimentRunner(store=serial_store).run(spec, save_as="dmx")
+        assert service.store.path_for("dmx").read_bytes() == serial_store.path_for("dmx").read_bytes()
 
 
 class TestRestartRecovery:

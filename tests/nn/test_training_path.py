@@ -7,7 +7,9 @@ and the conv backward dispatches through the kernel registry
 of columns.  All are pure speed-ups: every trained weight and gradient
 must stay byte-identical to the Tensor-primitive composition and the
 ``tensordot`` backward they replace.
-These tests build those oracles in-test and compare bytes.
+These tests build those oracles in-test and compare bytes.  Evaluation
+runs without a graph, and its logits must equal a graph-mode forward's;
+training and evaluation fix the kernel dispatch once per call.
 """
 
 import numpy as np
@@ -17,13 +19,14 @@ from repro.models.deit import deit_tiny
 from repro.models.m11 import m11
 from repro.models.resnet_cifar import ResNetCifar
 from repro.models.vmamba import vmamba_tiny
-from repro.nn import functional, kernels
+from repro.nn import functional, kernels, training
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.kernels import reference
 from repro.nn.layers import norm
 from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d, LayerNorm
 from repro.nn.loss import cross_entropy
 from repro.nn.optim import Adam
+from repro.nn.quantization import quantize_model
 from repro.utils.rng import derive_rng
 
 BACKEND = kernels.available()
@@ -441,3 +444,80 @@ def test_adopted_gradients_never_share_memory():
             for second in grads[i + 1:]:
                 assert not np.shares_memory(first, second)
 
+
+
+TIERS = ("vectorized", pytest.param("compiled", marks=needs_backend))
+
+
+class TestGradientFreeEvaluate:
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "int8"])
+    @pytest.mark.parametrize("engine", TIERS)
+    @pytest.mark.parametrize("factory", [tiny_resnet, tiny_deit], ids=["resnet_cifar", "deit_tiny"])
+    def test_logits_equal_graph_mode(self, factory, engine, quantized, monkeypatch):
+        model = factory()
+        if quantized:
+            quantize_model(model)
+        model.eval()
+        rng = np.random.default_rng(33)
+        x = rng.standard_normal((13, 3, 8, 8))
+        y = rng.integers(0, 3, size=13)
+        with kernels.use(engine):
+            graph = [model(Tensor(x[start:start + 6])) for start in range(0, 13, 6)]
+        assert all(logits.requires_grad for logits in graph)
+
+        seen = {}
+        forward = model.forward
+
+        def recording_forward(batch):
+            logits = forward(batch)
+            seen.setdefault("requires_grad", []).append(logits.requires_grad)
+            return logits
+
+        def recording_accuracy(logits, labels):
+            seen["logits"] = logits
+            return 0.0
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        monkeypatch.setattr(training, "accuracy", recording_accuracy)
+        with kernels.use(engine):
+            training.evaluate(model, x, y, batch_size=6)
+        assert seen["requires_grad"] == [False, False, False]
+        want = np.concatenate([logits.data for logits in graph])
+        assert seen["logits"].tobytes() == want.tobytes()
+
+
+class TestDispatchScope:
+    """Training and evaluation decide the kernel tier once per call."""
+
+    def _model(self, dataset):
+        return ResNetCifar(depth=8, num_classes=dataset.num_classes, base_width=4, rng=derive_rng(9))
+
+    def test_default_engine_read_a_bounded_number_of_times(self, tiny_dataset, monkeypatch):
+        reads = []
+        dispatches = []
+        default_engine = kernels.default_engine
+        active = kernels.active
+        monkeypatch.setattr(kernels, "default_engine", lambda: reads.append(1) or default_engine())
+        monkeypatch.setattr(kernels, "active", lambda name: dispatches.append(name) or active(name))
+        training.train(self._model(tiny_dataset), tiny_dataset, epochs=1, batch_size=16)
+        assert len(dispatches) > 100
+        assert len(reads) <= 2  # train() and its closing evaluate()
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_outer_scope_still_decides(self, tiny_dataset, monkeypatch, engine):
+        returned = []
+        active = kernels.active
+
+        def spy(name):
+            impl = active(name)
+            returned.append(impl)
+            return impl
+
+        monkeypatch.setattr(kernels, "active", spy)
+        with kernels.use(engine):
+            training.train(self._model(tiny_dataset), tiny_dataset, epochs=1, batch_size=16)
+        assert returned
+        if engine == "vectorized":
+            assert all(impl is None for impl in returned)
+        else:
+            assert any(impl is not None for impl in returned)
