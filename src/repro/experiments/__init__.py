@@ -39,7 +39,7 @@ Quick start::
 
 from repro.core.objective import ObjectiveConfig
 from repro.experiments.cache import ExperimentContext, VictimCache, VictimKey
-from repro.experiments.checkpoint import CheckpointedBackend, ChunkCheckpoint
+from repro.experiments.checkpoint import ChunkCheckpoint, checkpoint_chunks
 from repro.experiments.fsck import (
     FsckIssue,
     FsckReport,
@@ -54,7 +54,6 @@ from repro.experiments.runner import (
     ExperimentRunner,
     ProcessPoolBackend,
     SerialBackend,
-    checkpoint_chunks,
     make_backend,
 )
 from repro.experiments.service import (
@@ -91,7 +90,6 @@ from repro.experiments.store import (
     SCHEMA_VERSION,
     IntegrityError,
     ResultStore,
-    register_codec,
     verify_envelope,
 )
 
@@ -100,7 +98,6 @@ __all__ = [
     "MECHANISMS",
     "SCHEMA_VERSION",
     "SPEC_KINDS",
-    "CheckpointedBackend",
     "ChipProfileOutcome",
     "ChipProfileSpec",
     "ChunkCheckpoint",
@@ -143,7 +140,6 @@ __all__ = [
     "fsck_queue",
     "fsck_store",
     "make_backend",
-    "register_codec",
     "register_spec",
     "spec_from_dict",
     "spec_hash",

@@ -1,12 +1,14 @@
 """Job-level chunk checkpointing: a daemon restart reruns nothing done.
 
 A fleet-scale job decomposes into hundreds of deterministic work-unit
-chunks.  Before this module, a daemon that died mid-job lost *all* of the
-job's progress: queue recovery requeued the job and the retry started
-from unit zero.  :class:`CheckpointedBackend` wraps any execution backend
-and persists each chunk's outputs as they complete (atomic temp-file +
-rename, one pickle per chunk), so the requeued job's retry loads the
-completed chunks from disk and executes only the remainder.
+chunks (:func:`checkpoint_chunks`).  Before this module, a daemon that
+died mid-job lost *all* of the job's progress: queue recovery requeued
+the job and the retry started from unit zero.  When
+:meth:`~repro.experiments.runner.ExperimentRunner.run` is given a
+:class:`ChunkCheckpoint`, it persists each chunk's outputs as they
+complete (atomic temp-file + rename, one pickle per chunk), so the
+requeued job's retry loads the completed chunks from disk
+(:meth:`ChunkCheckpoint.resumable`) and executes only the remainder.
 
 Byte-identity is preserved by construction: chunk boundaries are a pure
 function of the unit count (never of worker count or timing), chunk
@@ -22,15 +24,10 @@ import hashlib
 import os
 import pickle
 import shutil
-import threading
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.experiments.cache import ExperimentContext
-from repro.experiments.runner import ExecutionBackend, checkpoint_chunks
-from repro.experiments.specs import ExperimentSpec
 from repro.testing import chaos
-from repro.utils.resilience import Deadline
 
 PathLike = Union[str, Path]
 
@@ -45,6 +42,20 @@ _CHUNK_PREFIX = "chunk-"
 #: unpickled, and a payload that is not the writer's ``{"owner",
 #: "outputs"}`` dict is never resumed: either way the chunk is rerun.
 _CHUNK_MAGIC = b"ckpt1"
+
+
+def checkpoint_chunks(units: Sequence) -> List[Sequence]:
+    """Split ``units`` into the stable, contiguous chunks work is cut into.
+
+    The boundaries depend only on ``len(units)``, **never** on worker
+    counts or timing, so a restarted job re-derives the identical chunk
+    map and its saved checkpoint files line up.  Sizing targets ~16
+    chunks: fine-grained enough that a crash loses little work and a
+    pool stays busy, coarse enough that checkpoint I/O and task dispatch
+    are noise.
+    """
+    size = max(1, len(units) // 16)
+    return [units[start : start + size] for start in range(0, len(units), size)]
 
 
 class ChaosWriteError(OSError):
@@ -62,8 +73,8 @@ class ChunkCheckpoint:
     ``owner`` (the service passes the job id) is stamped into every chunk
     written and checked on load: a chunk carrying a different owner is a
     foreign file — however it got there — and is skipped, never resumed.
-    The count/length guard in :class:`CheckpointedBackend` catches shape
-    drift; the owner tag catches same-shape foreign outputs it cannot.
+    The chunk-map guard in :meth:`resumable` catches shape drift; the
+    owner tag catches same-shape foreign outputs it cannot.
     """
 
     def __init__(self, directory: PathLike, owner: Optional[str] = None):
@@ -131,108 +142,20 @@ class ChunkCheckpoint:
                 continue
         return completed
 
+    def resumable(self, chunks: Sequence[Sequence]) -> Dict[int, List[Any]]:
+        """The saved chunks that line up with ``chunks``, by chunk index.
+
+        A stale checkpoint whose chunk map no longer matches (the spec
+        changed unit count under the same job id) must not be combined:
+        only indexes in ``0..len(chunks)-1`` whose output count equals
+        that chunk's unit count are kept.
+        """
+        return {
+            index: outputs
+            for index, outputs in self.load().items()
+            if 0 <= index < len(chunks) and len(outputs) == len(chunks[index])
+        }
+
     def clear(self) -> None:
         """Remove the checkpoint directory (job finished; nothing to resume)."""
         shutil.rmtree(self.directory, ignore_errors=True)
-
-
-class CheckpointedBackend(ExecutionBackend):
-    """Wrap a backend so completed chunks survive a daemon crash.
-
-    ``run_units`` splits the units with :func:`checkpoint_chunks`, loads
-    every chunk the checkpoint directory already holds, hands only the
-    missing chunks to the inner backend's
-    :meth:`~repro.experiments.runner.ExecutionBackend.run_chunks` (one
-    process pool per job), saves each chunk's outputs as they arrive in
-    chunk order, so each completion is durable the moment it is
-    collected, and returns the combined outputs in unit order.
-    ``last_resumed``/``last_executed`` report the split for observability
-    and tests.
-
-    A :class:`~repro.utils.resilience.Deadline` assigned to
-    :attr:`deadline` is checked at every chunk boundary: a job whose
-    budget is spent raises ``DeadlineExceeded`` there instead of running
-    on, and the pool's not-yet-started chunks are cancelled — completed
-    chunks stay checkpointed, so a later resubmission with a fresh budget
-    resumes rather than reruns.
-
-    :attr:`checkpoint` and :attr:`deadline` are **thread-bound**: an
-    assignment is visible only to the assigning thread (the constructor
-    binds the constructing thread).  The service runs each watched job on
-    its own worker thread and binds that job's checkpoint/deadline there,
-    so a watchdog-abandoned thread — a job that was slow but not dead —
-    keeps its own binding: it can neither hit a nulled-out checkpoint nor
-    write its chunks into the checkpoint directory of whatever job the
-    daemon claims next.
-    """
-
-    name = "checkpointed"
-
-    def __init__(
-        self,
-        inner: ExecutionBackend,
-        checkpoint: Optional[ChunkCheckpoint] = None,
-    ):
-        self.inner = inner
-        self.last_resumed = 0
-        self.last_executed = 0
-        self._bound = threading.local()
-        if checkpoint is not None:
-            self.checkpoint = checkpoint
-
-    @property
-    def checkpoint(self) -> Optional[ChunkCheckpoint]:
-        """This thread's checkpoint binding (``None`` when unbound)."""
-        return getattr(self._bound, "checkpoint", None)
-
-    @checkpoint.setter
-    def checkpoint(self, value: Optional[ChunkCheckpoint]) -> None:
-        self._bound.checkpoint = value
-
-    @property
-    def deadline(self) -> Optional[Deadline]:
-        """This thread's deadline binding (``None`` when unbound)."""
-        return getattr(self._bound, "deadline", None)
-
-    @deadline.setter
-    def deadline(self, value: Optional[Deadline]) -> None:
-        self._bound.deadline = value
-
-    def run_units(
-        self,
-        spec: ExperimentSpec,
-        units: Sequence[Mapping[str, Any]],
-        context: ExperimentContext,
-    ) -> List[Any]:
-        """Execute ``units``, resuming any chunks already checkpointed."""
-        if not units:
-            return []
-        if self.checkpoint is None:
-            return self.inner.run_units(spec, units, context)
-        chunks = checkpoint_chunks(units)
-        completed = self.checkpoint.load()
-        # A stale checkpoint whose chunk map no longer lines up (the spec
-        # changed unit count under the same job id) must not be combined.
-        stale = [i for i in completed if i >= len(chunks) or len(completed[i]) != len(chunks[i])]
-        for index in stale:
-            del completed[index]
-        self.last_resumed = len(completed)
-        self.last_executed = 0
-        outputs_by_chunk: Dict[int, List[Any]] = dict(completed)
-        missing = [index for index in range(len(chunks)) if index not in completed]
-        results = self.inner.run_chunks(spec, [chunks[index] for index in missing], context)
-        try:
-            for index in missing:
-                if self.deadline is not None:
-                    self.deadline.check("job")
-                chaos.fault_point("service.chunk")
-                outputs = next(results)
-                self.checkpoint.save_chunk(index, outputs)
-                outputs_by_chunk[index] = outputs
-                self.last_executed += 1
-        finally:
-            results.close()
-        combined: List[Any] = []
-        for index in range(len(chunks)):
-            combined.extend(outputs_by_chunk[index])
-        return combined

@@ -19,24 +19,30 @@ Scale machinery:
   pool initializer (:func:`_victim_states`).  Workers materialise private
   models from those states (:meth:`VictimCache.seed_states`) and never
   retrain.
-* **Chunked unit scheduling** — :func:`checkpoint_chunks` cuts units
-  into contiguous chunks that depend only on the unit count.  The pool
-  submits one task per chunk, and the checkpointing wrapper
-  (:mod:`repro.experiments.checkpoint`) persists one file per chunk as
-  :meth:`ExecutionBackend.run_chunks` hands it over; outputs are
-  flattened in submission order either way.
+* **Chunked unit scheduling** — :meth:`ExperimentRunner.run` cuts units
+  with :func:`~repro.experiments.checkpoint.checkpoint_chunks` into
+  contiguous chunks that depend only on the unit count, and takes each
+  chunk's outputs from :meth:`ExecutionBackend.run_chunks` in chunk
+  order.  The pool submits one task per chunk.  A job's
+  :class:`~repro.experiments.checkpoint.ChunkCheckpoint` and
+  :class:`~repro.utils.resilience.Deadline` are arguments of that one
+  call, so resumed chunks are skipped, each new chunk is saved as it
+  arrives, and a spent budget stops the job at a chunk boundary.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.cache import ExperimentContext, VictimCache, VictimKey
+from repro.experiments.checkpoint import ChunkCheckpoint, checkpoint_chunks
 from repro.experiments.specs import ExperimentSpec, spec_from_dict
+from repro.testing import chaos
+from repro.utils.resilience import Deadline
 
 #: Trained clean states by victim key, as handed to parallel workers.
 VictimStates = Dict[VictimKey, Dict[str, np.ndarray]]
@@ -61,20 +67,6 @@ def _execute_chunk(
     return [spec.run_unit(unit, _WORKER_CONTEXT) for unit in units]
 
 
-def checkpoint_chunks(units: Sequence) -> List[Sequence]:
-    """Split ``units`` into the stable, contiguous chunks work is cut into.
-
-    The boundaries depend only on ``len(units)``, **never** on worker
-    counts or timing, so a restarted job re-derives the identical chunk
-    map and its saved checkpoint files line up.  Sizing targets ~16
-    chunks: fine-grained enough that a crash loses little work and a
-    pool stays busy, coarse enough that checkpoint I/O and task dispatch
-    are noise.
-    """
-    size = max(1, len(units) // 16)
-    return [units[start : start + size] for start in range(0, len(units), size)]
-
-
 def _victim_states(spec: ExperimentSpec, context: ExperimentContext) -> VictimStates:
     """The clean state of every victim ``spec`` declares, keyed for seeding.
 
@@ -96,43 +88,35 @@ class ExecutionBackend:
 
     name: str = "base"
 
-    def run_units(
+    def run_chunks(
         self,
         spec: ExperimentSpec,
-        units: Sequence[Mapping[str, Any]],
+        chunks: Sequence[Sequence[Mapping[str, Any]]],
         context: ExperimentContext,
-    ) -> List[Any]:
-        """Execute every unit, returning outputs in unit order."""
+    ) -> Iterator[List[Any]]:
+        """Yield each chunk's outputs (one per unit, in unit order), in chunk order.
+
+        A caller that stops early closes the iterator.
+        """
         raise NotImplementedError
+
+
+class SerialBackend(ExecutionBackend):
+    """In-process execution sharing the runner's long-lived context.
+
+    A chunk runs only when the caller asks for its outputs.
+    """
+
+    name = "serial"
 
     def run_chunks(
         self,
         spec: ExperimentSpec,
         chunks: Sequence[Sequence[Mapping[str, Any]]],
         context: ExperimentContext,
-    ) -> Generator[List[Any], None, None]:
-        """Yield each chunk's outputs, in chunk order.
-
-        The default runs a chunk only when the caller asks for it, one
-        :meth:`run_units` call per chunk.  A caller that stops early
-        closes the iterator.
-        """
+    ) -> Iterator[List[Any]]:
         for chunk in chunks:
-            yield self.run_units(spec, chunk, context)
-
-
-class SerialBackend(ExecutionBackend):
-    """In-process execution sharing the runner's long-lived context."""
-
-    name = "serial"
-
-    def run_units(
-        self,
-        spec: ExperimentSpec,
-        units: Sequence[Mapping[str, Any]],
-        context: ExperimentContext,
-    ) -> List[Any]:
-        return [spec.run_unit(unit, context) for unit in units]
+            yield [spec.run_unit(unit, context) for unit in chunk]
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -160,23 +144,12 @@ class ProcessPoolBackend(ExecutionBackend):
         self.max_workers = max_workers
         self.share_victims = share_victims
 
-    def run_units(
-        self,
-        spec: ExperimentSpec,
-        units: Sequence[Mapping[str, Any]],
-        context: ExperimentContext,
-    ) -> List[Any]:
-        outputs: List[Any] = []
-        for chunk_outputs in self.run_chunks(spec, checkpoint_chunks(units), context):
-            outputs.extend(chunk_outputs)
-        return outputs
-
     def run_chunks(
         self,
         spec: ExperimentSpec,
         chunks: Sequence[Sequence[Mapping[str, Any]]],
         context: ExperimentContext,
-    ) -> Generator[List[Any], None, None]:
+    ) -> Iterator[List[Any]]:
         """Submit every chunk to one pool and yield results in chunk order.
 
         The pool starts when the first result is requested.  Closing the
@@ -251,12 +224,40 @@ class ExperimentRunner:
         self.context = ExperimentContext(victim_cache)
         self.store = store
 
-    def run(self, spec: ExperimentSpec, save_as: Optional[str] = None) -> ExperimentResult:
-        """Execute ``spec`` and (optionally) persist the result."""
+    def run(
+        self,
+        spec: ExperimentSpec,
+        save_as: Optional[str] = None,
+        checkpoint: Optional[ChunkCheckpoint] = None,
+        deadline: Optional[Deadline] = None,
+    ) -> ExperimentResult:
+        """Execute ``spec`` and (optionally) persist the result.
+
+        With a ``checkpoint``, chunks it already holds for this chunk map
+        are resumed rather than rerun, and every chunk run here is saved
+        to it the moment its outputs arrive.  A ``deadline`` is checked
+        before each chunk: a spent budget raises ``DeadlineExceeded``
+        there, and the backend's not-yet-started chunks are cancelled.
+        """
         units = spec.work_units()
-        outputs = self.backend.run_units(spec, units, self.context)
-        payload = spec.combine(units, outputs)
-        result = ExperimentResult(spec=spec, payload=payload)
+        chunks = checkpoint_chunks(units)
+        outputs = checkpoint.resumable(chunks) if checkpoint is not None else {}
+        missing = [index for index in range(len(chunks)) if index not in outputs]
+        results = self.backend.run_chunks(
+            spec, [chunks[index] for index in missing], self.context
+        )
+        try:
+            for index in missing:
+                if deadline is not None:
+                    deadline.check("job")
+                chaos.fault_point("service.chunk")
+                outputs[index] = next(results)
+                if checkpoint is not None:
+                    checkpoint.save_chunk(index, outputs[index])
+        finally:
+            results.close()
+        flat = [output for index in range(len(chunks)) for output in outputs[index]]
+        result = ExperimentResult(spec=spec, payload=spec.combine(units, flat))
         if self.store is not None and save_as:
             self.store.save(save_as, result)
         return result

@@ -39,11 +39,16 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.experiments.cache import VictimCache
-from repro.experiments.checkpoint import CheckpointedBackend, ChunkCheckpoint
+from repro.experiments.checkpoint import ChunkCheckpoint
 from repro.experiments.queue import JobQueue, Job, QueueFullError
 from repro.experiments.runner import ExperimentRunner, make_backend
 from repro.experiments.specs import spec_from_dict
-from repro.experiments.store import ResultStore, check_result_name
+from repro.experiments.store import (
+    IntegrityError,
+    ResultStore,
+    check_result_name,
+    verify_envelope,
+)
 from repro.testing import chaos
 from repro.utils.resilience import Deadline, RetryPolicy
 
@@ -134,12 +139,12 @@ class ExperimentService:
     network daemon; tests drive the same object deterministically with
     :meth:`process_once` / :meth:`drain` and no socket at all.
 
-    Jobs execute through a
-    :class:`~repro.experiments.checkpoint.CheckpointedBackend`: each job's
-    completed chunks are persisted under
-    ``<queue_dir>/checkpoints/<job_id>/`` as they finish, so a daemon
-    killed mid-job and restarted resumes the requeued job from its
-    checkpoints instead of rerunning completed chunks.
+    Each job runs with its own
+    :class:`~repro.experiments.checkpoint.ChunkCheckpoint`: its completed
+    chunks are persisted under ``<queue_dir>/checkpoints/<job_id>/`` as
+    they finish, so a daemon killed mid-job and restarted resumes the
+    requeued job from its checkpoints instead of rerunning completed
+    chunks.
 
     Overload protection: ``max_pending`` bounds the pending queue depth —
     a submission past the bound is *shed* with an ``overloaded`` response
@@ -148,8 +153,8 @@ class ExperimentService:
     wedged backend fails the job (checkpoints kept) rather than hanging
     the daemon forever.  Submissions may carry a priority (claimed first)
     and a deadline (seconds of useful life: expired queued jobs fail
-    fast, a running job's backend gets the remaining budget as a
-    :class:`~repro.utils.resilience.Deadline`).
+    fast, a running job gets the remaining budget as a
+    :class:`~repro.utils.resilience.Deadline`, checked at every chunk).
     """
 
     def __init__(
@@ -173,12 +178,10 @@ class ExperimentService:
         self.registry = VictimCache()
         #: Where per-job chunk checkpoints live (one subdirectory per job).
         self.checkpoint_root = self.queue.directory / "checkpoints"
-        #: The checkpointing wrapper every job executes through.
-        self.checkpointed = CheckpointedBackend(
-            make_backend(backend, max_workers=max_workers)
-        )
         self.runner = ExperimentRunner(
-            backend=self.checkpointed, store=self.store, victim_cache=self.registry
+            backend=make_backend(backend, max_workers=max_workers),
+            store=self.store,
+            victim_cache=self.registry,
         )
         self.host = host
         self.port = port
@@ -201,13 +204,11 @@ class ExperimentService:
     ) -> None:
         """Execute one claimed job through the runner (raises on failure).
 
-        The job's checkpoint and deadline are bound to the *calling*
-        thread (the bindings on
-        :class:`~repro.experiments.checkpoint.CheckpointedBackend` are
-        thread-local): under the watchdog this runs on the job's own
-        worker thread, so an abandoned slow-but-alive job keeps writing
-        into its own checkpoint directory and can never touch the
-        binding of whatever job the daemon claims next.
+        The job's checkpoint and deadline travel as arguments of the
+        runner call, never as state on the shared runner: a
+        watchdog-abandoned, slow-but-alive job keeps writing into its
+        own checkpoint directory and cannot reach the checkpoint of
+        whatever job the daemon claims next.
         """
         # The claim fault point sits inside the caller's try: an injected
         # error fails the job cleanly, while an injected crash leaves it
@@ -215,22 +216,20 @@ class ExperimentService:
         # the next start's queue recovery requeues it and the kept
         # checkpoints resume it.
         chaos.fault_point("service.claim")
-        self.checkpointed.checkpoint = checkpoint
-        self.checkpointed.deadline = deadline
-        try:
-            spec = spec_from_dict(job.spec)
-            self.runner.run(spec, save_as=job.name)
-        finally:
-            self.checkpointed.checkpoint = None
-            self.checkpointed.deadline = None
+        self.runner.run(
+            spec_from_dict(job.spec),
+            save_as=job.name,
+            checkpoint=checkpoint,
+            deadline=deadline,
+        )
 
     def process_once(self) -> Optional[Job]:
         """Claim and run one pending job; ``None`` when the queue is idle.
 
         The synchronous core of the executor thread, exposed so tests (and
         embedders) can drain the queue deterministically without sockets.
-        A job with a deadline hands its remaining budget to the
-        checkpointed backend (checked at every chunk boundary); with
+        A job with a deadline hands its remaining budget to the runner
+        (checked at every chunk boundary); with
         ``watchdog_timeout`` set, the job runs on a watched thread and a
         backend that stops making progress fails the job instead of
         wedging the daemon.
@@ -273,16 +272,14 @@ class ExperimentService:
         daemon moves on.  The wedged thread is a daemon thread, so a
         never-returning backend cannot block process exit either.  An
         abandoned thread that turns out to be slow rather than dead is
-        harmless: its checkpoint binding is thread-local and points at
-        its *own* job's directory, so it cannot contaminate later jobs —
-        it is tracked in :meth:`abandoned_workers` (surfaced by
+        harmless: the only checkpoint it holds is the one it was called
+        with, its *own* job's directory, so it cannot contaminate later
+        jobs — it is tracked in :meth:`abandoned_workers` (surfaced by
         ``health``) until it finishes.
         """
         outcome: Dict[str, Any] = {}
 
         def target() -> None:
-            # Bind checkpoint/deadline *here*, on the worker thread: the
-            # binding must belong to the thread that executes the job.
             try:
                 self._run_job(job, checkpoint, deadline)
                 outcome["done"] = True
@@ -416,7 +413,12 @@ class ExperimentService:
             path = self.store.path_for(request["name"])
             if not path.is_file():
                 return {"ok": False, "error": f"no result named {request['name']!r}"}
-            return {"ok": True, "envelope": json.loads(path.read_text())}
+            envelope = json.loads(path.read_text())
+            try:
+                verify_envelope(path, envelope)
+            except IntegrityError as exc:
+                return {"ok": False, "error": f"IntegrityError: {exc}"}
+            return {"ok": True, "envelope": envelope}
         if op == "shutdown":
             threading.Thread(target=self.stop, daemon=True).start()
             return {"ok": True, "stopping": True}
@@ -603,7 +605,11 @@ class ServiceClient:
         return self._call({"op": "results"})["names"]
 
     def result(self, name: str) -> Dict[str, Any]:
-        """The raw stored envelope (schema/kind/spec/payload) of a result."""
+        """The stored envelope (schema/kind/spec/payload) of a result.
+
+        The daemon checks the envelope's digest first and refuses a
+        corrupted one (``RuntimeError`` carrying the ``IntegrityError``).
+        """
         return self._call({"op": "result", "name": name})["envelope"]
 
     def shutdown(self) -> None:

@@ -19,7 +19,7 @@ in-memory result objects (:class:`ModelComparisonResult`,
 returned.
 
 The ``integrity`` block is a sha256 digest of the envelope's canonical
-content, verified on every load (``verify=False`` opts out), so silent
+content, verified on every load, so silent
 bit-rot in a stored result — or a stripped digest — raises
 :class:`IntegrityError` instead of feeding corrupt numbers into reports.
 Schema version 2 is the only version this build reads.
@@ -32,7 +32,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 from repro.testing import chaos
 from repro.core.comparison import MechanismOutcome, ModelComparisonResult
@@ -348,15 +348,6 @@ _CODECS: Dict[str, tuple] = {
 }
 
 
-def register_codec(
-    kind: str,
-    encode: Callable[[Any], Dict[str, Any]],
-    decode: Callable[[Dict[str, Any]], Any],
-) -> None:
-    """Register (or replace) the payload codec for an experiment kind."""
-    _CODECS[kind] = (encode, decode)
-
-
 class ResultStore:
     """Directory of schema-versioned experiment-result JSON files.
 
@@ -366,22 +357,18 @@ class ResultStore:
     :meth:`names` / :meth:`load` loops) over a large result directory cost
     one ``stat`` per file instead of one full JSON parse.
 
-    ``verify`` controls load-time checksum verification (default on).
-    ``repro fsck`` is the offline scan over the same verification.
+    Every load verifies the envelope's checksum; ``repro fsck`` is the
+    offline scan over the same verification.
     Result names must be a single path component
     (:func:`check_result_name`).
     """
 
-    def __init__(self, directory: PathLike, verify: bool = True):
+    def __init__(self, directory: PathLike):
         self.directory = Path(directory)
-        self.verify = verify
         #: path -> (mtime_ns, size, parsed envelope or None when unreadable
         #: / not a result envelope); entries invalidate themselves whenever
         #: the stat signature stops matching.
         self._index: Dict[Path, tuple] = {}
-        #: Number of result files actually read and JSON-parsed (index hits
-        #: excluded) — lets tests assert how much I/O an operation cost.
-        self.files_parsed = 0
 
     def path_for(self, name: str) -> Path:
         """Filesystem path a result of this name is stored at.
@@ -409,7 +396,6 @@ class ResultStore:
             return cached[2]
         try:
             envelope = json.loads(path.read_text())
-            self.files_parsed += 1
         except (OSError, json.JSONDecodeError):
             envelope = None
         if not (isinstance(envelope, dict) and "schema_version" in envelope):
@@ -422,7 +408,7 @@ class ResultStore:
         try:
             encode, _ = _CODECS[result.kind]
         except KeyError as exc:
-            raise ValueError(f"no result codec registered for kind {result.kind!r}") from exc
+            raise ValueError(f"no result codec for kind {result.kind!r}") from exc
         content = {
             "kind": result.kind,
             "spec": result.spec.to_dict(),
@@ -442,9 +428,9 @@ class ResultStore:
     def _decode_envelope(self, path: Path, envelope: Dict[str, Any]) -> ExperimentResult:
         """Rebuild the in-memory result from a parsed envelope dict.
 
-        Verifies the embedded checksum first (when the store verifies):
-        corrupt content or a missing digest raises :class:`IntegrityError`
-        before any decoding can misread it.
+        Verifies the embedded checksum first: corrupt content or a
+        missing digest raises :class:`IntegrityError` before any decoding
+        can misread it.
         """
         version = envelope.get("schema_version")
         if version != SCHEMA_VERSION:
@@ -452,13 +438,12 @@ class ResultStore:
                 f"{path} has schema version {version!r}; "
                 f"this build reads {SCHEMA_VERSION}"
             )
-        if self.verify:
-            verify_envelope(path, envelope)
+        verify_envelope(path, envelope)
         kind = envelope["kind"]
         try:
             _, decode = _CODECS[kind]
         except KeyError as exc:
-            raise ValueError(f"no result codec registered for kind {kind!r}") from exc
+            raise ValueError(f"no result codec for kind {kind!r}") from exc
         return ExperimentResult(
             spec=spec_from_dict(envelope["spec"]),
             payload=decode(envelope["payload"]),

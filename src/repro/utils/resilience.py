@@ -11,8 +11,8 @@ none of these helpers ever touches experiment randomness.
 * :class:`RetryPolicy` — bounded exponential backoff whose jitter comes
   from a seeded generator, so two replays of the same failing run sleep
   the same schedule (reproducible logs, reproducible tests).
-* :class:`Deadline` — a monotonic time budget that can be shared across
-  nested calls (``remaining()`` shrinks as work proceeds).
+* :class:`Deadline` — a monotonic time budget a daemon job carries down
+  to its chunk boundaries (``remaining()`` shrinks as work proceeds).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Tuple, Type
+from typing import Callable, Iterator
 
 
 class DeadlineExceeded(TimeoutError):
@@ -60,76 +60,28 @@ class RetryPolicy:
             scale = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
             yield delay * scale
 
-    def call(
-        self,
-        fn: Callable[[], Any],
-        retry_on: Tuple[Type[BaseException], ...] = (OSError,),
-        sleep: Callable[[float], None] = time.sleep,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-        deadline: Optional["Deadline"] = None,
-    ) -> Any:
-        """Run ``fn`` up to ``max_attempts`` times, backing off between tries.
-
-        Only exceptions matching ``retry_on`` are retried; the final
-        failure (or a spent ``deadline``) re-raises the last exception.
-        ``on_retry(attempt, error)`` is called before each backoff sleep —
-        use it for logging or counters.
-        """
-        last: Optional[BaseException] = None
-        for attempt, delay in enumerate(list(self.delays()) + [None]):
-            try:
-                return fn()
-            except retry_on as error:  # noqa: PERF203 - retry loop by design
-                last = error
-                if delay is None or (deadline is not None and deadline.expired()):
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, error)
-                if deadline is not None:
-                    delay = min(delay, max(deadline.remaining(), 0.0))
-                sleep(delay)
-        raise last  # pragma: no cover - loop always returns or raises
-
 
 class Deadline:
     """A monotonic time budget shared across nested operations.
 
-    ``Deadline(5.0)`` expires five seconds after construction;
-    ``Deadline(None)`` never expires (an unlimited budget callers can
-    thread through uniformly).  The clock is injectable for deterministic
-    tests.
+    ``Deadline(5.0)`` expires five seconds after construction.  The clock
+    is injectable for deterministic tests.
     """
 
-    def __init__(
-        self,
-        seconds: Optional[float],
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, seconds: float, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self.seconds = seconds
-        self._expires = None if seconds is None else clock() + seconds
-
-    @classmethod
-    def unlimited(cls) -> "Deadline":
-        """A deadline that never expires."""
-        return cls(None)
+        self._expires = clock() + seconds
 
     def remaining(self) -> float:
-        """Seconds left (clamped to 0); ``inf`` for an unlimited deadline."""
-        if self._expires is None:
-            return float("inf")
+        """Seconds left (clamped to 0)."""
         return max(0.0, self._expires - self._clock())
 
     def expired(self) -> bool:
         """Whether the budget is spent."""
-        return self._expires is not None and self._clock() >= self._expires
+        return self._clock() >= self._expires
 
     def check(self, label: str = "operation") -> None:
         """Raise :class:`DeadlineExceeded` when the budget is spent."""
         if self.expired():
             raise DeadlineExceeded(f"{label} exceeded its {self.seconds:.1f}s deadline")
-
-    def extend(self, seconds: float) -> None:
-        """Push the expiry ``seconds`` further out (no-op when unlimited)."""
-        if self._expires is not None:
-            self._expires += seconds

@@ -24,6 +24,7 @@ from repro.experiments import (
     IntegrityError,
     JobQueue,
     ResultStore,
+    checkpoint_chunks,
     fsck_queue,
     fsck_store,
 )
@@ -88,7 +89,7 @@ class TestInterruptedStoreWrite:
 
 @pytest.mark.slow
 class TestDaemonSigkillMidJob:
-    def test_restart_resumes_from_chunk_checkpoints(self, tmp_path):
+    def test_restart_resumes_from_chunk_checkpoints(self, tmp_path, spy_chunk_saves):
         """SIGKILL the daemon mid-job; the restart must resume, not rerun.
 
         A driver process runs the daemon executor with a chaos ``delay``
@@ -96,8 +97,8 @@ class TestDaemonSigkillMidJob:
         first chunk checkpoint lands on disk the driver is SIGKILLed.  A
         fresh service over the same directories requeues the interrupted
         job (queue recovery), resumes the completed chunks from their
-        checkpoints (``last_resumed > 0``) and finishes — byte-identical
-        to the fault-free serial run.
+        checkpoints (it saves fewer chunks than the job has) and finishes
+        — byte-identical to the fault-free serial run.
         """
         spec = _cheap_spec(seed=7)
         expected = _serial_bytes(tmp_path, spec)
@@ -148,8 +149,9 @@ class TestDaemonSigkillMidJob:
         service = ExperimentService(queue_dir=queue_dir, store_dir=store_dir)
         # The interrupted job was requeued by queue recovery, not lost.
         assert len(service.recovery["requeued"]) == 1
+        saved = spy_chunk_saves()
         assert service.drain() == 1
-        assert service.checkpointed.last_resumed > 0
+        assert len(saved) < len(checkpoint_chunks(spec.work_units()))
         (job,) = service.queue.jobs()
         assert job.state == "done"
         assert service.store.path_for("exp").read_text() == expected
@@ -187,13 +189,13 @@ class TestSilentCorruption:
         ExperimentRunner(store=fresh).run(spec, save_as="exp")
         assert fresh.path_for("exp").read_text() == expected
 
-    def test_corrupt_checkpoint_is_dropped_and_rerun(self, tmp_path):
+    def test_corrupt_checkpoint_is_dropped_and_rerun(self, tmp_path, spy_chunk_saves):
         """A corrupted chunk checkpoint must rerun, not poison the resume.
 
         The plan corrupts the first chunk's checkpoint file and then
         errors the job at its third chunk.  The resubmission resumes only
-        the chunk whose checksum frame still verifies (``last_resumed ==
-        1``), silently reruns the corrupted one, and the final envelope
+        the chunk whose checksum frame still verifies (it saves all chunks
+        but one), silently reruns the corrupted one, and the final envelope
         is byte-identical to serial — a flipped bit can never smuggle
         wrong values into a resumed job.
         """
@@ -216,8 +218,10 @@ class TestSilentCorruption:
         kept = list((tmp_path / "queue" / "checkpoints").glob("*/chunk-*.pkl"))
         assert len(kept) == 2
         service._dispatch({"op": "submit", "spec": spec.to_dict(), "name": "exp"})
+        saved = spy_chunk_saves()
         assert service.drain() == 1
-        assert service.checkpointed.last_resumed == 1  # intact chunk only
+        # Only the intact chunk is resumed; every other chunk is saved anew.
+        assert len(saved) == len(checkpoint_chunks(spec.work_units())) - 1
         assert service.store.path_for("exp").read_text() == expected
 
     def test_corrupt_queue_persist_never_resurrects_the_job(self, tmp_path):

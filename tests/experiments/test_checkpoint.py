@@ -10,10 +10,10 @@ import repro.experiments.runner as runner_module
 
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
-    CheckpointedBackend,
     ChunkCheckpoint,
     DefenseMatrixSpec,
     ExperimentContext,
+    ExperimentRunner,
     ProcessPoolBackend,
     SerialBackend,
     checkpoint_chunks,
@@ -118,40 +118,43 @@ class TestChunkCheckpoint:
 
 
 class _CountingBackend(SerialBackend):
-    """Serial backend that records how many units each call executed."""
+    """Serial backend that records how many units each call was handed."""
 
     def __init__(self):
         self.calls = []
 
-    def run_units(self, spec, units, context):
-        self.calls.append(len(units))
-        return super().run_units(spec, units, context)
+    def run_chunks(self, spec, chunks, context):
+        self.calls.append(sum(len(chunk) for chunk in chunks))
+        return super().run_chunks(spec, chunks, context)
 
 
-class TestCheckpointedBackend:
-    def test_passthrough_without_checkpoint(self):
-        inner = _CountingBackend()
-        backend = CheckpointedBackend(inner)
+def _unit_outputs(spec, units):
+    context = ExperimentContext()
+    return [spec.run_unit(unit, context) for unit in units]
+
+
+def _checkpointed_outputs(checkpoint):
+    """Every output the checkpoint holds, flattened in chunk order."""
+    return [output for _, outputs in sorted(checkpoint.load().items()) for output in outputs]
+
+
+class TestCheckpointedRun:
+    """``ExperimentRunner.run(checkpoint=, deadline=)``: resume, save, stop."""
+
+    def test_matches_serial_and_is_durable(self, tmp_path, spy_chunk_saves):
         spec = _cheap_spec()
         units = spec.work_units()
-        outputs = backend.run_units(spec, units, ExperimentContext())
-        assert len(outputs) == len(units)
-        assert inner.calls == [len(units)]  # one inner call, no chunking
-
-    def test_matches_serial_and_is_durable(self, tmp_path):
-        spec = _cheap_spec()
-        units = spec.work_units()
-        expected = SerialBackend().run_units(spec, units, ExperimentContext())
+        expected = ExperimentRunner().run(spec).payload
 
         checkpoint = ChunkCheckpoint(tmp_path / "job")
-        backend = CheckpointedBackend(SerialBackend(), checkpoint=checkpoint)
-        outputs = backend.run_units(spec, units, ExperimentContext())
-        assert repr(outputs) == repr(expected)
-        assert backend.last_resumed == 0
-        assert backend.last_executed == len(checkpoint_chunks(units))
+        saved = spy_chunk_saves()
+        result = ExperimentRunner().run(spec, checkpoint=checkpoint)
+        assert repr(result.payload) == repr(expected)
+        assert saved == list(range(len(checkpoint_chunks(units))))  # nothing resumed
         assert len(checkpoint.load()) == len(checkpoint_chunks(units))
+        assert repr(_checkpointed_outputs(checkpoint)) == repr(_unit_outputs(spec, units))
 
-    def test_resume_skips_completed_chunks(self, tmp_path):
+    def test_resume_skips_completed_chunks(self, tmp_path, spy_chunk_saves):
         spec = _cheap_spec()
         units = spec.work_units()
         checkpoint = ChunkCheckpoint(tmp_path / "job")
@@ -159,35 +162,46 @@ class TestCheckpointedBackend:
         # First attempt "dies" after two chunks: simulate by running only
         # those chunks through the checkpoint directly.
         chunks = checkpoint_chunks(units)
-        context = ExperimentContext()
         for index in (0, 1):
-            checkpoint.save_chunk(
-                index, SerialBackend().run_units(spec, chunks[index], context)
-            )
+            checkpoint.save_chunk(index, _unit_outputs(spec, chunks[index]))
 
         inner = _CountingBackend()
-        backend = CheckpointedBackend(inner, checkpoint=checkpoint)
-        outputs = backend.run_units(spec, units, ExperimentContext())
-        assert backend.last_resumed == 2
-        assert backend.last_executed == len(chunks) - 2
+        saved = spy_chunk_saves()
+        result = ExperimentRunner(backend=inner).run(spec, checkpoint=checkpoint)
+        assert saved == list(range(2, len(chunks)))
         assert sum(inner.calls) == len(units) - len(chunks[0]) - len(chunks[1])
-        expected = SerialBackend().run_units(spec, units, ExperimentContext())
-        assert repr(outputs) == repr(expected)
+        assert repr(result.payload) == repr(ExperimentRunner().run(spec).payload)
+        assert repr(_checkpointed_outputs(checkpoint)) == repr(_unit_outputs(spec, units))
 
-    def test_stale_checkpoints_are_discarded(self, tmp_path):
+    def test_stale_checkpoints_are_discarded(self, tmp_path, spy_chunk_saves):
         spec = _cheap_spec()
         units = spec.work_units()
         checkpoint = ChunkCheckpoint(tmp_path / "job")
         # A checkpoint from a different unit decomposition: wrong length.
         checkpoint.save_chunk(0, ["bogus", "bogus"])
         checkpoint.save_chunk(999, ["beyond the chunk map"])
-        backend = CheckpointedBackend(SerialBackend(), checkpoint=checkpoint)
-        outputs = backend.run_units(spec, units, ExperimentContext())
-        assert backend.last_resumed == 0  # nothing stale was trusted
-        expected = SerialBackend().run_units(spec, units, ExperimentContext())
-        assert repr(outputs) == repr(expected)
+        saved = spy_chunk_saves()
+        result = ExperimentRunner().run(spec, checkpoint=checkpoint)
+        assert saved == list(range(len(checkpoint_chunks(units))))  # nothing stale was trusted
+        assert repr(result.payload) == repr(ExperimentRunner().run(spec).payload)
 
-    def test_headerless_chunk_file_is_rerun(self, tmp_path):
+    def test_negative_chunk_index_is_never_resumed(self, tmp_path, spy_chunk_saves):
+        # ``chunk--00001.pkl`` parses as index -1, and the last chunk's
+        # outputs have the length ``chunks[-1]`` expects: the index range
+        # check alone keeps it out of the resume.
+        spec = _cheap_spec()
+        units = spec.work_units()
+        chunks = checkpoint_chunks(units)
+        checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
+        checkpoint.save_chunk(-1, _unit_outputs(spec, chunks[-1]))
+        assert -1 in checkpoint.load()
+        assert checkpoint.resumable(chunks) == {}
+        saved = spy_chunk_saves()
+        result = ExperimentRunner().run(spec, checkpoint=checkpoint)
+        assert saved == list(range(len(chunks)))
+        assert repr(result.payload) == repr(ExperimentRunner().run(spec).payload)
+
+    def test_headerless_chunk_file_is_rerun(self, tmp_path, spy_chunk_saves):
         # A bare pickle carries no digest and no owner stamp: even with the
         # right outputs for chunk 0 it is never resumed, only rerun.
         spec = _cheap_spec()
@@ -195,32 +209,28 @@ class TestCheckpointedBackend:
         checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
         checkpoint.directory.mkdir(parents=True)
         first_chunk = checkpoint_chunks(units)[0]
-        outputs = SerialBackend().run_units(spec, first_chunk, ExperimentContext())
-        checkpoint.path_for(0).write_bytes(pickle.dumps(outputs))
-        backend = CheckpointedBackend(SerialBackend(), checkpoint=checkpoint)
-        outputs = backend.run_units(spec, units, ExperimentContext())
-        assert backend.last_resumed == 0
-        assert backend.last_executed == len(checkpoint_chunks(units))
-        expected = SerialBackend().run_units(spec, units, ExperimentContext())
-        assert repr(outputs) == repr(expected)
+        checkpoint.path_for(0).write_bytes(pickle.dumps(_unit_outputs(spec, first_chunk)))
+        saved = spy_chunk_saves()
+        result = ExperimentRunner().run(spec, checkpoint=checkpoint)
+        assert saved == list(range(len(checkpoint_chunks(units))))
+        assert repr(result.payload) == repr(ExperimentRunner().run(spec).payload)
+        assert repr(_checkpointed_outputs(checkpoint)) == repr(_unit_outputs(spec, units))
 
     @pytest.mark.slow
-    def test_resume_over_process_pool_matches_serial(self, tmp_path):
+    def test_resume_over_process_pool_matches_serial(self, tmp_path, spy_chunk_saves):
         # The process pool cuts units by the same rule, so chunks saved by
         # a serial run resume under it and the combined outputs agree.
         spec = _cheap_spec()
         units = spec.work_units()
         checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
         first_chunk = checkpoint_chunks(units)[0]
-        checkpoint.save_chunk(
-            0, SerialBackend().run_units(spec, first_chunk, ExperimentContext())
-        )
-        backend = CheckpointedBackend(ProcessPoolBackend(max_workers=2), checkpoint=checkpoint)
-        outputs = backend.run_units(spec, units, ExperimentContext())
-        assert backend.last_resumed == 1
-        assert backend.last_executed == len(checkpoint_chunks(units)) - 1
-        expected = SerialBackend().run_units(spec, units, ExperimentContext())
-        assert repr(outputs) == repr(expected)
+        checkpoint.save_chunk(0, _unit_outputs(spec, first_chunk))
+        saved = spy_chunk_saves()
+        runner = ExperimentRunner(backend=ProcessPoolBackend(max_workers=2))
+        result = runner.run(spec, checkpoint=checkpoint)
+        assert saved == list(range(1, len(checkpoint_chunks(units))))
+        assert repr(result.payload) == repr(ExperimentRunner().run(spec).payload)
+        assert repr(_checkpointed_outputs(checkpoint)) == repr(_unit_outputs(spec, units))
 
     def test_deadline_cancels_the_pools_pending_chunks(self, tmp_path, monkeypatch):
         # A stand-in executor whose tasks run only when their result is
@@ -267,35 +277,46 @@ class TestCheckpointedBackend:
         spec = _cheap_spec()
         units = spec.work_units()
         checkpoint = ChunkCheckpoint(tmp_path / "job")
-        backend = CheckpointedBackend(ProcessPoolBackend(max_workers=2), checkpoint=checkpoint)
-        backend.deadline = ExpiresAfter(3)
+        runner = ExperimentRunner(backend=ProcessPoolBackend(max_workers=2))
         with pytest.raises(DeadlineExceeded):
-            backend.run_units(spec, units, ExperimentContext())
+            runner.run(spec, checkpoint=checkpoint, deadline=ExpiresAfter(3))
         chunks = checkpoint_chunks(units)
         assert len(submitted) == len(chunks)
         assert sorted(checkpoint.load()) == [0, 1, 2]
         assert [future.cancelled() for future in submitted] == [False] * 3 + [True] * (len(chunks) - 3)
 
-    def test_empty_units(self, tmp_path):
-        backend = CheckpointedBackend(
-            SerialBackend(), checkpoint=ChunkCheckpoint(tmp_path / "job")
-        )
-        assert backend.run_units(_cheap_spec(), [], ExperimentContext()) == []
+    def test_results_are_closed_before_the_deadline_error_leaves(self):
+        # The runner closes the backend's iterator itself; nothing is left
+        # for garbage collection to finish.
+        events = []
 
-    def test_checkpoint_and_deadline_bindings_are_thread_local(self, tmp_path):
-        import threading
+        class Recording(SerialBackend):
+            def run_chunks(self, spec, chunks, context):
+                try:
+                    yield from super().run_chunks(spec, chunks, context)
+                finally:
+                    events.append("closed")
 
-        backend = CheckpointedBackend(SerialBackend())
-        backend.checkpoint = ChunkCheckpoint(tmp_path / "mine")
-        seen = {}
+        class ExpiresAfter:
+            def __init__(self, checks):
+                self.checks = checks
 
-        def probe():
-            seen["checkpoint"] = backend.checkpoint  # unbound on this thread
-            backend.checkpoint = ChunkCheckpoint(tmp_path / "other")
+            def check(self, what):
+                if self.checks == 0:
+                    events.append("expired")
+                    raise DeadlineExceeded(what)
+                self.checks -= 1
 
-        thread = threading.Thread(target=probe)
-        thread.start()
-        thread.join()
-        assert seen["checkpoint"] is None
-        # The other thread's assignment never leaks into this thread.
-        assert backend.checkpoint.directory == tmp_path / "mine"
+        runner = ExperimentRunner(backend=Recording())
+        with pytest.raises(DeadlineExceeded):
+            runner.run(_cheap_spec(), deadline=ExpiresAfter(2))
+        assert events == ["expired", "closed"]
+
+    @pytest.mark.parametrize("backend", [SerialBackend(), ProcessPoolBackend(max_workers=2)])
+    def test_empty_units(self, tmp_path, backend):
+        spec = DefenseMatrixSpec(geometry=SMALL_GEOMETRY, defenses=())
+        assert spec.work_units() == []
+        checkpoint = ChunkCheckpoint(tmp_path / "job")
+        result = ExperimentRunner(backend=backend).run(spec, checkpoint=checkpoint)
+        assert result.payload == {}
+        assert checkpoint.load() == {}

@@ -105,10 +105,15 @@ class TestProcessBackendQuick:
         monkeypatch.setattr(runner_module, "ProcessPoolExecutor", InlineExecutor)
         spec = DefenseMatrixSpec(geometry=SMALL_GEOMETRY)
         units = spec.work_units()
-        outputs = ProcessPoolBackend(max_workers=3).run_units(spec, units, ExperimentContext())
-        assert submitted == [list(chunk) for chunk in checkpoint_chunks(units)]
-        expected = SerialBackend().run_units(spec, units, ExperimentContext())
+        chunks = checkpoint_chunks(units)
+        backend = ProcessPoolBackend(max_workers=3)
+        outputs = list(backend.run_chunks(spec, chunks, ExperimentContext()))
+        assert submitted == [list(chunk) for chunk in chunks]
+        expected = list(SerialBackend().run_chunks(spec, chunks, ExperimentContext()))
         assert repr(outputs) == repr(expected)
+        pooled = ExperimentRunner(backend=backend).run(spec).payload
+        assert submitted[len(chunks):] == submitted[: len(chunks)]
+        assert repr(pooled) == repr(ExperimentRunner().run(spec).payload)
 
     def test_chunking_preserves_unit_order(self):
         spec = DefenseMatrixSpec(geometry=SMALL_GEOMETRY)

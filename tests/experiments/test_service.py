@@ -89,11 +89,11 @@ class TestOfflineExecution:
         service._dispatch({"op": "submit", "spec": _cheap_spec(seed=2).to_dict()})
         calls = []
 
-        def boom_once(spec, save_as=None):
+        def boom_once(spec, save_as=None, checkpoint=None, deadline=None):
             calls.append(save_as)
             if len(calls) == 1:
                 raise RuntimeError("boom")
-            return original(spec, save_as=save_as)
+            return original(spec, save_as=save_as, checkpoint=checkpoint, deadline=deadline)
 
         original = service.runner.run
         monkeypatch.setattr(service.runner, "run", boom_once)
@@ -101,6 +101,21 @@ class TestOfflineExecution:
         states = [job.state for job in service.queue.jobs()]
         assert states == ["failed", "done"]
         assert "boom" in service.queue.jobs()[0].error
+
+    def test_result_refuses_a_corrupted_envelope(self, tmp_path):
+        service = _service(tmp_path)
+        service._dispatch({"op": "submit", "spec": _cheap_spec().to_dict(), "name": "dmx"})
+        assert service.process_once().state == "done"
+        assert service._dispatch({"op": "result", "name": "dmx"})["ok"]
+        path = service.store.path_for("dmx")
+        envelope = json.loads(path.read_text())
+        envelope["payload"]["matrix"]["trr"]["rowpress"]["flips_with_defense"] += 1
+        path.write_text(json.dumps(envelope, indent=2))
+        response = service._dispatch({"op": "result", "name": "dmx"})
+        assert not response["ok"]
+        assert response["error"].startswith("IntegrityError: ")
+        assert "digest mismatch" in response["error"]
+        assert "envelope" not in response
 
     def test_cancel_via_protocol(self, tmp_path):
         service = _service(tmp_path)
@@ -116,7 +131,7 @@ class TestOfflineExecution:
 
 
 class TestProcessBackend:
-    def test_one_pool_per_job_and_serial_bytes(self, tmp_path, monkeypatch):
+    def test_one_pool_per_job_and_serial_bytes(self, tmp_path, monkeypatch, spy_chunk_saves):
         pools = []
         executor = runner_module.ProcessPoolExecutor
 
@@ -128,9 +143,10 @@ class TestProcessBackend:
         spec = DefenseMatrixSpec()
         service = _service(tmp_path, backend="process", max_workers=2)
         service._dispatch({"op": "submit", "spec": spec.to_dict(), "name": "dmx"})
+        saved = spy_chunk_saves()
         job = service.process_once()
         assert job.state == "done", job.error
-        assert service.checkpointed.last_executed == len(spec.work_units())  # one unit a chunk
+        assert saved == list(range(len(spec.work_units())))  # one unit a chunk
         assert len(pools) == 1
 
         serial_store = ResultStore(tmp_path / "serial")
@@ -289,16 +305,18 @@ class TestPrioritiesAndDeadlines:
         seen = {}
         original = service.runner.run
 
-        def capture(spec, save_as=None):
-            seen["deadline"] = service.checkpointed.deadline
-            return original(spec, save_as=save_as)
+        def capture(spec, save_as=None, checkpoint=None, deadline=None):
+            seen["deadline"] = deadline
+            return original(spec, save_as=save_as, checkpoint=checkpoint, deadline=deadline)
 
+        runner_state = dict(vars(service.runner))
         monkeypatch.setattr(service.runner, "run", capture)
         job = service.process_once()
         assert job.state == "done"
         assert seen["deadline"] is not None
         assert 0 < seen["deadline"].remaining() <= 60.0
-        assert service.checkpointed.deadline is None  # cleared after the job
+        # The budget is a call argument: the shared runner's state is untouched.
+        assert {k: v for k, v in vars(service.runner).items() if k != "run"} == runner_state
 
 
 class TestWatchdog:
@@ -309,7 +327,7 @@ class TestWatchdog:
         service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})
         release = threading.Event()
         monkeypatch.setattr(
-            service.runner, "run", lambda spec, save_as=None: release.wait(10.0)
+            service.runner, "run", lambda spec, **job: release.wait(10.0)
         )
         job = service.process_once()
         assert job.state == "failed"
@@ -327,7 +345,7 @@ class TestWatchdog:
         service = _service(tmp_path, watchdog_timeout=60.0)
         service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})
 
-        def boom(spec, save_as=None):
+        def boom(spec, save_as=None, checkpoint=None, deadline=None):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(service.runner, "run", boom)
@@ -338,10 +356,9 @@ class TestWatchdog:
         self, tmp_path, monkeypatch
     ):
         """A watchdog-abandoned thread that is slow — not dead — must keep
-        its own job's checkpoint binding: it may never observe a nulled
-        checkpoint (AttributeError) or the *next* job's checkpoint
-        directory, which would let it smuggle foreign chunk outputs into
-        that job's resume."""
+        its own job's checkpoint: it may never hold a nulled checkpoint or
+        the *next* job's checkpoint directory, which would let it smuggle
+        foreign chunk outputs into that job's resume."""
         import threading
 
         service = _service(tmp_path, watchdog_timeout=0.1)
@@ -349,13 +366,13 @@ class TestWatchdog:
         observed = {}
         original = service.runner.run
 
-        def run(spec, save_as=None):
+        def run(spec, save_as=None, checkpoint=None, deadline=None):
             if save_as == "slow":
                 release.wait(10.0)
                 # Recorded from the abandoned worker thread, after the
                 # daemon has already claimed and finished the next job.
-                observed["checkpoint"] = service.checkpointed.checkpoint
-            return original(spec, save_as=save_as)
+                observed["checkpoint"] = checkpoint
+            return original(spec, save_as=save_as, checkpoint=checkpoint, deadline=deadline)
 
         monkeypatch.setattr(service.runner, "run", run)
         service._dispatch({

@@ -153,14 +153,6 @@ class TestIntegrity:
             store.load("r")
         assert issubclass(IntegrityError, ValueError)  # old callers still catch it
 
-    def test_verify_false_skips_the_check(self, tmp_path):
-        store = self._saved(tmp_path)
-        envelope = json.loads(store.path_for("r").read_text())
-        envelope["payload"]["comparisons"][0]["clean_accuracy"] = 11.1
-        store.path_for("r").write_text(json.dumps(envelope, indent=2))
-        trusting = ResultStore(tmp_path, verify=False)
-        assert trusting.load("r").payload[0].clean_accuracy == 11.1
-
     def test_v1_envelope_raises_version_error(self, tmp_path):
         store = self._saved(tmp_path)
         envelope = json.loads(store.path_for("r").read_text())

@@ -21,17 +21,20 @@ Runs in a few seconds; exits non-zero on the first violated invariant.
 
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
+    ChunkCheckpoint,
     DefenseMatrixSpec,
     ExperimentRunner,
     ExperimentService,
     JobQueue,
     ResultStore,
+    checkpoint_chunks,
 )
 from repro.experiments.queue import read_journal
 from repro.testing import chaos
@@ -57,6 +60,23 @@ def _serial_bytes(root, seed):
     store = ResultStore(root / f"serial-{seed}")
     ExperimentRunner(store=store).run(_spec(seed), save_as="exp")
     return store.path_for("exp").read_text()
+
+
+@contextmanager
+def saved_chunks():
+    """Record the index of every chunk checkpoint saved inside the block."""
+    saved = []
+    save_chunk = ChunkCheckpoint.save_chunk
+
+    def spy(self, index, outputs):
+        saved.append(index)
+        return save_chunk(self, index, outputs)
+
+    ChunkCheckpoint.save_chunk = spy
+    try:
+        yield saved
+    finally:
+        ChunkCheckpoint.save_chunk = save_chunk
 
 
 def main() -> int:
@@ -126,9 +146,11 @@ def main() -> int:
         kept = list((root / "q3" / "checkpoints").glob("*/chunk-*.pkl"))
         check(len(kept) == 2, "completed chunks stay checkpointed on failure")
         service._dispatch({"op": "submit", "spec": _spec(seed).to_dict(), "name": "exp"})
-        check(service.drain() == 1, "resubmitted job runs")
+        with saved_chunks() as saved:
+            check(service.drain() == 1, "resubmitted job runs")
+        total = len(checkpoint_chunks(_spec(seed).work_units()))
         check(
-            service.checkpointed.last_resumed == 2,
+            len(saved) == total - 2,
             "retry resumes the checkpointed chunks",
         )
         check(

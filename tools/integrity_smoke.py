@@ -26,18 +26,21 @@ invariant.
 
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
+    ChunkCheckpoint,
     DefenseMatrixSpec,
     ExperimentRunner,
     ExperimentService,
     IntegrityError,
     JobQueue,
     ResultStore,
+    checkpoint_chunks,
     fsck_queue,
     fsck_store,
 )
@@ -65,6 +68,23 @@ def _serial_bytes(root, seed):
     store = ResultStore(root / f"serial-{seed}")
     ExperimentRunner(store=store).run(_spec(seed), save_as="exp")
     return store.path_for("exp").read_text()
+
+
+@contextmanager
+def saved_chunks():
+    """Record the index of every chunk checkpoint saved inside the block."""
+    saved = []
+    save_chunk = ChunkCheckpoint.save_chunk
+
+    def spy(self, index, outputs):
+        saved.append(index)
+        return save_chunk(self, index, outputs)
+
+    ChunkCheckpoint.save_chunk = spy
+    try:
+        yield saved
+    finally:
+        ChunkCheckpoint.save_chunk = save_chunk
 
 
 def main() -> int:
@@ -157,9 +177,11 @@ def main() -> int:
         kept = list((root / "q3" / "checkpoints").glob("*/chunk-*.pkl"))
         check(len(kept) == 2, "both completed chunks stay checkpointed")
         service._dispatch({"op": "submit", "spec": _spec(seed).to_dict(), "name": "exp"})
-        check(service.drain() == 1, "resubmitted job runs")
+        with saved_chunks() as saved:
+            check(service.drain() == 1, "resubmitted job runs")
+        total = len(checkpoint_chunks(_spec(seed).work_units()))
         check(
-            service.checkpointed.last_resumed == 1,
+            len(saved) == total - 1,
             "resume keeps the intact chunk and drops the corrupted one",
         )
         check(
