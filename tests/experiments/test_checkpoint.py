@@ -15,13 +15,14 @@ from repro.experiments import (
     ExperimentContext,
     ExperimentRunner,
     ProcessPoolBackend,
+    ResultStore,
     SerialBackend,
     checkpoint_chunks,
 )
 from repro.experiments.checkpoint import _CHUNK_MAGIC, ChaosWriteError
 from repro.testing import chaos
-from repro.testing.chaos import FaultPlan
-from repro.utils.resilience import DeadlineExceeded
+from repro.testing.chaos import ChaosError, FaultPlan, FaultSpec
+from repro.utils.resilience import Deadline, DeadlineExceeded
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
 
@@ -67,6 +68,28 @@ class TestChunkCheckpoint:
         checkpoint.save_chunk(0, ["a", "b"])
         checkpoint.save_chunk(3, [{"x": 1}])
         assert checkpoint.load() == {0: ["a", "b"], 3: [{"x": 1}]}
+
+    def test_saved_file_is_magic_digest_and_pickled_payload(self, tmp_path):
+        # The on-disk framing is pinned: a changed layout would make every
+        # checkpoint an older build wrote unresumable.
+        checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
+        path = checkpoint.save_chunk(2, ["x", 1.5])
+        blob = pickle.dumps(
+            {"owner": "job-a", "outputs": ["x", 1.5]}, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        assert path == checkpoint.path_for(2)
+        assert path.name == "chunk-000002.pkl"
+        assert path.read_bytes() == _CHUNK_MAGIC + hashlib.sha256(blob).digest() + blob
+
+    def test_resumable_keeps_in_range_chunks_of_matching_length(self, tmp_path):
+        checkpoint = ChunkCheckpoint(tmp_path / "job")
+        chunks = [[1, 2], [3, 4], [5]]
+        checkpoint.save_chunk(0, ["a", "b"])
+        checkpoint.save_chunk(1, ["c"])  # chunk 1 has two units
+        checkpoint.save_chunk(2, ["e"])
+        checkpoint.save_chunk(3, ["f"])  # beyond the chunk map
+        assert checkpoint.resumable(chunks) == {0: ["a", "b"], 2: ["e"]}
+        assert sorted(checkpoint.load()) == [0, 1, 2, 3]  # nothing deleted
 
     def test_truncated_file_is_skipped(self, tmp_path):
         checkpoint = ChunkCheckpoint(tmp_path / "job")
@@ -133,6 +156,19 @@ def _unit_outputs(spec, units):
     return [spec.run_unit(unit, context) for unit in units]
 
 
+def _count_unit_runs(monkeypatch, spec):
+    """Record every unit ``spec``'s class runs from now on."""
+    ran = []
+    run_unit = type(spec).run_unit
+
+    def counting(self, unit, context):
+        ran.append(unit)
+        return run_unit(self, unit, context)
+
+    monkeypatch.setattr(type(spec), "run_unit", counting)
+    return ran
+
+
 def _checkpointed_outputs(checkpoint):
     """Every output the checkpoint holds, flattened in chunk order."""
     return [output for _, outputs in sorted(checkpoint.load().items()) for output in outputs]
@@ -140,6 +176,80 @@ def _checkpointed_outputs(checkpoint):
 
 class TestCheckpointedRun:
     """``ExperimentRunner.run(checkpoint=, deadline=)``: resume, save, stop."""
+
+    def test_without_checkpoint_runs_every_unit_in_one_backend_call(self, spy_chunk_saves):
+        inner = _CountingBackend()
+        spec = _cheap_spec()
+        units = spec.work_units()
+        saved = spy_chunk_saves()
+        result = ExperimentRunner(backend=inner).run(spec)
+        assert inner.calls == [len(units)]  # one backend call carries every chunk
+        assert saved == []
+        assert repr(result.payload) == repr(
+            spec.combine(units, _unit_outputs(spec, units))
+        )
+
+    def test_serial_backend_runs_one_chunk_per_request(self, monkeypatch):
+        spec = _cheap_spec()
+        chunks = checkpoint_chunks(spec.work_units())
+        ran = _count_unit_runs(monkeypatch, spec)
+        results = SerialBackend().run_chunks(spec, chunks, ExperimentContext())
+        assert ran == []
+        first = next(results)
+        assert ran == list(chunks[0]) and len(first) == len(chunks[0])
+        next(results)
+        assert ran == list(chunks[0]) + list(chunks[1])
+        results.close()
+
+    def test_spent_deadline_runs_and_saves_no_chunk(self, tmp_path, monkeypatch, spy_chunk_saves):
+        spec = _cheap_spec()
+        checkpoint = ChunkCheckpoint(tmp_path / "job")
+        ran = _count_unit_runs(monkeypatch, spec)
+        saved = spy_chunk_saves()
+        with pytest.raises(DeadlineExceeded):
+            ExperimentRunner().run(spec, checkpoint=checkpoint, deadline=Deadline(0.0))
+        assert ran == []
+        assert saved == []
+        assert checkpoint.load() == {}
+
+    def test_chunk_fault_keeps_the_chunks_saved_before_it(self, tmp_path, spy_chunk_saves):
+        # The third chunk's fault point fails the run; the retry resumes the
+        # two chunks the first attempt saved and reruns only the rest.
+        spec = _cheap_spec()
+        chunks = checkpoint_chunks(spec.work_units())
+        checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
+        with chaos.active_plan(FaultPlan.single("service.chunk", "error", after=3)):
+            with pytest.raises(ChaosError):
+                ExperimentRunner().run(spec, checkpoint=checkpoint)
+        assert sorted(checkpoint.load()) == [0, 1]
+        saved = spy_chunk_saves()
+        result = ExperimentRunner().run(spec, checkpoint=checkpoint)
+        assert saved == list(range(2, len(chunks)))
+        assert repr(result.payload) == repr(ExperimentRunner().run(spec).payload)
+
+    def test_chunk_fault_point_fires_once_per_missing_chunk(self, tmp_path):
+        spec = _cheap_spec()
+        chunks = checkpoint_chunks(spec.work_units())
+        checkpoint = ChunkCheckpoint(tmp_path / "job")
+        for index in (0, 3):
+            checkpoint.save_chunk(index, _unit_outputs(spec, chunks[index]))
+        every_chunk = FaultPlan(
+            faults=(FaultSpec(point="service.chunk", kind="delay", count=len(chunks) + 1),)
+        )
+        with chaos.active_plan(every_chunk) as plan:
+            ExperimentRunner().run(spec, checkpoint=checkpoint)
+        assert plan.fired == [("service.chunk", "delay")] * (len(chunks) - 2)
+
+    def test_checkpointed_run_stores_the_bytes_of_a_plain_run(self, tmp_path):
+        spec = _cheap_spec()
+        chunks = checkpoint_chunks(spec.work_units())
+        checkpoint = ChunkCheckpoint(tmp_path / "job", owner="job-a")
+        checkpoint.save_chunk(1, _unit_outputs(spec, chunks[1]))
+        plain = ResultStore(tmp_path / "plain")
+        resumed = ResultStore(tmp_path / "resumed")
+        ExperimentRunner(store=plain).run(spec, save_as="dmx")
+        ExperimentRunner(store=resumed).run(spec, save_as="dmx", checkpoint=checkpoint)
+        assert resumed.path_for("dmx").read_bytes() == plain.path_for("dmx").read_bytes()
 
     def test_matches_serial_and_is_durable(self, tmp_path, spy_chunk_saves):
         spec = _cheap_spec()

@@ -153,6 +153,20 @@ class TestIntegrity:
             store.load("r")
         assert issubclass(IntegrityError, ValueError)  # old callers still catch it
 
+    def test_tampered_file_fails_streaming_and_after_a_cached_parse(self, tmp_path):
+        # Verification is not a property of one entry point: the streaming
+        # path checks too, and a store that indexed the file before it was
+        # tampered with rejects the rewritten file as well.
+        store = self._saved(tmp_path)
+        assert store.names() == ["r"]
+        envelope = json.loads(store.path_for("r").read_text())
+        envelope["payload"]["comparisons"][0]["clean_accuracy"] = 11.1
+        store.path_for("r").write_text(json.dumps(envelope, indent=2))
+        with pytest.raises(IntegrityError, match="digest mismatch"):
+            list(store.iter_results())
+        with pytest.raises(IntegrityError, match="digest mismatch"):
+            store.load("r")
+
     def test_v1_envelope_raises_version_error(self, tmp_path):
         store = self._saved(tmp_path)
         envelope = json.loads(store.path_for("r").read_text())

@@ -50,3 +50,13 @@ class TestDeadline:
         assert deadline.remaining() == 0.0
         with pytest.raises(DeadlineExceeded):
             deadline.check("chunk")
+
+    def test_check_passes_until_the_budget_is_spent(self):
+        clock = FakeClock()
+        deadline = Deadline(2.0, clock=clock)
+        deadline.check("job")  # fresh budget: no raise
+        clock.advance(1.999)
+        deadline.check("job")
+        clock.advance(0.001)
+        with pytest.raises(DeadlineExceeded, match="job exceeded its 2.0s deadline"):
+            deadline.check("job")
