@@ -61,7 +61,6 @@ from repro.experiments.service import (
     ServiceClient,
     ServiceOverloadError,
     ServiceUnavailableError,
-    WatchdogTimeout,
 )
 from repro.experiments.specs import (
     MECHANISMS,
@@ -133,7 +132,6 @@ __all__ = [
     "ServiceUnavailableError",
     "VictimCache",
     "VictimKey",
-    "WatchdogTimeout",
     "canonical_spec_json",
     "checkpoint_chunks",
     "default_defense_roster",

@@ -16,8 +16,7 @@ post-quantization clean accuracy per deployed precision
 comparisons re-run on an unchanged victim (a warm daemon, Table I then
 Fig. 7) evaluate the clean test set once.  Attack code must keep the existing
 contract of restoring the clean state (``model.load_state_dict(clean_state)``)
-before mutating weights; :meth:`VictimCache.checkout` does the restore for
-callers that want it done for them.
+before mutating weights.
 """
 
 from __future__ import annotations
@@ -56,21 +55,16 @@ class VictimCache:
     trained: the pool hands them the runner's clean states, registered
     with :meth:`seed_states`.
 
-    ``max_entries`` bounds the number of resident victims: inserting past
-    the bound evicts the least-recently-used entry (an evicted victim is
-    simply re-materialised — or retrained — on its next miss, which is
-    bit-identical because training is deterministic in the key).
-    ``None`` keeps the pre-existing unbounded behaviour.
+    Every victim stays resident until :meth:`clear`.
 
     :meth:`clean_accuracy` memoises each resident victim's clean accuracy
-    per ``num_bits``; the memo is dropped with its victim (eviction,
-    :meth:`clear`).  A process-pool worker memoises only within its own
-    cache, so each worker measures a victim it evaluates once.
+    per ``num_bits``; :meth:`clear` drops the memo with the victims.  A
+    process-pool worker memoises only within its own cache, so each
+    worker measures a victim it evaluates once.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        self.max_entries = max_entries
-        self._victims: "OrderedDict[VictimKey, VictimTriple]" = OrderedDict()
+    def __init__(self) -> None:
+        self._victims: Dict[VictimKey, VictimTriple] = {}
         #: Clean states registered by :meth:`seed_states`; a miss whose key
         #: has one materialises the victim instead of training it
         #: (bit-identical — training is deterministic in the key).
@@ -80,7 +74,6 @@ class VictimCache:
         self.hits = 0
         self.misses = 0
         self.shared_attaches = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._victims)
@@ -104,7 +97,6 @@ class VictimCache:
         key = VictimKey(spec.key, seed, training_epochs)
         cached = self._victims.get(key)
         if cached is not None:
-            self._victims.move_to_end(key)
             self.hits += 1
             return cached
         state = self._seeded_states.get(key)
@@ -117,17 +109,7 @@ class VictimCache:
 
             victim = prepare_victim(spec, seed=seed, training_epochs=training_epochs)
         self._victims[key] = victim
-        self._evict_lru()
         return victim
-
-    def _evict_lru(self) -> None:
-        """Drop least-recently-used victims beyond ``max_entries``."""
-        if self.max_entries is None:
-            return
-        while len(self._victims) > self.max_entries:
-            key, _ = self._victims.popitem(last=False)
-            self._clean_accuracies.pop(key, None)
-            self.evictions += 1
 
     def clean_accuracy(
         self,
@@ -191,19 +173,6 @@ class VictimCache:
         """Like :meth:`get_or_prepare`, addressed by registry key."""
         return self.get_or_prepare(get_spec(model_key), seed=seed, training_epochs=training_epochs)
 
-    def checkout(
-        self,
-        model_key: str,
-        seed: int = 0,
-        training_epochs: Optional[int] = None,
-    ) -> VictimTriple:
-        """Return the victim with its clean state freshly restored."""
-        model, dataset, clean_state = self.get_or_prepare_by_key(
-            model_key, seed=seed, training_epochs=training_epochs
-        )
-        model.load_state_dict(clean_state)
-        return model, dataset, clean_state
-
     def clear(self) -> None:
         """Drop every cached victim (training will rerun on next access)."""
         self._victims.clear()
@@ -216,7 +185,6 @@ class VictimCache:
             "misses": self.misses,
             "entries": len(self._victims),
             "shared_attaches": self.shared_attaches,
-            "evictions": self.evictions,
         }
 
 

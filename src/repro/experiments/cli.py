@@ -302,10 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending", type=int, default=None,
                        help="bound the pending queue depth; submissions past it "
                             "are shed with a retry-after hint instead of queued")
-    serve.add_argument("--watchdog-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="fail any job still running after this wall-clock "
-                            "budget (checkpoints are kept for resume)")
 
     submit = sub.add_parser("submit", help="queue an experiment on a running daemon")
     _add_spec_arguments(submit)
@@ -447,7 +443,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=DEFAULT_PORT if args.port is None else args.port,
         max_pending=args.max_pending,
-        watchdog_timeout=args.watchdog_timeout,
     )
     service.start()
     print(f"experiment service listening on {service.host}:{service.port}")

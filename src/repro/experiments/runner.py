@@ -261,9 +261,3 @@ class ExperimentRunner:
         if self.store is not None and save_as:
             self.store.save(save_as, result)
         return result
-
-    def run_many(
-        self, specs: Mapping[str, ExperimentSpec]
-    ) -> Dict[str, ExperimentResult]:
-        """Run several named experiments, persisting each under its name."""
-        return {name: self.run(spec, save_as=name) for name, spec in specs.items()}

@@ -84,10 +84,6 @@ class ServiceOverloadError(RuntimeError):
         self.retry_after = retry_after
 
 
-class WatchdogTimeout(RuntimeError):
-    """The execution backend wedged: a job exceeded the watchdog budget."""
-
-
 def _pid_alive(pid: int) -> bool:
     """Whether ``pid`` names a live process (signal-0 probe)."""
     try:
@@ -149,12 +145,15 @@ class ExperimentService:
     Overload protection: ``max_pending`` bounds the pending queue depth —
     a submission past the bound is *shed* with an ``overloaded`` response
     carrying a ``retry_after`` estimate instead of being accepted and
-    starved.  ``watchdog_timeout`` bounds a single job's wall-clock; a
-    wedged backend fails the job (checkpoints kept) rather than hanging
-    the daemon forever.  Submissions may carry a priority (claimed first)
-    and a deadline (seconds of useful life: expired queued jobs fail
-    fast, a running job gets the remaining budget as a
+    starved.  Submissions may carry a priority (claimed first) and a
+    deadline (seconds of useful life: expired queued jobs fail fast, a
+    running job gets the remaining budget as a
     :class:`~repro.utils.resilience.Deadline`, checked at every chunk).
+    The deadline is the only time bound on a job.  Every job runs on the
+    thread that claimed it, so only one job at a time touches the runner
+    and its victims; a daemon wedged inside a chunk is stopped by killing
+    it, and the next start requeues the job once and resumes it from its
+    checkpoints.
     """
 
     def __init__(
@@ -166,12 +165,10 @@ class ExperimentService:
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         max_pending: Optional[int] = None,
-        watchdog_timeout: Optional[float] = None,
     ):
         self.queue = JobQueue(queue_dir, max_pending=max_pending)
         self.recovery = self.queue.recover()
         self.store = ResultStore(store_dir)
-        self.watchdog_timeout = watchdog_timeout
         #: The daemon's victim cache, the same object as
         #: ``runner.context.victims``; the name is kept for callers that
         #: read its ``hits``/``misses`` counters.
@@ -194,9 +191,6 @@ class ExperimentService:
         #: (None until the first job finishes) — feeds ``retry_after``.
         self._avg_job_seconds: Optional[float] = None
         self._active_job: Optional[str] = None
-        #: Watchdog-abandoned worker threads (slow-but-alive jobs); pruned
-        #: of finished threads by :meth:`abandoned_workers`.
-        self._abandoned: List[threading.Thread] = []
 
     # -- job execution -------------------------------------------------
     def _run_job(
@@ -205,10 +199,7 @@ class ExperimentService:
         """Execute one claimed job through the runner (raises on failure).
 
         The job's checkpoint and deadline travel as arguments of the
-        runner call, never as state on the shared runner: a
-        watchdog-abandoned, slow-but-alive job keeps writing into its
-        own checkpoint directory and cannot reach the checkpoint of
-        whatever job the daemon claims next.
+        runner call, never as state on the shared runner.
         """
         # The claim fault point sits inside the caller's try: an injected
         # error fails the job cleanly, while an injected crash leaves it
@@ -228,29 +219,23 @@ class ExperimentService:
 
         The synchronous core of the executor thread, exposed so tests (and
         embedders) can drain the queue deterministically without sockets.
-        A job with a deadline hands its remaining budget to the runner
-        (checked at every chunk boundary); with
-        ``watchdog_timeout`` set, the job runs on a watched thread and a
-        backend that stops making progress fails the job instead of
-        wedging the daemon.
+        The job runs on the calling thread.  A job with a deadline hands
+        its remaining budget to the runner, which checks it at every chunk
+        boundary.
         """
         job = self.queue.claim()
         if job is None:
             return None
         started = time.monotonic()
         self._active_job = job.job_id
-        # The owner tag means a chunk written by any other job —
-        # including one a previous watchdog abandoned — is rejected
-        # on resume rather than combined into this job's result.
+        # The owner tag means a chunk written by any other job is
+        # rejected on resume rather than combined into this job's result.
         checkpoint = ChunkCheckpoint(self.checkpoint_root / job.job_id, owner=job.job_id)
         deadline: Optional[Deadline] = None
         if job.deadline is not None:
             deadline = Deadline(max(0.0, job.deadline - time.time()))
         try:
-            if self.watchdog_timeout is None:
-                self._run_job(job, checkpoint, deadline)
-            else:
-                self._run_watched(job, checkpoint, deadline)
+            self._run_job(job, checkpoint, deadline)
         except Exception as exc:  # noqa: BLE001 - job-level isolation
             # Checkpoints are kept on failure: completed chunks are valid
             # (execution is deterministic), so a resubmission resumes them.
@@ -260,50 +245,6 @@ class ExperimentService:
         self._record_duration(time.monotonic() - started)
         checkpoint.clear()
         return self.queue.complete(job.job_id)
-
-    def _run_watched(
-        self, job: Job, checkpoint: ChunkCheckpoint, deadline: Optional[Deadline]
-    ) -> None:
-        """Run a job on a watched thread; raise if the backend wedges.
-
-        The watchdog bounds *wall-clock per job*: a backend that blocks
-        indefinitely (deadlocked pool, unreachable peer with no timeout)
-        is detected here, the job is failed with a clear error, and the
-        daemon moves on.  The wedged thread is a daemon thread, so a
-        never-returning backend cannot block process exit either.  An
-        abandoned thread that turns out to be slow rather than dead is
-        harmless: the only checkpoint it holds is the one it was called
-        with, its *own* job's directory, so it cannot contaminate later
-        jobs — it is tracked in :meth:`abandoned_workers` (surfaced by
-        ``health``) until it finishes.
-        """
-        outcome: Dict[str, Any] = {}
-
-        def target() -> None:
-            try:
-                self._run_job(job, checkpoint, deadline)
-                outcome["done"] = True
-            except BaseException as exc:  # noqa: BLE001 - carried to watcher
-                outcome["error"] = exc
-
-        worker = threading.Thread(
-            target=target, name=f"job-{job.job_id[:8]}", daemon=True
-        )
-        worker.start()
-        worker.join(timeout=self.watchdog_timeout)
-        if worker.is_alive():
-            self._abandoned.append(worker)
-            raise WatchdogTimeout(
-                f"job {job.job_id} exceeded the {self.watchdog_timeout}s "
-                "watchdog budget; backend presumed wedged"
-            )
-        if "error" in outcome:
-            raise outcome["error"]
-
-    def abandoned_workers(self) -> int:
-        """Watchdog-abandoned job threads that are still alive."""
-        self._abandoned = [t for t in self._abandoned if t.is_alive()]
-        return len(self._abandoned)
 
     def _record_duration(self, seconds: float) -> None:
         """Fold one completed job's wall-clock into the EMA."""
@@ -394,7 +335,6 @@ class ExperimentService:
                     "max_pending": self.queue.max_pending,
                     "active_job": self._active_job,
                     "avg_job_seconds": self._avg_job_seconds,
-                    "abandoned_workers": self.abandoned_workers(),
                     "victims": self.registry.stats(),
                 },
             }

@@ -33,9 +33,9 @@ class _GradMode(threading.local):
     """Thread-local graph-construction switch (see :class:`no_grad`).
 
     Each thread carries its own flag so a thread evaluating under
-    ``no_grad`` (the incremental inference engine, a daemon job on its
-    watchdog thread) can never disable graph recording for a thread that
-    is concurrently training or running a gradient pass.
+    ``no_grad`` (the incremental inference engine, a daemon's executor
+    thread) can never disable graph recording for a thread that is
+    concurrently training or running a gradient pass.
     """
 
     enabled = True

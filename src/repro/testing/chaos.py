@@ -24,7 +24,7 @@ Fault kinds
     production handler that tolerates I/O failure tolerates injection).
 ``delay``
     Sleep ``delay`` seconds, then continue — stalls that trip timeouts
-    and watchdogs.
+    and deadlines.
 ``crash``
     ``os._exit(exit_code)`` — the process dies as if SIGKILLed, with no
     atexit/finally cleanup.  Never fired in a process whose

@@ -39,12 +39,12 @@ class TestVictimCache:
         spec = get_spec("resnet20")
         first = cache.get_or_prepare(spec, seed=1)
         assert cache.stats() == {
-            "hits": 0, "misses": 1, "entries": 1, "shared_attaches": 0, "evictions": 0,
+            "hits": 0, "misses": 1, "entries": 1, "shared_attaches": 0,
         }
         second = cache.get_or_prepare(spec, seed=1)
         assert second is first
         assert cache.stats() == {
-            "hits": 1, "misses": 1, "entries": 1, "shared_attaches": 0, "evictions": 0,
+            "hits": 1, "misses": 1, "entries": 1, "shared_attaches": 0,
         }
         assert counting_prepare == [("resnet20", 1, None)]
 
@@ -79,33 +79,15 @@ class TestVictimCache:
         context.victims.get_or_prepare_by_key("resnet20", seed=5)
         assert len(counting_prepare) == 1
 
-
-class TestBoundedCache:
-    def test_lru_eviction_at_max_entries(self, counting_prepare):
-        cache = VictimCache(max_entries=2)
-        cache.get_or_prepare_by_key("resnet20", seed=1)
-        cache.get_or_prepare_by_key("resnet20", seed=2)
-        cache.get_or_prepare_by_key("resnet20", seed=1)  # touch: seed=2 is LRU
-        cache.get_or_prepare_by_key("resnet20", seed=3)
-        assert VictimKey("resnet20", 2, None) not in cache
-        assert VictimKey("resnet20", 1, None) in cache
-        assert cache.stats()["evictions"] == 1
-        assert cache.stats()["entries"] == 2
-
-    def test_evicted_victim_retrains_on_next_miss(self, counting_prepare):
-        cache = VictimCache(max_entries=1)
-        cache.get_or_prepare_by_key("resnet20", seed=1)
-        cache.get_or_prepare_by_key("resnet20", seed=2)  # evicts seed=1
-        cache.get_or_prepare_by_key("resnet20", seed=1)  # deterministic retrain
-        assert [call[1] for call in counting_prepare] == [1, 2, 1]
-
-    def test_unbounded_by_default(self, counting_prepare):
+    def test_keeps_every_victim_it_trains(self, counting_prepare):
         cache = VictimCache()
         for seed in range(10):
             cache.get_or_prepare_by_key("resnet20", seed=seed)
+        for seed in range(10):
+            cache.get_or_prepare_by_key("resnet20", seed=seed)
+        assert len(counting_prepare) == 10
         assert cache.stats() == {
-            "hits": 0, "misses": 10, "entries": 10,
-            "shared_attaches": 0, "evictions": 0,
+            "hits": 10, "misses": 10, "entries": 10, "shared_attaches": 0,
         }
 
 
@@ -133,23 +115,6 @@ class TestSeededStates:
     def test_context_keeps_an_empty_cache_it_is_given(self):
         cache = VictimCache()
         assert ExperimentContext(cache).victims is cache
-
-
-class TestCheckout:
-    def test_checkout_restores_clean_state(self):
-        restored = []
-
-        class FakeModel:
-            def load_state_dict(self, state):
-                restored.append(state)
-
-        cache = VictimCache()
-        key = VictimKey("resnet20", 0, None)
-        clean = {"w": np.ones(2)}
-        cache._victims[key] = (FakeModel(), object(), clean)
-        model, _, state = cache.checkout("resnet20", seed=0)
-        assert restored == [clean]
-        assert state is clean
 
 
 class TestContextMemo:
@@ -229,24 +194,23 @@ class TestCleanAccuracyMemo:
             ExperimentRunner(store=fresh).run(spec, save_as=name)
             assert store.path_for(name).read_bytes() == fresh.path_for(name).read_bytes()
 
-    def test_eviction_and_clear_drop_the_memo(self, counting_prepare, monkeypatch):
+    def test_memo_is_per_precision_and_cleared_with_victims(
+        self, counting_prepare, monkeypatch
+    ):
         measured = []
         monkeypatch.setattr(
             comparison, "measure_clean_accuracy",
             lambda model, dataset, clean_state, num_bits=8: measured.append(num_bits) or 50.0,
         )
         spec = get_spec("resnet20")
-        cache = VictimCache(max_entries=1)
+        cache = VictimCache()
         assert cache.clean_accuracy(spec, seed=1) == 50.0
         cache.clean_accuracy(spec, seed=1)
         assert measured == [8]
-        cache.get_or_prepare(spec, seed=2)  # evicts seed 1 with its memo
-        cache.clean_accuracy(spec, seed=1)
-        assert measured == [8, 8]
         cache.clean_accuracy(spec, seed=1, num_bits=4)
-        assert measured == [8, 8, 4]
+        assert measured == [8, 4]
         cache.clear()
         cache.clean_accuracy(spec, seed=1)
-        assert measured == [8, 8, 4, 8]
+        assert measured == [8, 4, 8]
         # Only get_or_prepare's own lookups count as hits.
         assert cache.stats()["hits"] == 0

@@ -138,6 +138,30 @@ class TestPackageSurface:
         assert not hasattr(repro.core, "compare_mechanisms_for_model")
         assert not hasattr(repro.experiments, "ThreadPoolBackend")
 
+    def test_retired_watchdog_and_cache_surface_is_gone(self, tmp_path, capsys):
+        import repro.experiments
+        from repro.experiments import ExperimentRunner, ExperimentService, VictimCache
+        from repro.experiments.cli import _build_parser
+
+        with pytest.raises(TypeError):
+            ExperimentService(tmp_path / "q", tmp_path / "s", port=0, watchdog_timeout=1)
+        # Parsed, not run: a serve that accepted the flag would block.
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(["serve", "--watchdog-timeout", "5"])
+        assert excinfo.value.code == 2
+        assert "--watchdog-timeout" in capsys.readouterr().err
+        assert not hasattr(repro.experiments, "WatchdogTimeout")
+        assert "WatchdogTimeout" not in repro.experiments.__all__
+        health = ExperimentService(tmp_path / "q", tmp_path / "s", port=0)._dispatch(
+            {"op": "health"}
+        )["health"]
+        assert "abandoned_workers" not in health
+        assert "evictions" not in health["victims"]
+        with pytest.raises(TypeError):
+            VictimCache(max_entries=1)
+        assert not hasattr(VictimCache, "checkout")
+        assert not hasattr(ExperimentRunner, "run_many")
+
     def test_unknown_attribute_raises(self):
         import repro
 

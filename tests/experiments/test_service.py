@@ -19,7 +19,11 @@ from repro.experiments import (
     ServiceOverloadError,
     ServiceUnavailableError,
     TrrSamplingSpec,
+    checkpoint_chunks,
 )
+from repro.experiments.checkpoint import ChunkCheckpoint
+from repro.testing import chaos
+from repro.testing.chaos import FaultPlan
 from repro.utils.resilience import RetryPolicy
 
 SMALL_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=24, cols_per_row=128)
@@ -236,7 +240,7 @@ class TestOverloadProtection:
         assert service.registry is service.runner.context.victims
         assert health["victims"] == service.registry.stats()
         assert set(health["victims"]) == {
-            "hits", "misses", "entries", "shared_attaches", "evictions",
+            "hits", "misses", "entries", "shared_attaches",
         }
 
     def test_client_submit_retries_until_capacity(self, tmp_path, monkeypatch):
@@ -318,88 +322,36 @@ class TestPrioritiesAndDeadlines:
         # The budget is a call argument: the shared runner's state is untouched.
         assert {k: v for k, v in vars(service.runner).items() if k != "run"} == runner_state
 
-
-class TestWatchdog:
-    def test_watchdog_fails_wedged_job(self, tmp_path, monkeypatch):
-        import threading
-
-        service = _service(tmp_path, watchdog_timeout=0.1)
-        service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})
-        release = threading.Event()
-        monkeypatch.setattr(
-            service.runner, "run", lambda spec, **job: release.wait(10.0)
-        )
-        job = service.process_once()
-        assert job.state == "failed"
-        assert "WatchdogTimeout" in job.error and "watchdog" in job.error
-        release.set()  # let the wedged daemon thread finish
-
-    def test_watchdog_passes_healthy_jobs(self, tmp_path):
-        service = _service(tmp_path, watchdog_timeout=60.0)
-        service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})
-        job = service.process_once()
-        assert job.state == "done"
-        assert len(service.store.names()) == 1
-
-    def test_watched_job_errors_propagate(self, tmp_path, monkeypatch):
-        service = _service(tmp_path, watchdog_timeout=60.0)
-        service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})
-
-        def boom(spec, save_as=None, checkpoint=None, deadline=None):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(service.runner, "run", boom)
-        job = service.process_once()
-        assert job.state == "failed" and "boom" in job.error
-
-    def test_abandoned_slow_job_cannot_touch_the_next_jobs_checkpoint(
-        self, tmp_path, monkeypatch
+    def test_deadline_lapses_mid_job_and_resubmission_resumes(
+        self, tmp_path, spy_chunk_saves
     ):
-        """A watchdog-abandoned thread that is slow — not dead — must keep
-        its own job's checkpoint: it may never hold a nulled checkpoint or
-        the *next* job's checkpoint directory, which would let it smuggle
-        foreign chunk outputs into that job's resume."""
-        import threading
+        """The deadline is a job's only time bound: it stops the job at a
+        chunk boundary, and a resubmission saves only the missing chunks."""
+        spec = DefenseMatrixSpec()  # 10 units, one chunk each
+        chunks = checkpoint_chunks(spec.work_units())
+        total = len(chunks)
+        # Every chunk is delayed 0.5 s, so a 2 s budget runs out after at
+        # most 4 chunks; the first chunk's check comes right after claim.
+        plan = FaultPlan.single("service.chunk", "delay", delay=0.5, count=10_000)
+        service = _service(tmp_path)
+        with chaos.active_plan(plan):
+            service._dispatch({
+                "op": "submit", "spec": spec.to_dict(), "name": "dmx", "deadline": 2.0,
+            })
+            job = service.process_once()
+        assert job.state == "failed" and "DeadlineExceeded" in job.error
+        checkpoint = ChunkCheckpoint(service.checkpoint_root / job.job_id, owner=job.job_id)
+        kept = sorted(checkpoint.resumable(chunks))
+        assert 1 <= len(kept) < total
+        assert service.store.names() == []
 
-        service = _service(tmp_path, watchdog_timeout=0.1)
-        release = threading.Event()
-        observed = {}
-        original = service.runner.run
-
-        def run(spec, save_as=None, checkpoint=None, deadline=None):
-            if save_as == "slow":
-                release.wait(10.0)
-                # Recorded from the abandoned worker thread, after the
-                # daemon has already claimed and finished the next job.
-                observed["checkpoint"] = checkpoint
-            return original(spec, save_as=save_as, checkpoint=checkpoint, deadline=deadline)
-
-        monkeypatch.setattr(service.runner, "run", run)
-        service._dispatch({
-            "op": "submit", "spec": _cheap_spec(seed=1).to_dict(), "name": "slow",
-        })
-        slow = service.process_once()
-        assert slow.state == "failed" and "WatchdogTimeout" in slow.error
-        assert service.abandoned_workers() == 1
-        service.watchdog_timeout = 60.0  # the next job is healthy
-        service._dispatch({
-            "op": "submit", "spec": _cheap_spec(seed=2).to_dict(), "name": "fast",
-        })
-        fast = service.process_once()
-        assert fast.state == "done"
-        release.set()
-        (worker,) = service._abandoned
-        worker.join(timeout=10.0)
-        assert not worker.is_alive()
-        assert observed["checkpoint"] is not None
-        assert observed["checkpoint"].directory == (
-            service.checkpoint_root / slow.job_id
-        )
-        assert observed["checkpoint"].owner == slow.job_id
-        assert service.abandoned_workers() == 0
-        # The finished job's result is intact and its checkpoints cleared.
-        assert "fast" in service.store.names()
-        assert not (service.checkpoint_root / fast.job_id).exists()
+        service._dispatch({"op": "submit", "spec": spec.to_dict(), "name": "dmx"})
+        saved = spy_chunk_saves()
+        assert service.process_once().state == "done"
+        assert saved == [index for index in range(total) if index not in kept]
+        serial_store = ResultStore(tmp_path / "serial")
+        ExperimentRunner(store=serial_store).run(spec, save_as="dmx")
+        assert service.store.path_for("dmx").read_bytes() == serial_store.path_for("dmx").read_bytes()
 
 
 class TestStaleEndpoint:
@@ -468,7 +420,7 @@ class TestSocketProtocol:
         client.submit(_cheap_spec().to_dict())
         assert len(client.jobs()) == 1
         stats = client.health()["victims"]
-        assert set(stats) >= {"hits", "misses", "evictions", "entries"}
+        assert set(stats) >= {"hits", "misses", "entries"}
 
     def test_stop_removes_endpoint_file(self, tmp_path):
         service = _service(tmp_path, port=0)

@@ -7,7 +7,11 @@ client, and checks the service invariants that matter:
 1. a submitted job runs to completion and its stored envelope is
    byte-identical to a serial ``ExperimentRunner`` run of the same spec;
 2. resubmitting the same spec deduplicates against the finished job;
-3. a second daemon on the same directories resumes pending work after the
+3. a job whose deadline lapses mid-run (an in-process chaos ``delay`` on
+   every ``service.chunk``) fails with ``DeadlineExceeded``, and the
+   daemon moves on: it answers ``ping`` and the next job stores bytes
+   equal to a serial run, since the deadline is what bounds a job;
+4. a second daemon on the same directories resumes pending work after the
    first one dies without running it, and a third one opens a compacted
    journal (one record per job) that still deduplicates the finished job.
 
@@ -31,6 +35,8 @@ from repro.experiments import (
     ServiceClient,
 )
 from repro.experiments.queue import read_journal
+from repro.testing import chaos
+from repro.testing.chaos import FaultPlan
 
 
 def _spec(seed=7):
@@ -67,14 +73,32 @@ def main() -> int:
                 not again["created"] and again["job_id"] == submitted["job_id"],
                 "identical spec deduplicates",
             )
+
+            # Each chunk sleeps 0.5 s, so a 1 s budget lapses mid-job.
+            plan = FaultPlan.single("service.chunk", "delay", delay=0.5, count=10_000)
+            with chaos.active_plan(plan):
+                late = client.submit(_spec(seed=9).to_dict(), name="late", deadline=1.0)
+                job = client.wait(late["job_id"], timeout=120)
+            check(
+                job["state"] == "failed" and "DeadlineExceeded" in (job["error"] or ""),
+                "job past its deadline fails with DeadlineExceeded",
+            )
+            check(client.ping()["ok"], "daemon answers ping after the lapsed job")
+            following = client.submit(_spec(seed=10).to_dict(), name="following")
+            job = client.wait(following["job_id"], timeout=120)
+            check(job["state"] == "done", "next job completes after the lapsed job")
         finally:
             service.stop()
 
         serial_store = ResultStore(root / "serial")
-        ExperimentRunner(store=serial_store).run(_spec(), save_as="smoke")
-        daemon_env = json.loads(service.store.path_for("smoke").read_text())
-        serial_env = json.loads(serial_store.path_for("smoke").read_text())
-        check(daemon_env == serial_env, "daemon result bit-identical to serial")
+        serial_runner = ExperimentRunner(store=serial_store)
+        for name, seed in (("smoke", 7), ("following", 10)):
+            serial_runner.run(_spec(seed=seed), save_as=name)
+            check(
+                service.store.path_for(name).read_bytes()
+                == serial_store.path_for(name).read_bytes(),
+                f"daemon result {name!r} bit-identical to serial",
+            )
 
         # Restart resume: submit without processing, then let a new daemon
         # on the same directories drain the queue.
@@ -97,7 +121,9 @@ def main() -> int:
     if failures:
         print(f"service smoke FAILED ({len(failures)} problem(s))")
         return 1
-    print("service smoke passed: queue, dedup, restart resume and serial parity")
+    print(
+        "service smoke passed: queue, dedup, deadline, restart resume and serial parity"
+    )
     return 0
 
 
