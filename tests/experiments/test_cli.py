@@ -138,9 +138,9 @@ class TestPackageSurface:
         assert not hasattr(repro.core, "compare_mechanisms_for_model")
         assert not hasattr(repro.experiments, "ThreadPoolBackend")
 
-    def test_retired_watchdog_and_cache_surface_is_gone(self, tmp_path, capsys):
+    def test_retired_watchdog_surface_is_gone(self, tmp_path, capsys):
         import repro.experiments
-        from repro.experiments import ExperimentRunner, ExperimentService, VictimCache
+        from repro.experiments import ExperimentService
         from repro.experiments.cli import _build_parser
 
         with pytest.raises(TypeError):
@@ -156,6 +156,13 @@ class TestPackageSurface:
             {"op": "health"}
         )["health"]
         assert "abandoned_workers" not in health
+
+    def test_retired_cache_surface_is_gone(self, tmp_path):
+        from repro.experiments import ExperimentRunner, ExperimentService, VictimCache
+
+        health = ExperimentService(tmp_path / "q", tmp_path / "s", port=0)._dispatch(
+            {"op": "health"}
+        )["health"]
         assert "evictions" not in health["victims"]
         with pytest.raises(TypeError):
             VictimCache(max_entries=1)

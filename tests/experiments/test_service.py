@@ -2,6 +2,8 @@
 daemon-vs-serial bit-identity acceptance."""
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -352,6 +354,134 @@ class TestPrioritiesAndDeadlines:
         serial_store = ResultStore(tmp_path / "serial")
         ExperimentRunner(store=serial_store).run(spec, save_as="dmx")
         assert service.store.path_for("dmx").read_bytes() == serial_store.path_for("dmx").read_bytes()
+
+
+class TestOneJobAtATime:
+    """Every job runs on the thread that claimed it, one job at a time, so
+    no two jobs ever attack the daemon's cached victims together."""
+
+    def test_job_runs_on_the_thread_that_claimed_it(self, tmp_path, monkeypatch):
+        service = _service(tmp_path)
+        service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})
+        threads = []
+        original = service.runner.run
+
+        def record(spec, **job):
+            threads.append(threading.current_thread())
+            return original(spec, **job)
+
+        monkeypatch.setattr(service.runner, "run", record)
+        before = set(threading.enumerate())
+        assert service.process_once().state == "done"
+        assert threads == [threading.current_thread()]
+        # No worker thread is started for the job, nor left behind by it.
+        assert set(threading.enumerate()) == before
+
+    def test_daemon_never_overlaps_jobs(self, tmp_path, monkeypatch):
+        service = _service(tmp_path, port=0)
+        lock = threading.Lock()
+        in_flight = []
+        seen = []
+        original = service.runner.run
+
+        def tracked(spec, **job):
+            with lock:
+                in_flight.append(threading.current_thread())
+                seen.append(list(in_flight))
+            try:
+                return original(spec, **job)
+            finally:
+                with lock:
+                    in_flight.remove(threading.current_thread())
+
+        monkeypatch.setattr(service.runner, "run", tracked)
+        # Slow chunks keep each job running while the next ones queue up.
+        plan = FaultPlan.single("service.chunk", "delay", delay=0.05, count=10_000)
+        with chaos.active_plan(plan):
+            service.start()
+            try:
+                client = ServiceClient(queue_dir=tmp_path / "queue")
+                job_ids = [
+                    client.submit(_cheap_spec(seed=seed).to_dict())["job_id"]
+                    for seed in (1, 2, 3)
+                ]
+                states = [client.wait(job_id, timeout=120)["state"] for job_id in job_ids]
+            finally:
+                service.stop()
+        assert states == ["done"] * 3
+        assert [len(running) for running in seen] == [1, 1, 1]
+        # All three ran on the one executor thread.
+        assert len({running[0] for running in seen}) == 1
+        assert seen[0][0] is not threading.current_thread()
+
+    def test_daemon_serves_the_next_job_after_a_deadline_failure(self, tmp_path):
+        # Every chunk is delayed 0.5 s, so the 2 s deadline lapses mid-job.
+        plan = FaultPlan.single("service.chunk", "delay", delay=0.5, count=10_000)
+        spec = _cheap_spec(seed=2)
+        service = _service(tmp_path, port=0)
+        service.start()
+        try:
+            client = ServiceClient(queue_dir=tmp_path / "queue")
+            with chaos.active_plan(plan):
+                late = client.submit(_cheap_spec(seed=1).to_dict(), name="late", deadline=2.0)
+                job = client.wait(late["job_id"], timeout=120)
+            assert job["state"] == "failed" and "DeadlineExceeded" in job["error"]
+            assert client.ping()["ok"]
+            on_time = client.submit(spec.to_dict(), name="next")
+            assert client.wait(on_time["job_id"], timeout=120)["state"] == "done"
+            assert client.results() == ["next"]
+            daemon_bytes = service.store.path_for("next").read_bytes()
+        finally:
+            service.stop()
+        serial_store = ResultStore(tmp_path / "serial")
+        ExperimentRunner(store=serial_store).run(spec, save_as="next")
+        assert daemon_bytes == serial_store.path_for("next").read_bytes()
+
+    def test_stop_finishes_the_in_flight_job(self, tmp_path):
+        plan = FaultPlan.single("service.chunk", "delay", delay=0.1, count=10_000)
+        service = _service(tmp_path, port=0)
+        with chaos.active_plan(plan):
+            service.start()
+            try:
+                client = ServiceClient(queue_dir=tmp_path / "queue")
+                response = client.submit(_cheap_spec().to_dict(), name="matrix")
+                give_up = time.monotonic() + 60
+                while client.status(response["job_id"])["state"] == "pending":
+                    assert time.monotonic() < give_up, "the job was never claimed"
+                    time.sleep(0.01)
+            finally:
+                service.stop()
+        assert service.queue.get(response["job_id"]).state == "done"
+        assert service.store.names() == ["matrix"]
+        assert not (service.checkpoint_root / response["job_id"]).exists()
+
+    def test_consecutive_jobs_on_one_warm_victim_match_serial(self, tmp_path):
+        """Two jobs attack the same cached victim one after the other; each
+        stores the bytes of a fresh serial run."""
+        specs = {
+            f"p{profile_seed}": ComparisonSpec(
+                model_keys=("m11",),
+                repetitions=2,
+                training_epochs=1,
+                search=BitSearchConfig(max_flips=8, top_k_layers=2, eval_batch_size=32),
+                eval_samples=32,
+                seed=3,
+                profile_seed=profile_seed,
+            )
+            for profile_seed in (1, 2)
+        }
+        service = _service(tmp_path)
+        for name, spec in specs.items():
+            service._dispatch({"op": "submit", "spec": spec.to_dict(), "name": name})
+        assert service.drain() == 2
+        assert service.registry.stats()["misses"] == 1  # one victim, shared
+        for name, spec in specs.items():
+            serial_store = ResultStore(tmp_path / f"serial-{name}")
+            ExperimentRunner(store=serial_store).run(spec, save_as=name)
+            assert (
+                service.store.path_for(name).read_bytes()
+                == serial_store.path_for(name).read_bytes()
+            )
 
 
 class TestStaleEndpoint:
