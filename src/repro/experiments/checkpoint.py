@@ -21,13 +21,12 @@ chaos suite asserts this byte-for-byte after SIGKILLing a daemon mid-job.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import shutil
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.testing import chaos
+from repro.utils.resilience import ChaosWriteError, atomic_write  # noqa: F401 - re-exported
 
 PathLike = Union[str, Path]
 
@@ -58,10 +57,6 @@ def checkpoint_chunks(units: Sequence) -> List[Sequence]:
     return [units[start : start + size] for start in range(0, len(units), size)]
 
 
-class ChaosWriteError(OSError):
-    """A cooperatively injected write failure (see ``checkpoint.write``)."""
-
-
 class ChunkCheckpoint:
     """Directory of per-chunk output pickles for one job.
 
@@ -89,23 +84,16 @@ class ChunkCheckpoint:
         """Atomically persist one chunk's outputs; returns the written path.
 
         The file is ``magic + sha256(payload) + payload`` so silent
-        corruption (including the chaos ``corrupt`` kind, which flips one
-        bit of the committed file) is always caught by :meth:`load`.
+        corruption (including the chaos ``corrupt`` kind at
+        ``checkpoint.write``, which flips one bit of the committed file)
+        is always caught by :meth:`load`; ``partial_write`` there raises
+        :class:`~repro.utils.resilience.ChaosWriteError`.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(index)
-        tmp = path.with_suffix(".pkl.tmp")
         payload = {"owner": self.owner, "outputs": outputs}
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        framed = _CHUNK_MAGIC + hashlib.sha256(blob).digest() + blob
-        action = chaos.fault_point("checkpoint.write")
-        if action == "partial_write":
-            tmp.write_bytes(framed[: max(1, len(framed) // 2)])
-            raise ChaosWriteError(f"injected partial checkpoint write at chunk {index}")
-        if action == "corrupt":
-            framed = chaos.corrupt_bytes(framed, "checkpoint.write")
-        tmp.write_bytes(framed)
-        os.replace(tmp, path)
+        atomic_write(path, _CHUNK_MAGIC + hashlib.sha256(blob).digest() + blob, "checkpoint.write")
         return path
 
     def load(self) -> Dict[int, List[Any]]:

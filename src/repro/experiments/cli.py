@@ -408,8 +408,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
     if args.all:
         rendered = 0
-        # iter_results decodes lazily, so this holds one decoded result at
-        # a time; the store's index still caches every parsed envelope.
+        # iter_results reads and decodes each file only when reached, so
+        # this holds one envelope and one decoded result at a time.
         for name, result in store.iter_results():
             print(_render_report(name, result))
             rendered += 1

@@ -21,14 +21,14 @@ Design rules:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.experiments.queue import JOURNAL_FILE, read_journal
-from repro.experiments.store import SCHEMA_VERSION, _content_digest, _envelope_content
+from repro.experiments.store import read_envelope
+from repro.utils.resilience import atomic_write
 
 PathLike = Union[str, Path]
 
@@ -109,52 +109,16 @@ def _quarantine_target(path: Path, root: Path) -> Path:
     return target
 
 
-def _check_envelope_file(path: Path) -> Tuple[str, str]:
-    """Classify one result file: ``(verdict, detail)``.
-
-    Verdict is ``ok`` / ``foreign`` / ``unreadable`` / ``digest-mismatch``.
-    Detection is belt-and-braces: the content digest catches value
-    corruption, and a byte-exact comparison against the canonical
-    serialisation catches flips the digest cannot see (whitespace, a
-    mangled key name) — every envelope is machine-written in exactly one
-    format, so any drift from it is damage, not style.  Files that are
-    not envelopes at all (no schema marker, no integrity block) are
-    ``foreign`` and never flagged — fsck must report zero false positives
-    on clean trees.
-    """
-    try:
-        raw = path.read_text()
-        envelope = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as exc:
-        return "unreadable", f"{type(exc).__name__}: {exc}"
-    if not isinstance(envelope, dict):
-        return "foreign", "not a result envelope"
-    version = envelope.get("schema_version")
-    integrity = envelope.get("integrity")
-    has_integrity = isinstance(integrity, dict)
-    if version != SCHEMA_VERSION:
-        if has_integrity or version is not None:
-            # Envelope-like but mislabeled: a flipped bit in the schema
-            # marker (or an envelope this build no longer reads) is
-            # untrustworthy, not a foreign file.
-            return "unreadable", f"bad schema version {version!r}"
-        return "foreign", "not a result envelope"
-    if not has_integrity:
-        return "digest-mismatch", "envelope missing its integrity block"
-    computed = _content_digest(_envelope_content(envelope))
-    stored = integrity.get("digest")
-    if computed != stored:
-        return "digest-mismatch", f"stored {stored!r}, computed {computed!r}"
-    if raw != json.dumps(envelope, indent=2, allow_nan=False):
-        return "digest-mismatch", "file bytes differ from the canonical serialisation"
-    return "ok", ""
-
-
 def fsck_store(directory: PathLike, quarantine: bool = False) -> FsckReport:
     """Scan a result store; verify and optionally quarantine.
 
-    Walks every ``*.json`` file in the store directory, verifies
-    envelopes, and reports the untrustworthy ones.  With
+    Walks every ``*.json`` file in the store directory, judges it with
+    the store's own reader (:func:`~repro.experiments.store.read_envelope`)
+    and reports the untrustworthy ones.  On top of what ``load`` checks,
+    fsck flags a verified envelope whose file bytes differ from the
+    canonical serialisation: every envelope is machine-written in exactly
+    one format, so drift from it is damage, not style.  Files that are not
+    envelopes at all are skipped, so a clean tree has zero findings.  With
     ``quarantine=True`` the corrupt files are moved to
     ``<directory>/quarantine/`` and the report's issues say so (a second
     fsck is clean).
@@ -165,13 +129,16 @@ def fsck_store(directory: PathLike, quarantine: bool = False) -> FsckReport:
         return report
     for path in sorted(root.glob("*.json")):
         report.scanned += 1
-        verdict, detail = _check_envelope_file(path)
-        if verdict == "ok":
+        read = read_envelope(path)
+        problem, detail = read.verdict, read.detail
+        if problem == "ok" and not read.canonical:
+            problem, detail = "digest-mismatch", "file bytes differ from the canonical serialisation"
+        if problem == "ok":
             report.verified += 1
             continue
-        if verdict == "foreign":
+        if problem == "foreign":
             continue  # not ours: never a false positive
-        issue = FsckIssue(path=path, problem=verdict, detail=detail)
+        issue = FsckIssue(path, problem, detail)
         if quarantine:
             issue.path = _quarantine_target(path, root)
             os.replace(path, issue.path)
@@ -206,9 +173,7 @@ def fsck_queue(directory: PathLike, quarantine: bool = False) -> FsckReport:
     if quarantine and bad:
         target = _quarantine_target(path, root)
         target.write_bytes(b"".join(line.raw + b"\n" for line in bad))
-        tmp = path.with_suffix(".jsonl.tmp")
-        tmp.write_bytes(b"".join(line.raw + b"\n" for line in lines if not line.problem))
-        os.replace(tmp, path)
+        atomic_write(path, b"".join(line.raw + b"\n" for line in lines if not line.problem))
         for issue in report.issues:
             issue.path, issue.quarantined = target, True
     return report

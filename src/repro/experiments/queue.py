@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -60,6 +59,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.experiments.specs import spec_hash
 from repro.testing import chaos
+from repro.utils.resilience import atomic_write
 
 PathLike = Union[str, Path]
 
@@ -277,10 +277,8 @@ class JobQueue:
     # -- persistence ---------------------------------------------------
     def _compact(self) -> None:
         """Rewrite the journal as one record per job (tmp + rename)."""
-        tmp = self.path.with_suffix(".jsonl.tmp")
         ordered = sorted(self._jobs.values(), key=lambda job: job.sequence)
-        tmp.write_bytes(b"".join(_encode(job) + b"\n" for job in ordered))
-        os.replace(tmp, self.path)
+        atomic_write(self.path, b"".join(_encode(job) + b"\n" for job in ordered))
         self._fresh_line = True
 
     def _persist(self, job: Job) -> None:

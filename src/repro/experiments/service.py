@@ -43,14 +43,9 @@ from repro.experiments.checkpoint import ChunkCheckpoint
 from repro.experiments.queue import JobQueue, Job, QueueFullError
 from repro.experiments.runner import ExperimentRunner, make_backend
 from repro.experiments.specs import spec_from_dict
-from repro.experiments.store import (
-    IntegrityError,
-    ResultStore,
-    check_result_name,
-    verify_envelope,
-)
+from repro.experiments.store import ResultStore, check_result_name, read_envelope
 from repro.testing import chaos
-from repro.utils.resilience import Deadline, RetryPolicy
+from repro.utils.resilience import Deadline, RetryPolicy, atomic_write
 
 PathLike = Union[str, Path]
 
@@ -353,12 +348,11 @@ class ExperimentService:
             path = self.store.path_for(request["name"])
             if not path.is_file():
                 return {"ok": False, "error": f"no result named {request['name']!r}"}
-            envelope = json.loads(path.read_text())
-            try:
-                verify_envelope(path, envelope)
-            except IntegrityError as exc:
-                return {"ok": False, "error": f"IntegrityError: {exc}"}
-            return {"ok": True, "envelope": envelope}
+            # The store's own reader: the op refuses every file load() does.
+            read = read_envelope(path)
+            if read.error is not None:
+                return {"ok": False, "error": f"{type(read.error).__name__}: {read.error}"}
+            return {"ok": True, "envelope": read.envelope}
         if op == "shutdown":
             threading.Thread(target=self.stop, daemon=True).start()
             return {"ok": True, "stopping": True}
@@ -377,11 +371,8 @@ class ExperimentService:
         self.port = self._server.server_address[1]
         # Atomic publish: a client discovering the endpoint mid-write must
         # never read a truncated JSON file.
-        tmp = self.endpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps({"host": self.host, "port": self.port, "pid": os.getpid()})
-        )
-        os.replace(tmp, self.endpoint_path)
+        endpoint = {"host": self.host, "port": self.port, "pid": os.getpid()}
+        atomic_write(self.endpoint_path, json.dumps(endpoint).encode("utf-8"))
         self._executor = threading.Thread(target=self._execute_loop, daemon=True)
         self._executor.start()
         self._serve_thread = threading.Thread(
@@ -547,8 +538,9 @@ class ServiceClient:
     def result(self, name: str) -> Dict[str, Any]:
         """The stored envelope (schema/kind/spec/payload) of a result.
 
-        The daemon checks the envelope's digest first and refuses a
-        corrupted one (``RuntimeError`` carrying the ``IntegrityError``).
+        The daemon reads it as ``ResultStore.load`` does and refuses every
+        file load refuses (``RuntimeError`` carrying the ``IntegrityError``
+        or ``ValueError``).
         """
         return self._call({"op": "result", "name": name})["envelope"]
 

@@ -23,6 +23,10 @@ content, verified on every load, so silent
 bit-rot in a stored result — or a stripped digest — raises
 :class:`IntegrityError` instead of feeding corrupt numbers into reports.
 Schema version 2 is the only version this build reads.
+
+:func:`read_envelope` is the one reader of the format: the store's
+``load``/``names``/``iter_results``, the daemon's ``result`` op and
+``repro fsck`` all judge a file by its verdict, straight from disk.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from repro.testing import chaos
 from repro.core.comparison import MechanismOutcome, ModelComparisonResult
 from repro.core.results import AttackResult
 from repro.defenses.evaluation import DefenseEvaluationResult
@@ -50,6 +53,7 @@ from repro.experiments.specs import (
     TrrSamplingOutcome,
     spec_from_dict,
 )
+from repro.utils.resilience import atomic_write
 
 #: The envelope version this build writes and reads.
 SCHEMA_VERSION = 2
@@ -84,21 +88,94 @@ def _envelope_content(envelope: Dict[str, Any]) -> Dict[str, Any]:
     return {key: envelope[key] for key in ("kind", "spec", "payload") if key in envelope}
 
 
-def verify_envelope(path: Path, envelope: Dict[str, Any]) -> None:
-    """Raise :class:`IntegrityError` when an envelope fails its checksum.
+def _digest_problem(envelope: Dict[str, Any]) -> str:
+    """Why ``envelope`` fails its checksum, or ``""`` when it verifies.
 
     An envelope without its ``integrity`` block fails too: every envelope
     this build writes carries one, so a missing digest is damage.
     """
     integrity = envelope.get("integrity")
     if not isinstance(integrity, dict):
-        raise IntegrityError(f"{path}: envelope is missing its integrity block")
-    computed = _content_digest(_envelope_content(envelope))
+        return "envelope is missing its integrity block"
+    try:
+        computed = _content_digest(_envelope_content(envelope))
+    except ValueError as exc:  # a NaN token: nothing this build writes
+        return f"content has no canonical form ({exc})"
     stored = integrity.get("digest")
     if computed != stored:
-        raise IntegrityError(
-            f"{path}: content digest mismatch (stored {stored!r}, computed {computed!r})"
+        return f"content digest mismatch (stored {stored!r}, computed {computed!r})"
+    return ""
+
+
+def verify_envelope(path: Path, envelope: Dict[str, Any]) -> None:
+    """Raise :class:`IntegrityError` when an envelope fails its checksum."""
+    problem = _digest_problem(envelope)
+    if problem:
+        raise IntegrityError(f"{path}: {problem}")
+
+
+def _serialise(envelope: Dict[str, Any]) -> str:
+    """The exact text :meth:`ResultStore.save` writes for ``envelope``."""
+    return json.dumps(envelope, indent=2, default=float, allow_nan=False)
+
+
+class EnvelopeRead(NamedTuple):
+    """One result file as :func:`read_envelope` judged it.
+
+    ``verdict`` is ``ok``, ``foreign`` (not a result envelope at all),
+    ``unreadable`` (the file does not read or parse, or carries another
+    schema version) or ``digest-mismatch`` (content no longer matches the
+    embedded sha256, or the digest is gone).  ``detail`` says why a file
+    is not ``ok`` and ``error`` is the exception :meth:`ResultStore.load`
+    raises for it.  ``text`` is the file as read.
+    """
+
+    verdict: str
+    envelope: Any = None
+    text: str = ""
+    detail: str = ""
+    error: Optional[Exception] = None
+
+    @property
+    def canonical(self) -> bool:
+        """Whether the file holds exactly the bytes ``save`` writes for it.
+
+        Every envelope is machine-written in one format, so drift from it
+        (whitespace, a mangled key name) is damage the content digest
+        cannot see; ``repro fsck`` flags it while ``load`` tolerates it.
+        """
+        return self.text == _serialise(self.envelope)
+
+
+def read_envelope(path: Path) -> EnvelopeRead:
+    """Read and classify one result file: parse, schema check, digest check.
+
+    Files that are not envelopes at all (not a JSON object, or one with
+    neither a schema marker nor an integrity block) are ``foreign``.  An
+    envelope-like file with another schema version is ``unreadable``: a
+    flipped bit in the marker, or an envelope this build no longer reads.
+    """
+    try:
+        text = path.read_text()
+        envelope = json.loads(text)
+    except (OSError, ValueError) as exc:
+        return EnvelopeRead("unreadable", detail=f"{type(exc).__name__}: {exc}", error=exc)
+    version = envelope.get("schema_version") if isinstance(envelope, dict) else None
+    if version != SCHEMA_VERSION:
+        error = ValueError(
+            f"{path} has schema version {version!r}; this build reads {SCHEMA_VERSION}"
         )
+        if isinstance(envelope, dict) and (
+            version is not None or isinstance(envelope.get("integrity"), dict)
+        ):
+            detail = f"bad schema version {version!r}"
+            return EnvelopeRead("unreadable", envelope, text, detail, error)
+        return EnvelopeRead("foreign", envelope, text, "not a result envelope", error)
+    problem = _digest_problem(envelope)
+    if problem:
+        error = IntegrityError(f"{path}: {problem}")
+        return EnvelopeRead("digest-mismatch", envelope, text, problem, error)
+    return EnvelopeRead("ok", envelope, text)
 
 
 def check_result_name(name: str) -> str:
@@ -117,31 +194,6 @@ def check_result_name(name: str) -> str:
     ):
         raise ValueError(f"invalid result name {name!r}: must be one path component")
     return name
-
-
-def _atomic_write_text(path: Path, text: str, point: str = "store.write") -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    A crash — or an injected fault at the named chaos point — can strand a
-    ``*.tmp`` file but can never leave a truncated or half-old envelope at
-    ``path`` itself: readers either see the previous complete file or the
-    new complete file.  The cooperative ``partial_write`` kind writes half
-    the text to the temp file and then fails, modelling a torn write.
-    The cooperative ``corrupt`` kind flips one bit of the payload and
-    completes the replace *silently* — the disk-rot/bad-RAM failure that
-    only checksum verification (``repro fsck``) can catch.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    action = chaos.fault_point(point)
-    if action == "partial_write":
-        tmp.write_text(text[: max(1, len(text) // 2)])
-        raise OSError(f"chaos[{point}]: write torn after {len(text) // 2} bytes")
-    if action == "corrupt":
-        tmp.write_bytes(chaos.corrupt_bytes(text.encode("utf-8"), point))
-        os.replace(tmp, path)
-        return
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _jsonify(value: Any) -> Any:
@@ -351,24 +403,16 @@ _CODECS: Dict[str, tuple] = {
 class ResultStore:
     """Directory of schema-versioned experiment-result JSON files.
 
-    The store keeps an mtime/size index over the directory: a file is read
-    and parsed once, and re-read only when its stat signature changes, so
-    repeated CLI ``list`` / ``report`` calls (and programmatic
-    :meth:`names` / :meth:`load` loops) over a large result directory cost
-    one ``stat`` per file instead of one full JSON parse.
-
-    Every load verifies the envelope's checksum; ``repro fsck`` is the
-    offline scan over the same verification.
+    Every :meth:`load`, :meth:`names` and :meth:`iter_results` call reads
+    the files it needs straight from disk through :func:`read_envelope`,
+    so each load verifies the envelope's checksum as the file stands now;
+    ``repro fsck`` is the offline scan over the same reader.
     Result names must be a single path component
     (:func:`check_result_name`).
     """
 
     def __init__(self, directory: PathLike):
         self.directory = Path(directory)
-        #: path -> (mtime_ns, size, parsed envelope or None when unreadable
-        #: / not a result envelope); entries invalidate themselves whenever
-        #: the stat signature stops matching.
-        self._index: Dict[Path, tuple] = {}
 
     def path_for(self, name: str) -> Path:
         """Filesystem path a result of this name is stored at.
@@ -377,31 +421,6 @@ class ResultStore:
         component, so no caller can address a file outside the store.
         """
         return self.directory / f"{check_result_name(name)}.json"
-
-    def _envelope_for(self, path: Path) -> Any:
-        """The parsed envelope of ``path``, via the mtime/size index.
-
-        Returns ``None`` (and caches the verdict) for files that vanish,
-        cannot be parsed, or are not this store's envelopes — exactly the
-        files :meth:`names` has always skipped.
-        """
-        try:
-            stat = path.stat()
-        except OSError:
-            self._index.pop(path, None)
-            return None
-        signature = (stat.st_mtime_ns, stat.st_size)
-        cached = self._index.get(path)
-        if cached is not None and cached[:2] == signature:
-            return cached[2]
-        try:
-            envelope = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            envelope = None
-        if not (isinstance(envelope, dict) and "schema_version" in envelope):
-            envelope = None
-        self._index[path] = (*signature, envelope)
-        return envelope
 
     def _encode_envelope(self, result: ExperimentResult) -> Dict[str, Any]:
         """The on-disk envelope dict for ``result`` (spec + encoded payload)."""
@@ -425,20 +444,11 @@ class ResultStore:
             "integrity": {"algo": "sha256", "digest": _content_digest(content)},
         }
 
-    def _decode_envelope(self, path: Path, envelope: Dict[str, Any]) -> ExperimentResult:
-        """Rebuild the in-memory result from a parsed envelope dict.
-
-        Verifies the embedded checksum first: corrupt content or a
-        missing digest raises :class:`IntegrityError` before any decoding
-        can misread it.
-        """
-        version = envelope.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path} has schema version {version!r}; "
-                f"this build reads {SCHEMA_VERSION}"
-            )
-        verify_envelope(path, envelope)
+    def _decode(self, read: EnvelopeRead) -> ExperimentResult:
+        """Rebuild the in-memory result from a read; raises unless it is ``ok``."""
+        if read.error is not None:
+            raise read.error
+        envelope = read.envelope
         kind = envelope["kind"]
         try:
             _, decode = _CODECS[kind]
@@ -452,60 +462,54 @@ class ResultStore:
     def save(self, name: str, result: ExperimentResult) -> Path:
         """Persist ``result`` under ``name`` atomically; returns the path.
 
-        The temp-file + rename write guarantees a reader (or a daemon
-        restart) never observes a torn envelope, whatever kills the writer
-        mid-save.
+        The temp-file + rename write (chaos point ``store.write``)
+        guarantees a reader (or a daemon restart) never observes a torn
+        envelope, whatever kills the writer mid-save.
         """
         envelope = self._encode_envelope(result)
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(name)
-        _atomic_write_text(
-            path, json.dumps(envelope, indent=2, default=float, allow_nan=False)
-        )
+        atomic_write(path, _serialise(envelope).encode("utf-8"), "store.write")
         return path
 
     def load(self, name: str) -> ExperimentResult:
         """Reconstruct the result previously saved under ``name``.
 
-        The raw envelope comes from the mtime/size index (parsed once per
-        on-disk version of the file); decoding still builds fresh result
-        objects on every call, so callers may mutate what they get back.
+        A missing file raises ``OSError``; a file that is not a readable
+        envelope of this schema version a ``ValueError``; a damaged one
+        :class:`IntegrityError`.  Every call builds fresh result objects,
+        so callers may mutate what they get back.
         """
-        path = self.path_for(name)
-        envelope = self._envelope_for(path)
-        if envelope is None:
-            # Preserve the historical error surface: a missing file raises
-            # OSError, a non-envelope JSON file a ValueError.
-            envelope = json.loads(path.read_text())
-        return self._decode_envelope(path, envelope)
+        return self._decode(read_envelope(self.path_for(name)))
+
+    def _reads(self) -> Iterator[Tuple[str, EnvelopeRead]]:
+        """``(name, read)`` for every listed file, in name order, each read once."""
+        for path in sorted(self.directory.glob("*.json")):
+            read = read_envelope(path)
+            if read.verdict in ("ok", "digest-mismatch"):
+                yield path.stem, read
 
     def iter_results(self) -> Iterator[Tuple[str, ExperimentResult]]:
         """Yield ``(name, result)`` pairs one at a time, in name order.
 
-        The streaming counterpart of ``{name: load(name) for ...}``: each
-        result is decoded only when the consumer reaches it, so aggregation
-        (the CLI ``report``) holds one *decoded* result at a time.  The
-        parsed envelopes themselves stay in the store's index, because
-        :meth:`names` parses (and caches) every file first.
+        The streaming counterpart of ``{name: load(name) for name in
+        names()}``: each file is read and decoded only when the consumer
+        reaches it, so aggregation (the CLI ``report --all``) holds one
+        envelope and one decoded result at a time.  A damaged envelope
+        raises :class:`IntegrityError` when reached.
         """
-        for name in self.names():
-            yield name, self.load(name)
+        for name, read in self._reads():
+            yield name, self._decode(read)
 
     def names(self) -> List[str]:
-        """Names of every loadable result in the store (sorted).
+        """Names of every result envelope in the store (sorted).
 
-        Backed by the mtime/size index: unchanged files are answered from
-        the cached parse, so a listing over a populated store re-reads only
-        the files that were added or rewritten since the previous call.
+        Damaged envelopes are listed too, so a listing shows corruption
+        (their :meth:`load` raises :class:`IntegrityError`) instead of
+        hiding it; files that do not parse, carry another schema version
+        or are not envelopes at all are not.
         """
-        if not self.directory.is_dir():
-            return []
-        found = []
-        for path in sorted(self.directory.glob("*.json")):
-            envelope = self._envelope_for(path)
-            if envelope is not None and envelope.get("schema_version") == SCHEMA_VERSION:
-                found.append(path.stem)
-        return found
+        return [name for name, _ in self._reads()]
 
     def __contains__(self, name: str) -> bool:
         try:

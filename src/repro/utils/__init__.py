@@ -2,7 +2,9 @@
 
 These helpers are deliberately small and dependency-free so that every other
 subpackage (:mod:`repro.dram`, :mod:`repro.faults`, :mod:`repro.nn`,
-:mod:`repro.core`) can rely on them without creating import cycles.
+:mod:`repro.core`) can rely on them without creating import cycles.  The one
+in-package import, :mod:`repro.testing.chaos` (for the fault point of
+:func:`~repro.utils.resilience.atomic_write`), imports nothing from ``repro``.
 """
 
 from repro.utils.resilience import Deadline, DeadlineExceeded, RetryPolicy

@@ -1,4 +1,4 @@
-"""Resilience primitives: seeded retries and shared deadlines.
+"""Resilience primitives: atomic writes, seeded retries and shared deadlines.
 
 The experiment service stack (daemon, job queue, chunk checkpoints,
 result store) runs long campaigns that *will* be interrupted or
@@ -8,6 +8,10 @@ runs must stay bit-identical to the fault-free serial run**, which is why
 every source of retry timing randomness here is explicitly seeded and why
 none of these helpers ever touches experiment randomness.
 
+* :func:`atomic_write` — the one temp-file + ``os.replace`` write every
+  durable file of that stack (result envelopes, chunk checkpoints, the
+  queue journal's compaction and fsck rewrite, the daemon's endpoint
+  file) goes through.
 * :class:`RetryPolicy` — bounded exponential backoff whose jitter comes
   from a seeded generator, so two replays of the same failing run sleep
   the same schedule (reproducible logs, reproducible tests).
@@ -17,10 +21,42 @@ none of these helpers ever touches experiment randomness.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from pathlib import Path
+from typing import Callable, Iterator, Optional
+
+from repro.testing import chaos
+
+
+class ChaosWriteError(OSError):
+    """A torn write injected by the cooperative ``partial_write`` chaos kind."""
+
+
+def atomic_write(path: Path, data: bytes, point: Optional[str] = None) -> None:
+    """Write ``data`` to ``path`` atomically: ``<name>.tmp``, then ``os.replace``.
+
+    A crash — or a fault injected at the chaos ``point`` — can strand the
+    ``.tmp`` file but never leaves a truncated or half-old file at
+    ``path``: readers see either the previous complete file or the new
+    one.  At ``point`` the cooperative ``partial_write`` kind writes half
+    of ``data`` to the temp file and raises :class:`ChaosWriteError`,
+    modelling a torn write; ``corrupt`` flips one bit of ``data`` and
+    completes the replace *silently* — the disk-rot/bad-RAM failure only
+    the file's checksum can catch.  With ``point=None`` nothing is
+    injectable.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    action = None if point is None else chaos.fault_point(point)
+    if action == "partial_write":
+        tmp.write_bytes(data[: max(1, len(data) // 2)])
+        raise ChaosWriteError(f"chaos[{point}]: write torn after {len(data) // 2} bytes")
+    if action == "corrupt":
+        data = chaos.corrupt_bytes(data, point)
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 class DeadlineExceeded(TimeoutError):

@@ -116,6 +116,22 @@ class TestStoreFsck:
         assert [issue.problem for issue in report.issues] == ["unreadable"]
         assert fsck_store(tmp_path).clean
 
+    def test_undecodable_and_nan_files_are_flagged_not_fatal(self, tmp_path):
+        # Neither file can come from the writer; fsck reports both and
+        # keeps scanning instead of raising out of the scan.
+        store = ResultStore(tmp_path)
+        store.save("good", _result())
+        envelope = json.loads(store.path_for("good").read_text())
+        envelope["payload"]["comparisons"][0]["clean_accuracy"] = float("nan")
+        (tmp_path / "nan.json").write_text(json.dumps(envelope, indent=2))
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+        report = fsck_store(tmp_path, quarantine=True)
+        assert [(issue.path.name, issue.problem) for issue in report.issues] == [
+            ("binary.json", "unreadable"),
+            ("nan.json", "digest-mismatch"),
+        ]
+        assert report.verified == 1 and fsck_store(tmp_path).clean
+
     def test_missing_directory_is_empty_report(self, tmp_path):
         report = fsck_store(tmp_path / "nope")
         assert report.clean and report.scanned == 0

@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro.experiments import ComparisonSpec, DefenseMatrixSpec, JobQueue, QueueFullError
-from repro.experiments import queue as queue_module
 from repro.experiments.queue import JOURNAL_FILE, Job, read_journal
 
 
@@ -199,7 +198,7 @@ class TestJournal:
             calls.append((src, dst))
             real(src, dst)
 
-        monkeypatch.setattr(queue_module.os, "replace", counting)
+        monkeypatch.setattr(os, "replace", counting)
         return calls
 
     def test_state_changes_append_without_renames(self, tmp_path, renames):

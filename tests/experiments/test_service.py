@@ -123,6 +123,24 @@ class TestOfflineExecution:
         assert "digest mismatch" in response["error"]
         assert "envelope" not in response
 
+    def test_result_refuses_every_envelope_load_refuses(self, tmp_path):
+        # The digest does not cover schema_version, so only the schema
+        # check of the shared reader refuses this file.
+        service = _service(tmp_path)
+        service._dispatch({"op": "submit", "spec": _cheap_spec().to_dict(), "name": "dmx"})
+        assert service.process_once().state == "done"
+        path = service.store.path_for("dmx")
+        envelope = json.loads(path.read_text())
+        envelope["schema_version"] = 999
+        path.write_text(json.dumps(envelope, indent=2))
+        with pytest.raises(ValueError, match="schema version 999"):
+            service.store.load("dmx")
+        response = service._dispatch({"op": "result", "name": "dmx"})
+        assert not response["ok"]
+        assert response["error"].startswith("ValueError: ")
+        assert "schema version 999" in response["error"]
+        assert "envelope" not in response
+
     def test_cancel_via_protocol(self, tmp_path):
         service = _service(tmp_path)
         first = service._dispatch({"op": "submit", "spec": _cheap_spec(seed=1).to_dict()})

@@ -1,6 +1,7 @@
 """ResultStore: every persisted result type reloads losslessly."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.experiments import (
     ProfileDensityOutcome,
     ProfileDensitySpec,
     ResultStore,
+    fsck_store,
     verify_envelope,
 )
 
@@ -198,8 +200,8 @@ class TestIntegrity:
         assert fresh.load("r").payload == _comparison_payload()
 
 
-class TestMtimeIndex:
-    """names()/load() stat the directory; files are re-read only on change."""
+class TestReadsFromDisk:
+    """Every load, listing and stream reads the file as it stands now."""
 
     def _count_reads(self, monkeypatch):
         from pathlib import Path
@@ -214,46 +216,110 @@ class TestMtimeIndex:
         monkeypatch.setattr(Path, "read_text", counting)
         return reads
 
-    def test_repeated_names_reads_each_file_once(self, tmp_path, monkeypatch):
+    def test_same_size_corruption_with_mtime_kept_fails_load_after_listing(self, tmp_path):
+        # Bit rot leaves size and mtime alone: a store that already listed
+        # the file must still refuse it, exactly as a fresh store does.
         store = ResultStore(tmp_path)
-        payload = _comparison_payload()
-        store.save("a", ExperimentResult(spec=ComparisonSpec(), payload=payload))
-        store.save("b", ExperimentResult(spec=ComparisonSpec(), payload=payload))
-        reads = self._count_reads(monkeypatch)
-        assert store.names() == ["a", "b"]
-        assert sorted(reads) == ["a.json", "b.json"]
-        reads.clear()
-        assert store.names() == ["a", "b"]  # answered from the index
-        assert reads == []
+        store.save("a", ExperimentResult(spec=ComparisonSpec(), payload=_comparison_payload()))
+        assert store.names() == ["a"]
+        path = store.path_for("a")
+        before = path.stat()
+        text = path.read_text()
+        assert text.count('"clean_accuracy": 88.5') == 1
+        path.write_text(text.replace('"clean_accuracy": 88.5', '"clean_accuracy": 18.5'))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        with pytest.raises(IntegrityError, match="digest mismatch"):
+            store.load("a")
+        with pytest.raises(IntegrityError, match="digest mismatch"):
+            ResultStore(tmp_path).load("a")
 
-    def test_changed_file_is_re_read(self, tmp_path, monkeypatch):
+    def test_deleted_file_drops_out(self, tmp_path):
         store = ResultStore(tmp_path)
-        payload = _comparison_payload()
-        store.save("a", ExperimentResult(spec=ComparisonSpec(), payload=payload))
+        store.save("a", ExperimentResult(spec=ComparisonSpec(), payload=_comparison_payload()))
         assert store.names() == ["a"]
-        # Rewriting the file (new mtime/size) invalidates its index entry.
-        import os
-
-        text = store.path_for("a").read_text()
-        store.path_for("a").write_text(text + " ")
-        os.utime(store.path_for("a"), ns=(1, 1))
-        reads = self._count_reads(monkeypatch)
-        assert store.names() == ["a"]
-        assert reads == ["a.json"]
-
-    def test_load_uses_index_and_deleted_file_drops_out(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path)
-        payload = _comparison_payload()
-        store.save("a", ExperimentResult(spec=ComparisonSpec(), payload=payload))
-        assert store.names() == ["a"]
-        reads = self._count_reads(monkeypatch)
-        loaded = store.load("a")  # envelope answered from the index
-        assert reads == []
-        assert loaded.payload == payload
         store.path_for("a").unlink()
         assert store.names() == []
         with pytest.raises(OSError):
             store.load("a")
+
+    def test_iter_results_reads_each_file_once(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        payload = _comparison_payload()
+        store.save("a", ExperimentResult(spec=ComparisonSpec(seed=1), payload=payload))
+        store.save("b", ExperimentResult(spec=ComparisonSpec(seed=2), payload=payload))
+        reads = self._count_reads(monkeypatch)
+        streamed = [(name, result.spec.seed) for name, result in store.iter_results()]
+        assert streamed == [("a", 1), ("b", 2)]
+        assert reads == ["a.json", "b.json"]
+
+
+def _flip_value(text):
+    envelope = json.loads(text)
+    envelope["payload"]["comparisons"][0]["clean_accuracy"] = 11.1
+    return json.dumps(envelope, indent=2)
+
+
+def _strip_integrity(text):
+    envelope = json.loads(text)
+    del envelope["integrity"]
+    return json.dumps(envelope, indent=2)
+
+
+def _bad_schema(text):
+    envelope = json.loads(text)
+    envelope["schema_version"] = 999
+    return json.dumps(envelope, indent=2)
+
+
+#: case -> (edit of the saved file's text, what load raises (None: loads),
+#: the problem fsck reports (None: not flagged), whether names() lists it).
+AGREEMENT_CASES = {
+    "flipped-value": (_flip_value, IntegrityError, "digest-mismatch", True),
+    "stripped-integrity": (_strip_integrity, IntegrityError, "digest-mismatch", True),
+    "bad-schema": (_bad_schema, ValueError, "unreadable", False),
+    "truncated-json": (lambda text: text[:40], json.JSONDecodeError, "unreadable", False),
+    "foreign-json": (lambda text: json.dumps({"rows": []}), ValueError, None, False),
+    "re-indented": (lambda text: json.dumps(json.loads(text)), None, "digest-mismatch", True),
+}
+
+
+@pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+def test_load_and_names_agree_with_fsck(tmp_path, case):
+    """``load``, ``names`` and ``fsck_store`` judge a file by one reader.
+
+    ``load`` raises exactly when fsck flags the file, with two pinned
+    exceptions: a re-indented envelope still verifies, so ``load``
+    accepts it while fsck flags the drift from the canonical bytes; and
+    a foreign JSON file is not a result at all, so fsck skips it while
+    ``load`` has nothing to return.
+    """
+    edit, load_error, problem, listed = AGREEMENT_CASES[case]
+    store = ResultStore(tmp_path)
+    store.save("r", ExperimentResult(spec=ComparisonSpec(), payload=_comparison_payload()))
+    path = store.path_for("r")
+    path.write_text(edit(path.read_text()))
+
+    assert (store.names() == ["r"]) is listed
+    try:
+        store.load("r")
+        raised = None
+    except ValueError as exc:
+        raised = exc
+    report = fsck_store(tmp_path)
+    flagged = [issue.problem for issue in report.issues]
+
+    if load_error is None:
+        assert raised is None
+    else:
+        assert isinstance(raised, load_error)
+        assert isinstance(raised, IntegrityError) is (load_error is IntegrityError)
+    assert flagged == ([] if problem is None else [problem])
+    if case == "re-indented":
+        assert "canonical serialisation" in report.issues[0].detail
+    elif case != "foreign-json":
+        assert (raised is not None) is bool(flagged)
 
 
 class TestRoundTripsSynthetic:

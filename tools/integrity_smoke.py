@@ -15,6 +15,8 @@ Scenarios:
    verify);
 2. a bit flipped in a committed result envelope fails the load-time digest,
    is quarantined by fsck, and the post-repair rerun restores serial bytes;
+   after the daemon has listed that rerun's envelope (``results`` op), bit
+   rot in place that keeps the file's size and mtime still fails its load;
 3. a bit flipped in a chunk checkpoint is dropped at resume (the intact
    chunk still resumes) and the finished envelope matches serial exactly;
 4. a bit flipped in an appended queue journal record is refused by a
@@ -24,6 +26,7 @@ Runs in well under a minute; exits non-zero on the first violated
 invariant.
 """
 
+import os
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -68,6 +71,17 @@ def _serial_bytes(root, seed):
     store = ResultStore(root / f"serial-{seed}")
     ExperimentRunner(store=store).run(_spec(seed), save_as="exp")
     return store.path_for("exp").read_text()
+
+
+def _rot_in_place(path):
+    """Change one payload digit in place, keeping the file's size and mtime."""
+    stat = path.stat()
+    text = path.read_text()
+    start = text.index('"payload"')
+    index = next(i for i in range(start, len(text)) if text[i].isdigit())
+    digit = "2" if text[index] == "1" else "1"  # nonzero: never a leading zero
+    path.write_text(text[:index] + digit + text[index + 1 :])
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
 
 @contextmanager
@@ -152,6 +166,14 @@ def main() -> int:
             fresh.path_for("exp").read_text() == expected,
             "post-repair rerun is byte-identical to serial",
         )
+        listed = service._dispatch({"op": "results"})
+        check(listed.get("names") == ["exp"], "daemon lists the repaired result")
+        _rot_in_place(service.store.path_for("exp"))
+        try:
+            service.store.load("exp")
+            check(False, "bit rot with size and mtime kept fails the next load")
+        except IntegrityError:
+            check(True, "bit rot with size and mtime kept fails the next load")
 
         # 3. Corrupt chunk checkpoint: the resume must drop the damaged
         # frame (resuming only the intact chunk) — a flipped bit can never
