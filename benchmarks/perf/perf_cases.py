@@ -378,10 +378,7 @@ def _make_victim_evaluation_case(evaluations: int, test_per_class: int) -> PerfC
             dataset, attack_batch_size=16, eval_samples=None, seed=2,
             tolerance=1.0, relative_factor=1.05,
         )
-        evaluator = None
-        if engine != "reference":
-            evaluator = SuffixEvaluator(model)
-            objective.attach_inference_engine(evaluator)
+        evaluator = None if engine == "reference" else SuffixEvaluator(model)
         accuracies = []
         with kernels.use(engine):
             for index in range(evaluations):
@@ -393,7 +390,7 @@ def _make_victim_evaluation_case(evaluations: int, test_per_class: int) -> PerfC
                 parameter.sync_from_int()
                 if evaluator is not None:
                     evaluator.invalidate_from(evaluator.stage_of(parameter))
-                accuracies.append(objective.evaluate(model).accuracy)
+                accuracies.append(objective.evaluate(model, evaluator=evaluator).accuracy)
         return accuracies
 
     return PerfCase(
@@ -421,8 +418,7 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
         tolerance=1.0, relative_factor=1.05,
     )
     attack = BitFlipAttack(model, objective, engine="vectorized")
-    objective.attach_inference_engine(attack._evaluator)
-    objective.attack_loss_and_gradients(model)
+    objective.attack_loss_and_gradients(model, attack._evaluator)
     proposals = [
         proposal
         for proposal in (
@@ -441,7 +437,9 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
                 attack._apply(proposal)
                 losses.append(
                     objective.attack_loss(
-                        model, flip_stage=attack._stage_of_tensor[proposal.tensor_name]
+                        model,
+                        flip_stage=attack._stage_of_tensor[proposal.tensor_name],
+                        evaluator=attack._evaluator,
                     )
                 )
                 attack._revert(proposal)

@@ -223,15 +223,13 @@ class BitFlipAttack:
         #: Incremental evaluation engine (vectorized/compiled engines): caches
         #: per-batch stage-boundary activations so candidate evaluations
         #: re-run only the flipped layer's suffix.  Built when the model is
-        #: stage-decomposable and every quantized tensor maps to a stage,
-        #: but attached to the objective only for the duration of ``run``
-        #: (which clears the cache on entry and detaches on exit) — outside
-        #: a run the objective stays on the full-forward path, so weight
-        #: mutations between runs can never be answered from a stale cache.
-        #: During a run, committed flips invalidate the cache at their
-        #: stage and trial flips are evaluated through the engine's
-        #: non-destructive peek path.  The reference engine keeps the
-        #: retained full-forward evaluation exactly as before.
+        #: stage-decomposable and every quantized tensor maps to a stage.
+        #: The attack is its only owner and passes it to every objective
+        #: call: ``run`` clears it on entry (weights may have changed out of
+        #: band since the last run), committed flips invalidate it at their
+        #: stage, a resampled attack batch drops its entry, and trial flips
+        #: are evaluated through its non-destructive peek path.  The
+        #: reference engine keeps the retained full-forward evaluation.
         self._evaluator: Optional[SuffixEvaluator] = None
         self._stage_of_tensor: Dict[str, int] = {}
         if engine != "reference":
@@ -407,7 +405,7 @@ class BitFlipAttack:
     ) -> List[float]:
         """Realised loss of every shortlisted proposal, in shortlist order.
 
-        With the incremental engine attached the proposals become
+        With the incremental engine the proposals become
         :class:`~repro.nn.inference.TrialFlip` descriptors grouped by their
         forward stage and scored through the objective's batched
         :meth:`~repro.core.objective.AttackObjective.attack_losses` path —
@@ -427,7 +425,7 @@ class BitFlipAttack:
                 )
                 for proposal in shortlist
             ]
-            return objective.attack_losses(self.model, trials)
+            return objective.attack_losses(trials, self._evaluator)
         losses = []
         for proposal in shortlist:
             self._apply(proposal)
@@ -461,9 +459,9 @@ class BitFlipAttack:
         (convergence), so targeted and stealthy objectives run on the same
         vectorized delta-table fast path as the paper's untargeted one.
 
-        With the vectorized engine the objective's evaluations run through
-        the incremental :class:`~repro.nn.inference.SuffixEvaluator`: the
-        gradient pass records stage-boundary activations, the whole
+        With the vectorized engine the attack passes its incremental
+        :class:`~repro.nn.inference.SuffixEvaluator` to every objective
+        call: the gradient pass records stage-boundary activations, the whole
         inter-layer shortlist is scored in one batched ``peek_many``
         cascade per evaluation batch (flipped stages run per trial, shared
         downstream stages run once on the stacked trials; reverting
@@ -474,15 +472,9 @@ class BitFlipAttack:
         full-forward path (golden tests pin this per objective kind and
         victim precision).
         """
-        config = self.config
-        objective = self.objective
         if self._evaluator is not None:
-            # Weights may have changed since construction or a prior run;
-            # start from an empty cache and make sure the engine is ours.
+            # Weights may have changed since construction or a prior run.
             self._evaluator.clear()
-            objective.attach_inference_engine(self._evaluator)
-        else:
-            objective.detach_inference_engine()
         # The search only ever reads the gradients of the quantized weight
         # tensors; turning accumulation off everywhere else (biases, norm
         # affine parameters) skips their weight-gradient work in the
@@ -498,17 +490,18 @@ class BitFlipAttack:
             parameter.requires_grad = False
         try:
             with self.kernel_scope():
-                return self._run_loop(config, objective)
+                return self._run_loop()
         finally:
             for parameter in spectators:
                 parameter.requires_grad = True
-            # Post-run callers may mutate weights without telling the
-            # evaluator; hand the objective back on the reference path.
-            objective.detach_inference_engine()
 
-    def _run_loop(self, config: BitSearchConfig, objective: AttackObjective) -> AttackResult:
-        """The attack iteration proper (engine wiring handled by :meth:`run`)."""
-        metrics = objective.evaluate(self.model, config.eval_batch_size)
+    def _run_loop(self) -> AttackResult:
+        """The attack iteration proper (:meth:`run` clears the evaluator,
+        freezes spectator gradients and pins the kernels)."""
+        config = self.config
+        objective = self.objective
+        evaluator = self._evaluator
+        metrics = objective.evaluate(self.model, config.eval_batch_size, evaluator)
         accuracy_before = metrics.accuracy
         accuracy_curve = [accuracy_before]
         # ASR is tracked only for objectives that define one (targeted
@@ -525,8 +518,9 @@ class BitFlipAttack:
 
         while not converged and len(events) < config.max_flips:
             if config.resample_attack_batch and len(events) > 0:
-                objective.resample_attack_batch()
-            loss_value = objective.attack_loss_and_gradients(self.model)
+                if objective.resample_attack_batch() and evaluator is not None:
+                    evaluator.drop("attack")
+            loss_value = objective.attack_loss_and_gradients(self.model, evaluator)
             loss_curve.append(loss_value)
 
             proposals: List[_Proposal] = []
@@ -550,9 +544,9 @@ class BitFlipAttack:
 
             assert best_proposal is not None
             self._apply(best_proposal)
-            if self._evaluator is not None:
-                self._evaluator.invalidate_from(self._stage_of_tensor[best_proposal.tensor_name])
-            metrics = objective.evaluate(self.model, config.eval_batch_size)
+            if evaluator is not None:
+                evaluator.invalidate_from(self._stage_of_tensor[best_proposal.tensor_name])
+            metrics = objective.evaluate(self.model, config.eval_batch_size, evaluator)
             accuracy_curve.append(metrics.accuracy)
             if metrics.attack_success_rate is not None:
                 asr_curve.append(metrics.attack_success_rate)

@@ -12,20 +12,27 @@ through a narrow protocol.
 
 :class:`AttackObjective` is that protocol.  A concrete objective bundles
 
-* the **attack batch** used for gradient/loss evaluation during the search,
+* the **attack batch** (and, for a stealth term, a **clean batch**) whose
+  logits the loss scores,
 * the **evaluation set** on which progress is measured, and
-* the **stopping criterion** deciding when the attack has succeeded,
+* the **stopping criterion** deciding when the attack has succeeded.
 
-and defines the scalar loss the search ascends.  The progressive bit search
-(:class:`repro.core.bfa.BitFlipAttack`) calls :meth:`attack_loss_and_gradients`
-/ :meth:`attack_loss` to rank candidate flips and :meth:`evaluate` /
-:meth:`is_satisfied` to decide convergence — nothing else.  Adding a new
-scenario therefore means implementing one subclass and registering it with
+A kind never runs the model: it names the batches it needs
+(:meth:`~AttackObjective.batch_names`), turns their logits into the scalar
+the search ascends (:meth:`~AttackObjective.loss`) and turns evaluation-set
+predictions into :class:`ObjectiveMetrics` (:meth:`~AttackObjective.metrics`).
+The base class produces those logits and predictions — by full forwards, or
+through a :class:`~repro.nn.inference.SuffixEvaluator` the caller passes in.
+The progressive bit search (:class:`repro.core.bfa.BitFlipAttack`) calls
+:meth:`~AttackObjective.attack_loss_and_gradients` and
+:meth:`~AttackObjective.attack_losses` (or :meth:`~AttackObjective.attack_loss`
+per trial on the reference path) to rank candidate flips and
+:meth:`~AttackObjective.evaluate` / :meth:`~AttackObjective.is_satisfied` to
+decide convergence — nothing else.  Adding a new scenario therefore means
+implementing one subclass and registering it with
 :func:`register_objective`; every engine (vectorized, ``"reference"`` and
 the ``"compiled"`` kernel tier), every runner backend and the declarative
-experiment layer pick it up unmodified — objectives call the model through
-the op layer, so :mod:`repro.nn.kernels` dispatch applies to their forward
-passes exactly as it does to the search's own suffix cascades.
+experiment layer pick it up unmodified.
 
 Concrete objectives
 -------------------
@@ -51,15 +58,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn import kernels
+from repro.nn.autograd import Tensor, no_grad
 from repro.nn.data import Dataset
+from repro.nn.inference import SuffixEvaluator, TrialFlip
 from repro.nn.loss import cross_entropy
 from repro.nn.module import Module
-from repro.nn.training import evaluate
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -94,16 +102,29 @@ class AttackObjective:
 
     Concrete objectives are dataclasses carrying ``attack_x`` / ``attack_y``
     (the attacker's gradient batch), ``eval_x`` / ``eval_y`` (the progress
-    measurement set) and optionally a resampling pool.  This base class
-    provides the shared machinery — loss/gradient evaluation, accuracy
-    measurement, attack-batch resampling — while subclasses define
+    measurement set) and optionally a resampling pool.  A kind only scores
+    logits; this base class is the one place that turns a model into
+    logits, and it owns loss/gradient evaluation, the evaluation pass and
+    attack-batch resampling.  Subclasses define
 
-    * :meth:`attack_loss_tensor` — the differentiable scalar the search
-      *maximises* (the intra-layer stage ranks candidate flips by its
-      gradient, the inter-layer stage by its realised value);
-    * :meth:`evaluate` — the :class:`ObjectiveMetrics` observed on a model;
+    * :meth:`batch_names` — the named batches :meth:`loss` reads
+      (``"attack"``, plus ``"clean"`` for a stealth term);
+    * :meth:`loss` — the differentiable scalar the search *maximises*,
+      computed from the logits of those batches (the intra-layer stage
+      ranks candidate flips by its gradient, the inter-layer stage by its
+      realised value);
+    * :meth:`metrics` — the :class:`ObjectiveMetrics` of the evaluation-set
+      predictions;
     * :meth:`is_satisfied` — whether observed metrics meet the goal;
     * :meth:`describe` — a human-readable summary for reports.
+
+    The model-facing methods take an ``evaluator``: ``None`` runs plain
+    full forwards (the reference path), a
+    :class:`~repro.nn.inference.SuffixEvaluator` runs the same batches
+    through its boundary cache, bit-identically (:meth:`attack_losses`,
+    the batched trial path, always needs one).  The caller owns the
+    evaluator and its cache consistency (:class:`repro.core.bfa.BitFlipAttack`
+    clears it per run and invalidates it on every committed flip).
     """
 
     #: Registry discriminator (``"untargeted"``, ``"targeted"``, ...).
@@ -115,31 +136,17 @@ class AttackObjective:
     #: Subset of :attr:`spec_params` that must be present.
     required_spec_params: ClassVar[frozenset] = frozenset()
 
-    # Incremental-evaluation state (class-level defaults so the dataclass
-    # subclasses inherit them without declaring fields).  ``_inference`` is
-    # the attached :class:`repro.nn.inference.SuffixEvaluator` (``None`` =
-    # the retained full-forward reference path); ``_forward_mode`` selects
-    # how :meth:`_model_logits` runs while an engine is attached ("graph"
-    # during the gradient pass, "suffix" during forward-only evaluations,
-    # "suffix_many" while :meth:`attack_losses` scores a batch of trial
-    # flips); ``_suffix_stage`` is the stage of the trial flip being
-    # evaluated and ``_trial_flips`` / ``_trial_index`` / ``_trial_logits``
-    # the batched-trial state (the flips under evaluation, the trial whose
-    # loss is being assembled, and the per-batch-key ``peek_many`` outputs).
-    _inference = None
-    _forward_mode = None
-    _suffix_stage = 0
-    _trial_flips = ()
-    _trial_index = 0
-    _trial_logits = None
-
     # -- subclass interface --------------------------------------------
-    def attack_loss_tensor(self, model: Module) -> Tensor:
-        """Differentiable scalar loss on the attack batch (to be maximised)."""
+    def batch_names(self) -> Tuple[str, ...]:
+        """Names of the batches whose logits :meth:`loss` reads."""
+        return ("attack",)
+
+    def loss(self, logits: Mapping[str, Tensor]) -> Tensor:
+        """Differentiable scalar (to be maximised) from the named batches' logits."""
         raise NotImplementedError
 
-    def evaluate(self, model: Module, batch_size: int = 64) -> ObjectiveMetrics:
-        """Measure the objective's metrics on the evaluation set."""
+    def metrics(self, predictions: np.ndarray) -> ObjectiveMetrics:
+        """Metrics of the evaluation-set argmax predictions."""
         raise NotImplementedError
 
     def is_satisfied(self, metrics) -> bool:
@@ -151,14 +158,21 @@ class AttackObjective:
         raise NotImplementedError
 
     @classmethod
+    def check_values(cls, params: Mapping[str, Any]) -> None:
+        """Numeric bounds of this kind's parameters (absent ones take their defaults).
+
+        The one check shared by :meth:`validate_params` (spec time) and the
+        constructor, so a bad value fails identically in both places.
+        """
+
+    @classmethod
     def validate_params(cls, params: Mapping[str, Any]) -> None:
         """Validate declarative ``ObjectiveConfig`` parameters for this kind.
 
         Called at spec-construction time so invalid experiment descriptions
         — unknown or reserved parameter names, a missing ``target_class``,
         a targeted objective with ``source_class == target_class`` — fail
-        before any work unit runs.  Subclasses extend this with their
-        kind-specific consistency checks.
+        before any work unit runs.
         """
         unknown = set(params) - cls.spec_params
         if unknown:
@@ -172,6 +186,7 @@ class AttackObjective:
             raise ValueError(
                 f"objective kind {cls.kind!r} requires {sorted(missing)!r}"
             )
+        cls.check_values(params)
 
     # -- shared machinery ----------------------------------------------
     @property
@@ -179,113 +194,93 @@ class AttackObjective:
         """Accuracy threshold of accuracy-driven objectives (``nan`` otherwise)."""
         return float("nan")
 
-    def attach_inference_engine(self, engine) -> None:
-        """Route evaluations through an incremental no-grad inference engine.
+    def attack_loss_and_gradients(
+        self, model: Module, evaluator: Optional[SuffixEvaluator] = None
+    ) -> float:
+        """Forward + backward on the attack batches; gradients stay on the model.
 
-        ``engine`` is a :class:`repro.nn.inference.SuffixEvaluator` built
-        for the attacked model.  While attached, forward-only evaluations
-        (:meth:`attack_loss`, :meth:`_eval_predictions`,
-        :meth:`evaluation_accuracy`) resume from the engine's cached stage
-        boundaries instead of re-running the whole network, and the
-        gradient pass records those boundaries as it goes.  The caller owns
-        cache consistency: committed weight mutations must be followed by
-        ``engine.invalidate_from`` (:class:`repro.core.bfa.BitFlipAttack`
-        does this in its commit step).  Detach (or clear the engine) before
-        mutating weights out of band.
+        With an evaluator the graph-recording forward also stores each
+        batch's stage boundaries, so the trial evaluations that follow
+        start from a warm cache at no extra forward cost.
         """
-        self._inference = engine
-
-    def detach_inference_engine(self) -> None:
-        """Return to the full-forward (reference) evaluation path."""
-        self._inference = None
-
-    def attack_loss_and_gradients(self, model: Module) -> float:
-        """Forward + backward on the attack batch; gradients stay on the model."""
         model.zero_grad()
-        if self._inference is not None:
-            self._forward_mode = "graph"
-            try:
-                loss = self.attack_loss_tensor(model)
-            finally:
-                self._forward_mode = None
-        else:
-            loss = self.attack_loss_tensor(model)
+        logits = {}
+        for key in self.batch_names():
+            batch = self._batch_tensor(key)
+            if evaluator is None:
+                logits[key] = model(batch)
+            else:
+                logits[key] = evaluator.forward_tensor(key, batch)
+        loss = self.loss(logits)
         loss.backward()
         return float(loss.item())
 
-    def attack_loss(self, model: Module, flip_stage: Optional[int] = None) -> float:
-        """Forward-only loss on the attack batch (used by trial flips).
+    def attack_loss(
+        self,
+        model: Module,
+        flip_stage: Optional[int] = None,
+        evaluator: Optional[SuffixEvaluator] = None,
+    ) -> float:
+        """Forward-only loss on the attack batches (one trial flip at a time).
 
         ``flip_stage`` is the forward stage of the weight currently under a
-        *trial* flip; with an inference engine attached the loss is then
-        computed by suffix re-execution from that stage (bit-identical to
-        the full forward, see :mod:`repro.nn.inference`).
+        *trial* flip; with an evaluator the loss is computed by suffix
+        re-execution from that stage (bit-identical to the full forward,
+        see :mod:`repro.nn.inference`).
         """
-        if self._inference is not None:
-            self._forward_mode = "suffix"
-            self._suffix_stage = 0 if flip_stage is None else flip_stage
-            try:
-                return float(self.attack_loss_tensor(model).item())
-            finally:
-                self._forward_mode = None
-        return float(self.attack_loss_tensor(model).item())
+        if evaluator is None:
+            logits = {key: model(self._batch_tensor(key)) for key in self.batch_names()}
+        else:
+            stage = 0 if flip_stage is None else flip_stage
+            logits = {
+                key: Tensor(evaluator.peek(key, self._batch_tensor(key).data, stage))
+                for key in self.batch_names()
+            }
+        return float(self.loss(logits).item())
 
-    def attack_losses(self, model: Module, trials) -> List[float]:
-        """Forward-only losses of several *trial* flips, batched when possible.
+    def attack_losses(
+        self, trials: Sequence[TrialFlip], evaluator: SuffixEvaluator
+    ) -> List[float]:
+        """Forward-only losses of several *trial* flips, one per trial in order.
 
-        ``trials`` is a sequence of :class:`repro.nn.inference.TrialFlip`
-        (stage + apply/revert callables); the returned list holds one loss
-        per trial, in trial order.  With an inference engine attached the
-        trials are scored through :meth:`SuffixEvaluator.peek_many` — each
-        flipped stage runs per trial, every shared downstream stage runs
-        once on the stacked trials — and each trial's loss is then computed
-        from its own logits with exactly the sequential operations, so the
-        losses are bit-identical to ``apply -> attack_loss -> revert`` one
-        trial at a time.  Without an engine (the reference path) that
-        sequential loop is executed literally.
+        Each batch is scored for every trial through one
+        :meth:`SuffixEvaluator.peek_many` cascade — each flipped stage runs
+        per trial, every shared downstream stage runs once on the stacked
+        trials — and each trial's loss is then computed from its own logits
+        with exactly the operations of :meth:`attack_loss`, so the losses
+        are bit-identical to ``apply -> attack_loss -> revert`` one trial at
+        a time.
         """
-        if self._inference is None:
-            losses = []
-            for trial in trials:
-                trial.apply()
-                try:
-                    losses.append(self.attack_loss(model, flip_stage=trial.stage))
-                finally:
-                    trial.revert()
-            return losses
-        self._forward_mode = "suffix_many"
-        self._trial_flips = tuple(trials)
-        self._trial_logits = {}
-        losses = []
-        try:
-            for index in range(len(self._trial_flips)):
-                self._trial_index = index
-                losses.append(float(self.attack_loss_tensor(model).item()))
-        finally:
-            self._forward_mode = None
-            self._trial_flips = ()
-            self._trial_logits = None
-        return losses
+        outputs = {
+            key: evaluator.peek_many(key, self._batch_tensor(key).data, trials)
+            for key in self.batch_names()
+        }
+        return [
+            float(self.loss({key: Tensor(out[index]) for key, out in outputs.items()}).item())
+            for index in range(len(trials))
+        ]
 
-    def evaluation_accuracy(self, model: Module, batch_size: int = 64) -> float:
-        """Accuracy (%) on the evaluation samples."""
-        if self._inference is not None:
-            predictions = self._eval_predictions(model, batch_size)
-            if predictions.size == 0:
-                return 0.0
-            return float((predictions == self.eval_y).mean() * 100.0)
-        return evaluate(model, self.eval_x, self.eval_y, batch_size=batch_size)
+    def evaluate(
+        self,
+        model: Module,
+        batch_size: int = 64,
+        evaluator: Optional[SuffixEvaluator] = None,
+    ) -> ObjectiveMetrics:
+        """Measure the objective's metrics on the evaluation set."""
+        return self.metrics(self._eval_predictions(model, batch_size, evaluator))
 
     def resample_attack_batch(self) -> bool:
-        """Draw a fresh attack batch from the pool (returns False if no pool)."""
+        """Draw a fresh attack batch from the pool (returns False if no pool).
+
+        A caller holding an evaluator must drop its ``"attack"`` entry
+        after a True return.
+        """
         if self.attack_pool_x is None or self.attack_pool_y is None:
             return False
         count = min(self.attack_x.shape[0], self.attack_pool_x.shape[0])
         index = self._resample_rng.choice(self.attack_pool_x.shape[0], size=count, replace=False)
         self.attack_x = self.attack_pool_x[index]
         self.attack_y = self.attack_pool_y[index]
-        if self._inference is not None:
-            self._inference.drop("attack")
         return True
 
     @classmethod
@@ -325,32 +320,6 @@ class AttackObjective:
             cache[key] = cached
         return cached[1]
 
-    def _model_logits(self, model: Module, key: str) -> Tensor:
-        """Logits of the named batch on the current evaluation path.
-
-        Reference path (no engine attached): a plain full forward.  With an
-        engine attached, the gradient pass records stage boundaries while
-        building the graph and forward-only trial evaluations resume from
-        the flipped stage — both bit-identical to the full forward.
-        """
-        batch = self._batch_tensor(key)
-        if self._inference is None or self._forward_mode is None:
-            return model(batch)
-        if self._forward_mode == "graph":
-            return self._inference.forward_tensor(key, batch)
-        if self._forward_mode == "suffix_many":
-            # Batched trial scoring: the first logits request for a batch
-            # key scores *every* trial flip through one peek_many cascade;
-            # subsequent trials of the same attack_losses call read their
-            # slice from the memo, so per-trial loss assembly costs only
-            # the loss operations themselves.
-            cached = self._trial_logits.get(key)
-            if cached is None:
-                cached = self._inference.peek_many(key, batch.data, self._trial_flips)
-                self._trial_logits[key] = cached
-            return Tensor(cached[self._trial_index])
-        return Tensor(self._inference.peek(key, batch.data, self._suffix_stage))
-
     def _eval_batches(self, batch_size: int):
         """Pre-sliced evaluation batches, memoized per batch size.
 
@@ -371,31 +340,36 @@ class AttackObjective:
             cache[batch_size] = batches
         return batches
 
-    def _eval_predictions(self, model: Module, batch_size: int) -> np.ndarray:
+    def _eval_predictions(
+        self, model: Module, batch_size: int, evaluator: Optional[SuffixEvaluator]
+    ) -> np.ndarray:
         """Batched argmax predictions over the evaluation set.
 
-        With an inference engine attached the evaluation batches are pushed
-        through :meth:`SuffixEvaluator.forward_many` in one call: after a
-        committed flip every batch resumes from the same invalidated stage,
-        so the whole evaluation set costs a single stacked suffix execution
+        Without an evaluator each batch runs a gradient-free full forward.
+        With one, the batches are pushed through
+        :meth:`SuffixEvaluator.forward_many` in one call: after a committed
+        flip every batch resumes from the same invalidated stage, so the
+        whole evaluation set costs a single stacked suffix execution
         (bit-identical to the per-batch forwards it replaces).
         """
         model.eval()
-        predictions = []
-        if self._inference is not None:
-            items = [
-                (("eval", start, batch_size), batch_x)
-                for start, batch_x, _ in self._eval_batches(batch_size)
-            ]
-            for logits in self._inference.forward_many(items):
-                predictions.append(np.argmax(logits, axis=-1))
+        batches = self._eval_batches(batch_size)
+        if evaluator is not None:
+            logits = evaluator.forward_many(
+                [(("eval", start, batch_size), batch_x) for start, batch_x, _ in batches]
+            )
         else:
-            for _, _, batch in self._eval_batches(batch_size):
-                logits = model(batch)
-                predictions.append(np.argmax(logits.data, axis=-1))
-        if not predictions:
+            with no_grad(), kernels.hold():
+                logits = [model(batch).data for _, _, batch in batches]
+        if not logits:
             return np.zeros(0, dtype=np.int64)
-        return np.concatenate(predictions)
+        return np.concatenate([np.argmax(block, axis=-1) for block in logits])
+
+    def _accuracy(self, predictions: np.ndarray) -> float:
+        """Overall accuracy (%) of evaluation-set predictions (0 when empty)."""
+        if predictions.size == 0:
+            return 0.0
+        return float((predictions == self.eval_y).mean() * 100.0)
 
     @staticmethod
     def _metric_accuracy(value) -> float:
@@ -463,21 +437,17 @@ class UntargetedDegradation(AttackObjective):
 
     def __post_init__(self) -> None:
         check_positive("random_guess_accuracy", self.random_guess_accuracy)
-        check_non_negative("tolerance", self.tolerance)
-        if self.relative_factor < 1.0:
-            raise ValueError(f"relative_factor must be >= 1, got {self.relative_factor}")
+        self.check_values(vars(self))
         self._check_batch_shapes()
         self._resample_rng = np.random.default_rng(self.resample_seed)
 
     @classmethod
-    def validate_params(cls, params: Mapping[str, Any]) -> None:
-        """Unknown-key check plus the constructor's numeric bounds."""
-        super().validate_params(params)
+    def check_values(cls, params: Mapping[str, Any]) -> None:
+        """Non-negative ``tolerance`` and ``relative_factor >= 1``."""
         check_non_negative("tolerance", params.get("tolerance", 2.0))
-        if params.get("relative_factor", 2.0) < 1.0:
-            raise ValueError(
-                f"relative_factor must be >= 1, got {params['relative_factor']}"
-            )
+        relative_factor = params.get("relative_factor", 2.0)
+        if relative_factor < 1.0:
+            raise ValueError(f"relative_factor must be >= 1, got {relative_factor}")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -520,14 +490,13 @@ class UntargetedDegradation(AttackObjective):
             self.random_guess_accuracy * self.relative_factor,
         )
 
-    def attack_loss_tensor(self, model: Module) -> Tensor:
+    def loss(self, logits: Mapping[str, Tensor]) -> Tensor:
         """Mean cross-entropy of the attack batch against its true labels."""
-        logits = self._model_logits(model, "attack")
-        return cross_entropy(logits, self.attack_y)
+        return cross_entropy(logits["attack"], self.attack_y)
 
-    def evaluate(self, model: Module, batch_size: int = 64) -> ObjectiveMetrics:
+    def metrics(self, predictions: np.ndarray) -> ObjectiveMetrics:
         """Overall accuracy only — untargeted attacks have no ASR notion."""
-        return ObjectiveMetrics(accuracy=self.evaluation_accuracy(model, batch_size))
+        return ObjectiveMetrics(accuracy=self._accuracy(predictions))
 
     def is_satisfied(self, metrics) -> bool:
         """Whether an observed accuracy meets the attack objective."""
@@ -577,30 +546,19 @@ class TargetedMisclassification(AttackObjective):
     resample_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.source_class == self.target_class:
-            raise ValueError(
-                f"source_class and target_class must differ, both are {self.source_class}"
-            )
-        check_non_negative("source_class", self.source_class)
-        check_non_negative("target_class", self.target_class)
-        check_positive("success_threshold", self.success_threshold)
-        if self.success_threshold > 100.0:
-            raise ValueError(f"success_threshold is a percentage, got {self.success_threshold}")
+        self.check_values(vars(self))
         self._check_batch_shapes()
         self._resample_rng = np.random.default_rng(self.resample_seed)
 
     # ------------------------------------------------------------------
     @classmethod
-    def validate_params(cls, params: Mapping[str, Any]) -> None:
-        """Fail fast on declarative configs that could never construct."""
-        super().validate_params(params)
+    def check_values(cls, params: Mapping[str, Any]) -> None:
+        """Distinct non-negative classes and a percentage success threshold."""
         if params["source_class"] == params["target_class"]:
             raise ValueError(
                 "source_class and target_class must differ, both are "
                 f"{params['source_class']}"
             )
-        # Mirror the constructor's numeric checks so bad values fail at
-        # spec time, not inside a worker after victims are trained.
         check_non_negative("source_class", params["source_class"])
         check_non_negative("target_class", params["target_class"])
         threshold = params.get("success_threshold", 90.0)
@@ -658,20 +616,16 @@ class TargetedMisclassification(AttackObjective):
         return dataset.attack_batch(eval_samples, seed=None if seed is None else seed + 1)
 
     # ------------------------------------------------------------------
-    def attack_loss_tensor(self, model: Module) -> Tensor:
+    def loss(self, logits: Mapping[str, Tensor]) -> Tensor:
         """Negative cross-entropy towards the target class (ascended by the search)."""
-        logits = self._model_logits(model, "attack")
         targets = np.full(self.attack_x.shape[0], self.target_class, dtype=np.int64)
-        return -cross_entropy(logits, targets)
+        return -cross_entropy(logits["attack"], targets)
 
-    def evaluate(self, model: Module, batch_size: int = 64) -> ObjectiveMetrics:
-        """Overall accuracy plus the ASR, from one prediction pass."""
-        return self._metrics_from_predictions(self._eval_predictions(model, batch_size))
-
-    def _metrics_from_predictions(self, predictions: np.ndarray) -> ObjectiveMetrics:
+    def metrics(self, predictions: np.ndarray) -> ObjectiveMetrics:
+        """Overall accuracy plus the ASR (``nan`` without source-class samples)."""
         if predictions.size == 0:
             return ObjectiveMetrics(accuracy=0.0, attack_success_rate=float("nan"))
-        accuracy = float((predictions == self.eval_y).mean() * 100.0)
+        accuracy = self._accuracy(predictions)
         source_mask = self.eval_y == self.source_class
         if source_mask.any():
             asr = float((predictions[source_mask] == self.target_class).mean() * 100.0)
@@ -706,7 +660,7 @@ class StealthyTargeted(TargetedMisclassification):
     accuracy on the **non-source** evaluation samples (the intended
     misclassifications are not collateral damage) to sit within
     ``max_clean_accuracy_drop`` percentage points of the baseline captured
-    on the first :meth:`evaluate` call (the pre-attack measurement of the
+    on the first :meth:`metrics` call (the pre-attack measurement of the
     bit-search loop).
     """
 
@@ -716,9 +670,9 @@ class StealthyTargeted(TargetedMisclassification):
     )
 
     @classmethod
-    def validate_params(cls, params: Mapping[str, Any]) -> None:
+    def check_values(cls, params: Mapping[str, Any]) -> None:
         """Targeted checks plus the stealth-specific numeric bounds."""
-        super().validate_params(params)
+        super().check_values(params)
         check_non_negative(
             "max_clean_accuracy_drop", params.get("max_clean_accuracy_drop", 5.0)
         )
@@ -737,8 +691,6 @@ class StealthyTargeted(TargetedMisclassification):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_non_negative("max_clean_accuracy_drop", self.max_clean_accuracy_drop)
-        check_non_negative("stealth_weight", self.stealth_weight)
         if (self.clean_x is None) != (self.clean_y is None):
             raise ValueError("clean_x and clean_y must be provided together")
         if self.clean_x is not None and self.clean_x.shape[0] != self.clean_y.shape[0]:
@@ -789,15 +741,20 @@ class StealthyTargeted(TargetedMisclassification):
         )
 
     # ------------------------------------------------------------------
-    def attack_loss_tensor(self, model: Module) -> Tensor:
-        """Targeted term minus the weighted collateral-damage term."""
-        loss = super().attack_loss_tensor(model)
+    def batch_names(self) -> Tuple[str, ...]:
+        """The attack batch, plus the clean batch when the stealth term is live."""
         if self.clean_x is not None and self.clean_x.shape[0] and self.stealth_weight > 0:
-            clean_logits = self._model_logits(model, "clean")
-            loss = loss - self.stealth_weight * cross_entropy(clean_logits, self.clean_y)
+            return ("attack", "clean")
+        return ("attack",)
+
+    def loss(self, logits: Mapping[str, Tensor]) -> Tensor:
+        """Targeted term minus the weighted collateral-damage term."""
+        loss = super().loss(logits)
+        if "clean" in logits:
+            loss = loss - self.stealth_weight * cross_entropy(logits["clean"], self.clean_y)
         return loss
 
-    def evaluate(self, model: Module, batch_size: int = 64) -> ObjectiveMetrics:
+    def metrics(self, predictions: np.ndarray) -> ObjectiveMetrics:
         """Targeted metrics plus the non-source accuracy drop vs the baseline.
 
         The stealth bound deliberately excludes source-class samples: the
@@ -807,8 +764,7 @@ class StealthyTargeted(TargetedMisclassification):
         on the non-source evaluation samples, against a baseline captured
         on the first call (the bit-search loop's pre-attack measurement).
         """
-        predictions = self._eval_predictions(model, batch_size)
-        metrics = self._metrics_from_predictions(predictions)
+        metrics = super().metrics(predictions)
         clean_mask = self.eval_y != self.source_class
         if predictions.size and clean_mask.any():
             clean_accuracy = float(

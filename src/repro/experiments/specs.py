@@ -272,6 +272,8 @@ class ComparisonSpec(ExperimentSpec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model_keys", tuple(self.model_keys))
+        for model_key in self.model_keys:
+            get_spec(model_key)  # unknown keys fail before any work unit runs
         precision_num_bits(self.victim_precision)  # validate the name
 
     # -- execution -----------------------------------------------------
@@ -677,6 +679,7 @@ class ProfileDensitySpec(ExperimentSpec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "densities", tuple(float(d) for d in self.densities))
+        get_spec(self.model_key)  # an unknown key fails before any work unit runs
 
     # -- execution -----------------------------------------------------
     def victim_requirements(self) -> List[Tuple[str, int, Optional[int]]]:

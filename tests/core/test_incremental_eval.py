@@ -3,8 +3,9 @@
 The golden suites (test_bfa_golden, test_objectives_targeted) already pin
 that ``engine="vectorized"`` runs — which now evaluate through the
 :class:`SuffixEvaluator` — are bit-identical to ``engine="reference"``.
-These tests cover the wiring itself: engine attachment/detachment, the
-multi-batch evaluation path, and the hoisted batch views.
+These tests cover the wiring itself: evaluator ownership by the attack, the
+multi-batch evaluation path, batched trial scoring and the hoisted batch
+views.
 """
 
 import numpy as np
@@ -31,41 +32,61 @@ def untargeted(dataset, seed=2, **overrides):
     return AttackObjective.from_dataset(dataset, **kwargs)
 
 
-class TestEngineAttachment:
+class TestEvaluatorOwnership:
+    """The bit search owns the evaluator; objectives hold no evaluation state."""
+
+    CONFIG = BitSearchConfig(max_flips=3, top_k_layers=2, resample_attack_batch=False)
+
     def test_vectorized_attack_builds_incremental_engine(self, fresh_model, tiny_dataset):
-        objective = untargeted(tiny_dataset)
-        attack = BitFlipAttack(fresh_model, objective, engine="vectorized")
+        attack = BitFlipAttack(fresh_model, untargeted(tiny_dataset), engine="vectorized")
         assert attack._evaluator is not None
         # Every quantized tensor must map to a forward stage.
         assert set(attack._stage_of_tensor) == set(attack.parameters)
-        # The engine is attached only for the duration of run(): between
-        # runs the objective must answer from the full-forward path so
-        # out-of-band weight mutations can never hit a stale cache.
-        assert objective._inference is None
 
     def test_reference_attack_keeps_full_forward_path(self, fresh_model, tiny_dataset):
         objective = untargeted(tiny_dataset)
         attack = BitFlipAttack(fresh_model, objective, engine="reference")
         assert attack._evaluator is None
 
-    def test_run_detaches_engine_afterwards(self, fresh_model, tiny_dataset):
-        objective = untargeted(tiny_dataset)
-        attack = BitFlipAttack(
-            fresh_model, objective, config=BitSearchConfig(max_flips=2, top_k_layers=2)
-        )
-        attack.run()
-        assert objective._inference is None
+    def campaign(self, tiny_trained_model, objective_for):
+        """Vectorized, reference, then vectorized after an out-of-band weight change."""
+        model, clean_state = tiny_trained_model
+        model.load_state_dict(clean_state)
+        quantize_model(model)
+        results = []
+        for engine in ("vectorized", "reference", "vectorized"):
+            if engine == "vectorized" and results:
+                model.head.bias.data[0] += 1.0
+            attack = BitFlipAttack(model, objective_for(), config=self.CONFIG, engine=engine)
+            results.append(attack.run())
+        return results
 
-    def test_reference_run_detaches_stale_engine(self, fresh_model, tiny_dataset):
-        objective = untargeted(tiny_dataset)
-        vectorized = BitFlipAttack(fresh_model, objective, engine="vectorized")
-        objective.attach_inference_engine(vectorized._evaluator)  # stale leftover
-        reference = BitFlipAttack(
-            fresh_model, objective,
-            config=BitSearchConfig(max_flips=1, top_k_layers=2), engine="reference",
-        )
-        reference.run()
-        assert objective._inference is None
+    def test_shared_objective_matches_fresh_objectives(self, tiny_trained_model, tiny_dataset):
+        shared = untargeted(tiny_dataset)
+        reused = self.campaign(tiny_trained_model, lambda: shared)
+        fresh = self.campaign(tiny_trained_model, lambda: untargeted(tiny_dataset))
+        assert reused == fresh
+
+    def test_rerun_after_out_of_band_change_matches_fresh_attack(
+        self, tiny_trained_model, tiny_dataset
+    ):
+        """``run`` clears the evaluator, so a stale cache never answers."""
+        model, clean_state = tiny_trained_model
+        results = {}
+        for rerun in (True, False):
+            model.load_state_dict(clean_state)
+            quantize_model(model)
+            attack = BitFlipAttack(
+                model, untargeted(tiny_dataset), config=self.CONFIG, engine="vectorized"
+            )
+            attack.run()
+            model.head.bias.data[0] += 1.0  # behind the evaluator's back
+            if not rerun:
+                attack = BitFlipAttack(
+                    model, untargeted(tiny_dataset), config=self.CONFIG, engine="vectorized"
+                )
+            results[rerun] = attack.run()
+        assert results[True] == results[False]
 
 
 class TestMultiBatchEvaluation:
@@ -98,7 +119,7 @@ class TestBatchedTrialScoring:
 
     def shortlist(self, attack, objective, count=5):
         """A realistic inter-layer shortlist from one intra-layer stage."""
-        objective.attack_loss_and_gradients(attack.model)
+        objective.attack_loss_and_gradients(attack.model, attack._evaluator)
         proposals = [
             proposal
             for proposal in (
@@ -129,25 +150,24 @@ class TestBatchedTrialScoring:
                 tiny_dataset, source_class=0, target_class=1, attack_batch_size=16, seed=4
             )
         attack = BitFlipAttack(model, objective, engine="vectorized")
-        objective.attach_inference_engine(attack._evaluator)
-        try:
-            shortlist = self.shortlist(attack, objective)
-            assert len(shortlist) >= 3
-            # The PR-4 sequential path: one apply -> suffix peek -> revert
-            # per proposal.
-            sequential = []
-            for proposal in shortlist:
-                attack._apply(proposal)
-                sequential.append(
-                    objective.attack_loss(
-                        model, flip_stage=attack._stage_of_tensor[proposal.tensor_name]
-                    )
+        evaluator = attack._evaluator
+        shortlist = self.shortlist(attack, objective)
+        assert len(shortlist) >= 3
+        # The sequential path: one apply -> suffix peek -> revert per
+        # proposal.
+        sequential = []
+        for proposal in shortlist:
+            attack._apply(proposal)
+            sequential.append(
+                objective.attack_loss(
+                    model,
+                    flip_stage=attack._stage_of_tensor[proposal.tensor_name],
+                    evaluator=evaluator,
                 )
-                attack._revert(proposal)
-            batched = attack._score_shortlist(objective, shortlist)
-            assert batched == sequential
-        finally:
-            objective.detach_inference_engine()
+            )
+            attack._revert(proposal)
+        batched = attack._score_shortlist(objective, shortlist)
+        assert batched == sequential
 
     def test_batched_losses_match_reference_full_forward(
         self, tiny_trained_model, tiny_dataset
@@ -157,32 +177,15 @@ class TestBatchedTrialScoring:
         quantize_model(model)
         objective = untargeted(tiny_dataset)
         attack = BitFlipAttack(model, objective, engine="vectorized")
-        objective.attach_inference_engine(attack._evaluator)
-        try:
-            shortlist = self.shortlist(attack, objective)
-            batched = attack._score_shortlist(objective, shortlist)
-        finally:
-            objective.detach_inference_engine()
-        # Reference scoring: full forwards, no engine anywhere.
+        shortlist = self.shortlist(attack, objective)
+        batched = attack._score_shortlist(objective, shortlist)
+        # Reference scoring: full forwards, no evaluator anywhere.
         full = []
         for proposal in shortlist:
             attack._apply(proposal)
             full.append(objective.attack_loss(model))
             attack._revert(proposal)
         assert batched == full
-
-    def test_trial_state_resets_after_batched_scoring(self, fresh_model, tiny_dataset):
-        objective = untargeted(tiny_dataset)
-        attack = BitFlipAttack(fresh_model, objective, engine="vectorized")
-        objective.attach_inference_engine(attack._evaluator)
-        try:
-            shortlist = self.shortlist(attack, objective, count=3)
-            attack._score_shortlist(objective, shortlist)
-            assert objective._forward_mode is None
-            assert objective._trial_flips == ()
-            assert objective._trial_logits is None
-        finally:
-            objective.detach_inference_engine()
 
 
 class TestHoistedBatches:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.objective import AttackObjective, ObjectiveMetrics, UntargetedDegradation
+from repro.nn.inference import SuffixEvaluator
+from repro.nn.training import evaluate
 
 
 def make_objective(**overrides):
@@ -92,9 +94,15 @@ class TestModelEvaluation:
         with_grad = objective.attack_loss_and_gradients(model)
         forward_only = objective.attack_loss(model)
         assert forward_only == pytest.approx(with_grad, rel=1e-9)
+        evaluator = SuffixEvaluator(model)
+        assert objective.attack_loss_and_gradients(model, evaluator) == with_grad
+        assert objective.attack_loss(model, evaluator=evaluator) == forward_only
 
     def test_evaluation_accuracy_in_range(self, tiny_quantized_model, tiny_dataset):
         model, _ = tiny_quantized_model
         objective = AttackObjective.from_dataset(tiny_dataset, seed=0)
-        accuracy = objective.evaluation_accuracy(model)
+        accuracy = objective.evaluate(model).accuracy
         assert 0.0 <= accuracy <= 100.0
+        assert accuracy == evaluate(model, objective.eval_x, objective.eval_y)
+        evaluator = SuffixEvaluator(model)
+        assert objective.evaluate(model, evaluator=evaluator).accuracy == accuracy

@@ -16,6 +16,7 @@ from repro.experiments import (
     DefenseMatrixSpec,
     ExperimentRunner,
     ExperimentService,
+    ProfileDensitySpec,
     ResultStore,
     ServiceClient,
     ServiceOverloadError,
@@ -58,6 +59,17 @@ class TestOfflineExecution:
         service = _service(tmp_path)
         response = service._dispatch({"op": "submit", "spec": {"kind": "nope"}})
         assert not response["ok"]
+        assert len(service.queue) == 0
+
+    def test_unknown_model_key_rejected_at_submit(self, tmp_path):
+        service = _service(tmp_path)
+        comparison = dict(ComparisonSpec().to_dict(), model_keys=["nosuch"])
+        density = dict(ProfileDensitySpec().to_dict(), model_key="nosuch")
+        for payload in (comparison, density):
+            response = service._dispatch({"op": "submit", "spec": payload})
+            assert not response["ok"]
+            assert response["error"].startswith("invalid spec:")
+            assert "nosuch" in response["error"]
         assert len(service.queue) == 0
 
     def test_equivalent_payloads_queue_one_job(self, tmp_path):

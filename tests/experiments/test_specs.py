@@ -184,11 +184,21 @@ class TestRegistry:
 
 class TestWorkUnits:
     def test_comparison_units_cover_roster(self):
-        spec = ComparisonSpec(model_keys=("a", "b"), repetitions=2)
+        spec = ComparisonSpec(model_keys=("resnet20", "m11"), repetitions=2)
         units = spec.work_units()
         # per model: one clean unit + 2 mechanisms x 2 repetitions
         assert len(units) == 2 * (1 + 4)
         assert all(json.dumps(unit) for unit in units)
+
+    def test_unknown_model_keys_rejected_at_construction(self):
+        with pytest.raises(KeyError, match="unknown model 'nosuch'"):
+            ComparisonSpec(model_keys=("resnet20", "nosuch"))
+        with pytest.raises(KeyError, match="unknown model 'nosuch'"):
+            ProfileDensitySpec(model_key="nosuch")
+        payload = ComparisonSpec().to_dict()
+        payload["model_keys"] = ["nosuch"]
+        with pytest.raises(KeyError, match="unknown model"):
+            spec_from_dict(payload)
 
     def test_defense_matrix_units(self):
         spec = DefenseMatrixSpec()
