@@ -72,7 +72,7 @@ class DramBank:
             raise ValueError(
                 f"row data must have shape ({self.geometry.cols_per_row},), got {bits.shape}"
             )
-        if not np.isin(bits, (0, 1)).all():
+        if bits.max() > 1:  # uint8, so this is exactly "not all 0/1"
             raise ValueError("row data must contain only 0/1 values")
         self.data[row] = bits
         self.refresh_row(row)

@@ -20,8 +20,11 @@ frontier at the command level:
   the window closes (at its REF, or at end-of-trace for a trailing partial
   window).  Two implementations are kept under the golden engine contract
   of ``docs/ENGINES.md``: ``engine="reference"`` is a per-command Python
-  event loop, ``engine="vectorized"`` evaluates one array pass per tREFI
-  window.  Both produce bit-identical :class:`TimelineResult` objects.
+  event loop; ``engine="vectorized"`` aggregates every window's ACT
+  counts, hammer and press contributions and per-bank ACT sequences in
+  one array pass over the timeline, and its per-window loop keeps only
+  the stateful steps (accumulate, evaluate flips, sampler NRRs, bin
+  heal).  Both produce bit-identical :class:`TimelineResult` objects.
 
 Window-synchronous physics (shared by both engines):
 
@@ -79,7 +82,7 @@ class CommandTimeline:
 
     Commands are stored as five parallel numpy arrays (opcode, bank, row,
     issue cycle, recorded open-window cycles for PREs), which is what lets
-    the vectorized engine aggregate a whole tREFI window in one pass.  REF
+    the vectorized engine aggregate every tREFI window in one pass.  REF
     commands target the whole chip and carry ``bank = row = -1``, matching
     the :class:`~repro.dram.commands.DramCommand` convention.
 
@@ -306,36 +309,15 @@ def build_refsync_timeline(
             f"{slots_available} slots of one tREFI window"
         )
 
-    ops, banks, rows, cycles, opens = [], [], [], [], []
-    aggressor_cursor = 0
-    decoy_cursor = 0
-    for window in range(windows):
-        start = window * t_refi
-        base = start + timings.t_rp_cycles
-
-        def emit(slot_index: int, row: int) -> None:
-            act_cycle = base + slot_index * slot
-            ops.extend((OP_ACT, OP_PRE))
-            banks.extend((bank, bank))
-            rows.extend((row, row))
-            cycles.extend((act_cycle, act_cycle + open_window))
-            opens.extend((0, open_window))
-
-        if decoys:
-            for slot_index in range(phase):
-                emit(slot_index, decoys[decoy_cursor % len(decoys)])
-                decoy_cursor += 1
-        for burst_index in range(acts_per_window):
-            emit(phase + burst_index, aggressors[aggressor_cursor % len(aggressors)])
-            aggressor_cursor += 1
-        ops.append(OP_REF)
-        banks.append(-1)
-        rows.append(-1)
-        cycles.append(start + t_refi)
-        opens.append(0)
-    return CommandTimeline(
-        ops=np.asarray(ops), banks=np.asarray(banks), rows=np.asarray(rows),
-        cycles=np.asarray(cycles), open_cycles=np.asarray(opens),
+    burst_slots = phase + np.arange(acts_per_window, dtype=np.int64)
+    burst_rows = _round_robin(aggressors, windows, acts_per_window)
+    if decoys:
+        slots = np.concatenate((np.arange(phase, dtype=np.int64), burst_slots))
+        slot_rows = np.hstack((_round_robin(decoys, windows, phase), burst_rows))
+    else:
+        slots, slot_rows = burst_slots, burst_rows
+    return _slotted_timeline(
+        t_refi, bank, timings.t_rp_cycles + slots * slot, slot_rows, open_window
     )
 
 
@@ -383,27 +365,51 @@ def build_press_timeline(
             f"fit one tREFI window ({t_refi} cycles)"
         )
 
-    ops, banks, rows, cycles, opens = [], [], [], [], []
-    cursor = 0
-    for window in range(windows):
-        base = window * t_refi + timings.t_rp_cycles
-        for index in range(opens_per_window):
-            row = pressed[cursor % len(pressed)]
-            cursor += 1
-            act_cycle = base + index * iteration
-            ops.extend((OP_ACT, OP_PRE))
-            banks.extend((bank, bank))
-            rows.extend((row, row))
-            cycles.extend((act_cycle, act_cycle + open_cycles))
-            opens.extend((0, open_cycles))
-        ops.append(OP_REF)
-        banks.append(-1)
-        rows.append(-1)
-        cycles.append((window + 1) * t_refi)
-        opens.append(0)
+    offsets = timings.t_rp_cycles + np.arange(opens_per_window, dtype=np.int64) * iteration
+    return _slotted_timeline(
+        t_refi, bank, offsets, _round_robin(pressed, windows, opens_per_window), open_cycles
+    )
+
+
+def _round_robin(rows: Sequence[int], windows: int, per_window: int) -> np.ndarray:
+    """``(windows, per_window)`` rows cycling through ``rows`` across windows."""
+    picks = np.arange(windows * per_window, dtype=np.int64) % len(rows)
+    return np.asarray(rows, dtype=np.int64)[picks].reshape(windows, per_window)
+
+
+def _slotted_timeline(
+    t_refi: int,
+    bank: int,
+    act_offsets: np.ndarray,
+    slot_rows: np.ndarray,
+    open_cycles: int,
+) -> CommandTimeline:
+    """Lay out one ACT/PRE pair per slot and close every window with a REF.
+
+    ``act_offsets`` holds each slot's ACT cycle relative to its window's
+    start (the same in every window), ``slot_rows`` the ``(windows,
+    slots)`` rows activated; each PRE follows its ACT by ``open_cycles``.
+    """
+    windows, slots = slot_rows.shape
+    shape = (windows, 2 * slots + 1)
+    act, pre, pair = slice(0, 2 * slots, 2), slice(1, 2 * slots, 2), slice(0, 2 * slots)
+    starts = np.arange(windows, dtype=np.int64)[:, None] * t_refi
+    cycles = np.empty(shape, dtype=np.int64)
+    cycles[:, act] = starts + act_offsets
+    cycles[:, pre] = cycles[:, act] + open_cycles
+    cycles[:, -1:] = starts + t_refi
+    ops = np.full(shape, OP_REF, dtype=np.int64)
+    ops[:, act] = OP_ACT
+    ops[:, pre] = OP_PRE
+    banks = np.full(shape, -1, dtype=np.int64)
+    banks[:, pair] = bank
+    rows = np.full(shape, -1, dtype=np.int64)
+    rows[:, pair] = np.repeat(slot_rows, 2, axis=1)
+    opens = np.zeros(shape, dtype=np.int64)
+    opens[:, pre] = open_cycles
     return CommandTimeline(
-        ops=np.asarray(ops), banks=np.asarray(banks), rows=np.asarray(rows),
-        cycles=np.asarray(cycles), open_cycles=np.asarray(opens),
+        ops=ops.ravel(), banks=banks.ravel(), rows=rows.ravel(),
+        cycles=cycles.ravel(), open_cycles=opens.ravel(),
     )
 
 
@@ -553,7 +559,7 @@ class TimelineEngine:
     engine): ``"reference"`` is a per-command event loop with dict-based
     window aggregation, ``"vectorized"`` (and ``"compiled"``, which has no
     dedicated timeline kernels and reuses the vectorized pass) aggregates
-    each tREFI window with array operations.  Both strategies apply the
+    all tREFI windows with one pass of array operations.  Both strategies apply the
     identical window-synchronous physics documented in the module
     docstring and return bit-identical results; the golden differential
     suite (``tests/dram/test_timeline_golden.py``) enforces it.
@@ -577,6 +583,8 @@ class TimelineEngine:
         engine = chip.engine if engine is None else engine
         check_engine(engine)
         self.engine = engine
+        #: (bank, mechanism) -> lowest cell threshold per row; see _evaluate_flips.
+        self._row_floors: Dict[Tuple[int, str], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def run(self, timeline: CommandTimeline, validate: bool = True) -> TimelineResult:
@@ -700,117 +708,217 @@ class TimelineEngine:
         result.windows.append(stats)
 
     # ------------------------------------------------------------------
-    # Vectorized strategy: one array pass per tREFI window
+    # Vectorized strategy: one aggregation pass, then the stateful closes
     # ------------------------------------------------------------------
     def _run_vectorized(self, timeline: CommandTimeline, result: TimelineResult) -> None:
-        """Aggregate each tREFI window with array operations."""
-        ref_positions = np.nonzero(timeline.ops == OP_REF)[0]
-        window_index = 0
-        start = 0
-        for ref_index, position in enumerate(int(p) for p in ref_positions):
-            self._close_window_vectorized(
-                result, window_index, timeline, start, position, refreshed=True
+        """Aggregate every window up front, then close the windows in order."""
+        windows = _WindowAggregates(timeline, self.chip.geometry)
+        for window_index in range(windows.count):
+            refreshed = window_index < windows.refs
+            stats = WindowStats(
+                index=window_index,
+                refreshed=refreshed,
+                acts=int(windows.acts[window_index]),
+                opens=int(windows.opens[window_index]),
+                distinct_rows=int(windows.distinct_rows[window_index]),
             )
-            self._scheduled_refresh(ref_index)
-            result.refs_issued += 1
-            window_index += 1
-            start = position + 1
-        if start < len(timeline):
-            self._close_window_vectorized(
-                result, window_index, timeline, start, len(timeline), refreshed=False
-            )
+            for group in range(*windows.group_span(window_index)):
+                self._close_bank_window(result, stats, windows, group)
+            result.nrr_rows_issued += stats.nrr_rows
+            result.windows.append(stats)
+            if refreshed:
+                self._scheduled_refresh(window_index)
+                result.refs_issued += 1
 
-    def _close_window_vectorized(
+    def _close_bank_window(
         self,
         result: TimelineResult,
-        window_index: int,
-        timeline: CommandTimeline,
-        start: int,
-        stop: int,
-        refreshed: bool,
+        stats: WindowStats,
+        windows: "_WindowAggregates",
+        group: int,
     ) -> None:
-        geometry = self.chip.geometry
-        rows_per_bank = geometry.rows_per_bank
-        stats = WindowStats(index=window_index, refreshed=refreshed)
-        ops = timeline.ops[start:stop]
-        banks = timeline.banks[start:stop]
-        rows = timeline.rows[start:stop]
-        opens = timeline.open_cycles[start:stop]
-        act_mask = ops == OP_ACT
-        pre_mask = ops == OP_PRE
-        stats.acts = int(act_mask.sum())
-        stats.opens = int(pre_mask.sum())
-        for bank_index in (int(b) for b in np.unique(banks[act_mask | pre_mask])):
-            bank = self.chip.bank(bank_index)
-            self._seen_banks.add(bank_index)
-            bank_mask = banks == bank_index
-            act_rows = rows[act_mask & bank_mask]
-            pre_rows = rows[pre_mask & bank_mask]
-            pre_opens = opens[pre_mask & bank_mask]
+        """The stateful steps of one bank's window close, in canonical order."""
+        bank_index = windows.group_banks[group]
+        bank = self.chip.bank(bank_index)
+        self._seen_banks.add(bank_index)
+        acted, counts = windows.acted.slice(group)
+        victims, hammer_sums = windows.hammered.slice(group)
+        pressed, _ = windows.pressed.slice(group)
+        press_victims, press_sums = windows.press_victims.slice(group)
 
-            acted, counts = np.unique(act_rows, return_counts=True)
-            stats.distinct_rows += int(acted.size)
-            is_acted = np.zeros(rows_per_bank, dtype=bool)
-            is_acted[acted] = True
-            hammer_contrib = np.zeros(rows_per_bank, dtype=np.int64)
-            for offset in (-1, 1):
-                neighbour = acted + offset
-                valid = (neighbour >= 0) & (neighbour < rows_per_bank)
-                np.add.at(hammer_contrib, neighbour[valid], counts[valid])
-            hammer_contrib[is_acted] = 0
-            victims = np.nonzero(hammer_contrib > 0)[0]
-            bank.hammer_accumulator[victims] += hammer_contrib[victims]
-            bank.activation_counts[acted] += counts
-            flips = bank.evaluate_flips(
-                victims, set(int(row) for row in acted), "rowhammer"
+        bank.hammer_accumulator[victims] += hammer_sums
+        bank.activation_counts[acted] += counts
+        flips = self._evaluate_flips(bank, victims, acted, "rowhammer")
+        bank.press_accumulator[press_victims] += press_sums
+        flips.extend(self._evaluate_flips(bank, press_victims, pressed, "rowpress"))
+
+        result.flips.extend(flips)
+        result.flip_windows.extend([stats.index] * len(flips))
+        stats.flips += len(flips)
+
+        if stats.refreshed and self.sampler is not None:
+            sampled = self.sampler.sample_window(
+                stats.index, bank_index, windows.act_sequence(group)
             )
+            stats.sampled_rows += len(sampled)
+            count_of = dict(zip(acted.tolist(), counts.tolist()))
+            stats.sampled_acts += sum(count_of[row] for row in sampled)
+            for sampled_row in sampled:
+                for victim in self.sampler.victim_rows(
+                    sampled_row, self.chip.geometry.rows_per_bank
+                ):
+                    bank.refresh_row(victim)
+                    stats.nrr_rows += 1
 
-            press_contrib = np.zeros(rows_per_bank, dtype=np.int64)
-            pressed, open_sums = acted[:0], counts[:0]
-            if pre_rows.size:
-                pressed = np.unique(pre_rows)
-                open_sums = np.zeros(rows_per_bank, dtype=np.int64)
-                np.add.at(open_sums, pre_rows, pre_opens)
-                for offset in (-1, 1):
-                    neighbour = pressed + offset
-                    valid = (neighbour >= 0) & (neighbour < rows_per_bank)
-                    np.add.at(
-                        press_contrib, neighbour[valid], open_sums[pressed][valid]
-                    )
-            press_victims = np.nonzero(press_contrib > 0)[0]
-            bank.press_accumulator[press_victims] += press_contrib[press_victims]
-            flips.extend(
-                bank.evaluate_flips(
-                    press_victims, set(int(row) for row in pressed), "rowpress"
-                )
-            )
+    def _evaluate_flips(
+        self, bank, victims: np.ndarray, aggressors: np.ndarray, mechanism: str
+    ) -> List[CellFlip]:
+        """``bank.evaluate_flips``, skipped when no victim row can reach a cell.
 
-            result.flips.extend(flips)
-            result.flip_windows.extend([window_index] * len(flips))
-            stats.flips += len(flips)
-
-            if refreshed and self.sampler is not None:
-                sampled = self.sampler.sample_window(
-                    window_index, bank_index, [int(row) for row in act_rows]
-                )
-                stats.sampled_rows += len(sampled)
-                count_of = dict(zip(acted.tolist(), counts.tolist()))
-                stats.sampled_acts += sum(count_of.get(row, 0) for row in sampled)
-                for sampled_row in sampled:
-                    for victim in self.sampler.victim_rows(sampled_row, rows_per_bank):
-                        bank.refresh_row(victim)
-                        stats.nrr_rows += 1
-        result.nrr_rows_issued += stats.nrr_rows
-        result.windows.append(stats)
+        A row's floor is the lowest threshold among its vulnerable cells
+        (``inf`` without any), so ``floor <= accumulator`` fails for every
+        victim exactly when no cell is over its threshold — the case in
+        which the bank's own evaluation returns no flips and changes nothing.
+        """
+        key = (bank.index, mechanism)
+        floors = self._row_floors.get(key)
+        if floors is None:
+            rows, _, thresholds, _ = bank.vulnerability.arrays_for(mechanism)
+            floors = np.full(self.chip.geometry.rows_per_bank, np.inf)
+            np.minimum.at(floors, rows, thresholds)
+            self._row_floors[key] = floors
+        accumulator = (
+            bank.hammer_accumulator if mechanism == "rowhammer" else bank.press_accumulator
+        )
+        if not (floors[victims] <= accumulator[victims]).any():
+            return []
+        return bank.evaluate_flips(victims, aggressors.tolist(), mechanism)
 
     # ------------------------------------------------------------------
     # Shared bookkeeping
     # ------------------------------------------------------------------
     def _scheduled_refresh(self, ref_index: int) -> None:
         """Heal this REF's refresh bin on every bank the run has touched."""
-        rows = np.arange(self.chip.geometry.rows_per_bank, dtype=np.int64)
-        bin_rows = rows[rows % self.refresh_bins == ref_index % self.refresh_bins]
+        bin_rows = slice(ref_index % self.refresh_bins, None, self.refresh_bins)
         for bank_index in sorted(self._seen_banks):
             bank = self.chip.bank(bank_index)
             bank.hammer_accumulator[bin_rows] = 0.0
             bank.press_accumulator[bin_rows] = 0.0
+
+
+class _KeyedSums:
+    """Per-(window, bank) runs of rows with one summed value each.
+
+    Built from ``cell`` keys ``(window * num_banks + bank) * rows_per_bank
+    + row`` sorted ascending, so each touched (window, bank) group owns one
+    contiguous run; :meth:`slice` returns its rows and values.
+    """
+
+    def __init__(self, cells: np.ndarray, values: np.ndarray, rows_per_bank: int,
+                 groups: np.ndarray):
+        self.rows = cells % rows_per_bank
+        self.values = values
+        self.spans = _group_spans(cells // rows_per_bank, groups)
+
+    def slice(self, group: int) -> Tuple[np.ndarray, np.ndarray]:
+        start, stop = self.spans[group]
+        return self.rows[start:stop], self.values[start:stop]
+
+
+def _group_spans(sorted_ids: np.ndarray, groups: np.ndarray) -> List[List[int]]:
+    """``[start, stop)`` of each group's run in the ascending ``sorted_ids``."""
+    return np.stack((
+        np.searchsorted(sorted_ids, groups, side="left"),
+        np.searchsorted(sorted_ids, groups, side="right"),
+    ), axis=1).tolist()
+
+
+def _sum_by_key(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` and the sum of ``values`` over each."""
+    if keys.size == 0:
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _neighbour_sums(
+    cells: np.ndarray, values: np.ndarray, rows_per_bank: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Add each cell's value to its in-bank row neighbours (row ± 1)."""
+    rows = cells % rows_per_bank
+    lower = rows > 0
+    upper = rows < rows_per_bank - 1
+    return _sum_by_key(
+        np.concatenate((cells[lower] - 1, cells[upper] + 1)),
+        np.concatenate((values[lower], values[upper])),
+    )
+
+
+class _WindowAggregates:
+    """Everything the vectorized engine needs of a timeline, aggregated once.
+
+    One pass over the command arrays keys every ACT and PRE by (window,
+    bank, row) — window ``w`` holds the commands after the ``w``-th REF —
+    and derives per window the ACT and PRE counts and the distinct
+    activated rows, and per touched (window, bank) group the activated
+    rows and counts, the hammer contributions to their non-activated
+    neighbours, the pressed rows and the open-cycle contributions to
+    their neighbours, and the activated-row sequence in command order.
+    The per-window loop then only adds these to the banks' state.
+    """
+
+    def __init__(self, timeline: CommandTimeline, geometry: DramGeometry):
+        ops = timeline.ops
+        num_banks = geometry.num_banks
+        rows_per_bank = geometry.rows_per_bank
+        is_ref = ops == OP_REF
+        self.refs = int(is_ref.sum())
+        #: Windows closed by a REF, plus a trailing partial one if commands follow the last REF.
+        self.count = self.refs + int(len(timeline) > 0 and not is_ref[-1])
+        window_of = np.cumsum(is_ref) - is_ref
+        is_act = ops == OP_ACT
+        is_pre = ops == OP_PRE
+        self.acts = np.bincount(window_of[is_act], minlength=self.count)
+        self.opens = np.bincount(window_of[is_pre], minlength=self.count)
+
+        group_of = window_of * num_banks + timeline.banks
+        cells = group_of * rows_per_bank + timeline.rows
+        groups = np.unique(group_of[is_act | is_pre])
+        self.group_banks = (groups % num_banks).tolist()
+        self._window_bounds = np.searchsorted(
+            groups // num_banks, np.arange(self.count + 1)
+        ).tolist()
+
+        acted, act_counts = np.unique(cells[is_act], return_counts=True)
+        self.distinct_rows = np.bincount(
+            acted // (rows_per_bank * num_banks), minlength=self.count
+        )
+        hammered, hammer_sums = _neighbour_sums(acted, act_counts, rows_per_bank)
+        keep = ~np.isin(hammered, acted)
+        pressed, open_sums = _sum_by_key(cells[is_pre], timeline.open_cycles[is_pre])
+        press_victims, press_sums = _neighbour_sums(pressed, open_sums, rows_per_bank)
+        positive = press_sums > 0
+        self.acted = _KeyedSums(acted, act_counts, rows_per_bank, groups)
+        self.hammered = _KeyedSums(
+            hammered[keep], hammer_sums[keep], rows_per_bank, groups
+        )
+        self.pressed = _KeyedSums(pressed, open_sums, rows_per_bank, groups)
+        self.press_victims = _KeyedSums(
+            press_victims[positive], press_sums[positive], rows_per_bank, groups
+        )
+
+        act_groups = group_of[is_act]
+        order = np.argsort(act_groups, kind="stable")
+        self._act_rows = timeline.rows[is_act][order].tolist()
+        self._act_spans = _group_spans(act_groups[order], groups)
+
+    def group_span(self, window_index: int) -> Tuple[int, int]:
+        """``range`` bounds of the window's touched groups (banks ascending)."""
+        return self._window_bounds[window_index], self._window_bounds[window_index + 1]
+
+    def act_sequence(self, group: int) -> List[int]:
+        """The group's activated rows in command order, repeats included."""
+        start, stop = self._act_spans[group]
+        return self._act_rows[start:stop]

@@ -135,11 +135,6 @@ def build_default_spec(kind: str, args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
-def _load_spec_file(path: str) -> ExperimentSpec:
-    payload = json.loads(Path(path).read_text())
-    return spec_from_dict(payload)
-
-
 def _render_report(name: str, result: ExperimentResult) -> str:
     """Human-readable rendering of a stored result, per experiment kind."""
     kind = result.kind
@@ -347,21 +342,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_spec(args: argparse.Namespace):
     """The spec selected by ``run``/``submit`` flags, or an error exit code."""
+    if not (args.spec or args.kind):
+        print("error: provide an experiment kind or --spec file", file=sys.stderr)
+        return 2
     if args.spec:
         try:
-            return _load_spec_file(args.spec)
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as error:
+            payload = json.loads(Path(args.spec).read_text())
+        except (OSError, json.JSONDecodeError) as error:
             print(f"error: cannot load spec file {args.spec!r}: {error}", file=sys.stderr)
             return 2
-    if args.kind:
-        try:
-            return build_default_spec(args.kind, args)
-        except ValueError as error:
-            # e.g. a targeted objective whose source and target coincide
-            print(f"error: invalid spec: {error}", file=sys.stderr)
-            return 2
-    print("error: provide an experiment kind or --spec file", file=sys.stderr)
-    return 2
+    try:
+        if args.spec:
+            return spec_from_dict(payload)
+        return build_default_spec(args.kind, args)
+    except (ValueError, TypeError, KeyError) as error:
+        # e.g. a targeted objective whose source and target coincide, or
+        # an unknown model key (the model registry raises KeyError)
+        reason = error.args[0] if isinstance(error, KeyError) and error.args else error
+        print(f"error: invalid spec: {reason}", file=sys.stderr)
+        return 2
 
 
 def cmd_run(args: argparse.Namespace) -> int:

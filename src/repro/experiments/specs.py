@@ -583,7 +583,8 @@ class ChipProfileSpec(ExperimentSpec):
         ]
 
     def run_unit(self, unit: Mapping[str, Any], context) -> BitFlipProfile:
-        chip = DramChip(self.geometry, seed=self.chip_seed)
+        engine = default_engine()
+        chip = DramChip(self.geometry, seed=self.chip_seed, engine=engine)
         profiler = ChipProfiler(
             chip,
             ProfilingConfig(
@@ -592,6 +593,7 @@ class ChipProfileSpec(ExperimentSpec):
                 banks=[unit["bank"]],
                 row_stride=self.row_stride,
             ),
+            engine=engine,
         )
         if unit["mechanism"] == "rowhammer":
             return profiler.profile_rowhammer()

@@ -9,7 +9,7 @@ flips into a :class:`~repro.faults.profiles.ProfilePair`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,32 +95,44 @@ class ChipProfiler:
     # ------------------------------------------------------------------
     def profile_rowhammer(self) -> BitFlipProfile:
         """Profile the chip under RowHammer only."""
-        flips = self._run_mechanism("rowhammer")
-        return BitFlipProfile.from_flips(
-            "rowhammer", flips, self.chip.geometry, budget=self.config.hammer_count
-        )
+        return self._profile("rowhammer", self.config.hammer_count)
 
     def profile_rowpress(self) -> BitFlipProfile:
         """Profile the chip under RowPress only."""
-        flips = self._run_mechanism("rowpress")
-        return BitFlipProfile.from_flips(
-            "rowpress", flips, self.chip.geometry, budget=self.config.open_cycles
-        )
+        return self._profile("rowpress", self.config.open_cycles)
 
     def profile(self) -> ProfilePair:
         """Profile the chip under both mechanisms (the attacker's first step)."""
         return ProfilePair(rowhammer=self.profile_rowhammer(), rowpress=self.profile_rowpress())
 
     # ------------------------------------------------------------------
-    def _run_mechanism(self, mechanism: str) -> List[CellFlip]:
+    def _profile(self, mechanism: str, budget: int) -> BitFlipProfile:
         # Every non-reference tier (vectorized, compiled) takes the masked
         # whole-bank sweep; the profiler has no registry kernels of its
         # own, so "compiled" must never fall into the slow loop path.
-        if self.engine != "reference":
-            return self._run_mechanism_vectorized(mechanism)
-        return self._run_mechanism_reference(mechanism)
+        geometry = self.chip.geometry
+        if self.engine == "reference":
+            flips = self._run_mechanism_reference(mechanism)
+            return BitFlipProfile.from_flips(mechanism, flips, geometry, budget=budget)
+        return BitFlipProfile.from_cells(
+            mechanism, *self._run_mechanism_vectorized(mechanism), geometry, budget=budget
+        )
 
-    def _run_mechanism_vectorized(self, mechanism: str) -> List[CellFlip]:
+    def _run_mechanism(self, mechanism: str) -> List[CellFlip]:
+        """The observed flips as :class:`CellFlip` records, on either engine."""
+        if self.engine == "reference":
+            return self._run_mechanism_reference(mechanism)
+        banks, rows, cols, before = self._run_mechanism_vectorized(mechanism)
+        return [
+            CellFlip(bank=bank, row=row, col=col, before=bit, after=1 - bit, mechanism=mechanism)
+            for bank, row, col, bit in zip(
+                banks.tolist(), rows.tolist(), cols.tolist(), before.tolist()
+            )
+        ]
+
+    def _run_mechanism_vectorized(
+        self, mechanism: str
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Whole-bank masked sweep equivalent to the per-row attack loop.
 
         Every per-row run writes fresh data into the observed rows (which
@@ -129,23 +141,31 @@ class ChipProfiler:
         bit differs from the adjacent aggressor pattern bit (always true for
         the profiling patterns) and its preferred direction matches the
         stored bit.  That predicate is evaluated for every vulnerable cell
-        of a bank at once; CellFlip records are materialized only here, at
-        the API boundary, in the reference emission order.
+        of a bank at once.  Returns the observed flips as ``(bank, row,
+        col, before)`` int64 arrays in the reference emission order; the
+        profiles are built from these arrays directly, and
+        :class:`~repro.dram.cells.CellFlip` records are built only by
+        :meth:`_run_mechanism`, for the golden-equivalence tests.
         """
         geometry = self.chip.geometry
         config = self.config
         stride = config.row_stride
         last_interior = geometry.rows_per_bank - 2
         budget = config.hammer_count if mechanism == "rowhammer" else config.open_cycles
+        # Each pressed row's run observes its two neighbours, in this order.
+        pressed = np.asarray(self._victim_rows(), dtype=np.int64)
+        press_observed = np.stack((pressed - 1, pressed + 1), axis=1).ravel()
 
-        flips: List[CellFlip] = []
+        # (bank, row, col, before) chunks, each list seeded with an empty
+        # int64 array so the concatenation is int64 even with no flips.
+        chunks: Tuple[List[np.ndarray], ...] = tuple(
+            [np.empty(0, dtype=np.int64)] for _ in range(4)
+        )
         for pattern in config.patterns:
             victim_bits, aggressor_bits = make_pattern(pattern, geometry.cols_per_row)
             for bank in self._banks():
                 bank_map = self.chip.vulnerability_model.bank_map(bank)
                 rows, cols, thresholds, directions = bank_map.arrays_for(mechanism)
-                if rows.size == 0:
-                    continue
                 stored = victim_bits[cols] if mechanism == "rowhammer" else aggressor_bits[cols]
                 facing = aggressor_bits[cols] if mechanism == "rowhammer" else victim_bits[cols]
                 feasible = (
@@ -155,65 +175,20 @@ class ChipProfiler:
                 )
                 if mechanism == "rowhammer":
                     # Observed exactly once: in the run whose victim row it is.
-                    observed = (
-                        feasible
-                        & (rows >= 1)
-                        & (rows <= last_interior)
-                        & ((rows - 1) % stride == 0)
+                    feasible &= (
+                        (rows >= 1) & (rows <= last_interior) & ((rows - 1) % stride == 0)
                     )
-                    indices = np.nonzero(observed)[0]
-                    order = np.lexsort((cols[indices], rows[indices]))
-                    flips.extend(
-                        self._materialize(
-                            bank, rows, cols, stored, indices[order], mechanism
-                        )
-                    )
-                else:
+                indices = np.nonzero(feasible)[0]
+                indices = indices[np.lexsort((cols[indices], rows[indices]))]
+                if mechanism == "rowpress":
                     # A cell in row k is observed (freshly written, disturbed
                     # and read back) once per pressed row adjacent to k, so
                     # interior rows between two pressed rows appear twice.
-                    indices = np.nonzero(feasible)[0]
-                    if indices.size == 0:
-                        continue
-                    feasible_rows = rows[indices]
-                    order = np.lexsort((cols[indices], feasible_rows))
-                    indices = indices[order]
-                    feasible_rows = feasible_rows[order]
-                    starts = np.searchsorted(feasible_rows, np.arange(geometry.rows_per_bank))
-                    ends = np.searchsorted(
-                        feasible_rows, np.arange(geometry.rows_per_bank), side="right"
-                    )
-                    for pressed in self._victim_rows():
-                        for observed_row in (pressed - 1, pressed + 1):
-                            if not 0 <= observed_row < geometry.rows_per_bank:
-                                continue
-                            span = indices[starts[observed_row] : ends[observed_row]]
-                            if span.size:
-                                flips.extend(
-                                    self._materialize(bank, rows, cols, stored, span, mechanism)
-                                )
-        return flips
-
-    @staticmethod
-    def _materialize(
-        bank: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        stored: np.ndarray,
-        indices: np.ndarray,
-        mechanism: str,
-    ) -> List[CellFlip]:
-        return [
-            CellFlip(
-                bank=bank,
-                row=int(rows[i]),
-                col=int(cols[i]),
-                before=int(stored[i]),
-                after=1 - int(stored[i]),
-                mechanism=mechanism,
-            )
-            for i in indices
-        ]
+                    indices = indices[_row_runs(rows[indices], press_observed)]
+                found = (np.full(indices.size, bank), rows[indices], cols[indices], stored[indices])
+                for chunk, values in zip(chunks, found):
+                    chunk.append(values)
+        return tuple(np.concatenate(chunk) for chunk in chunks)
 
     def _run_mechanism_reference(self, mechanism: str) -> List[CellFlip]:
         flips: List[CellFlip] = []
@@ -246,3 +221,16 @@ class ChipProfiler:
                         result = attack.run()
                     flips.extend(result.flips)
         return flips
+
+
+def _row_runs(sorted_rows: np.ndarray, observed: np.ndarray) -> np.ndarray:
+    """Positions into ``sorted_rows`` of each ``observed`` row's run, in order.
+
+    Concatenates, for every entry of ``observed`` (repeats allowed), the
+    positions holding that row — the vectorized form of slicing one run
+    per observed row and joining the slices.
+    """
+    starts = np.searchsorted(sorted_rows, observed, side="left")
+    lengths = np.searchsorted(sorted_rows, observed, side="right") - starts
+    shifts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return shifts + np.arange(int(lengths.sum()), dtype=np.int64)

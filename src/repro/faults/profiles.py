@@ -186,6 +186,28 @@ class BitFlipProfile:
         )
 
     @classmethod
+    def from_cells(
+        cls,
+        mechanism: str,
+        banks: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        before: np.ndarray,
+        geometry: DramGeometry,
+        budget: float = 0.0,
+    ) -> "BitFlipProfile":
+        """Array form of :meth:`from_flips`: one observed flip per int64 entry."""
+        # Same layout as AddressMapper.to_flat, vectorised over all flips.
+        flats = (rows * geometry.num_banks + banks) * geometry.cols_per_row + cols
+        return cls(
+            mechanism=mechanism,
+            flat_indices=flats,
+            directions=before == 1,
+            capacity_bits=geometry.total_cells,
+            budget=budget,
+        )
+
+    @classmethod
     def from_vulnerability_model(
         cls,
         model: CellVulnerabilityModel,

@@ -23,7 +23,6 @@ class TrainingResult:
     epochs: int
     train_losses: List[float] = field(default_factory=list)
     train_accuracies: List[float] = field(default_factory=list)
-    test_accuracy: float = 0.0
 
     @property
     def final_train_loss(self) -> float:
@@ -104,7 +103,5 @@ def train(
             result.train_accuracies.append(epoch_accuracy)
             if verbose:  # pragma: no cover - logging only
                 print(f"epoch {epoch + 1}/{epochs}: loss={epoch_loss:.4f} acc={epoch_accuracy:.2f}%")
-
-        result.test_accuracy = evaluate_on_dataset(model, dataset, batch_size=batch_size)
     model.eval()
     return result

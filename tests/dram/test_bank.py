@@ -43,6 +43,29 @@ class TestDataAccess:
         with pytest.raises(ValueError):
             bank.write_row(0, np.full(32, 2, dtype=np.uint8))
 
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_write_row_rejects_one_non_bit_value(self, bad):
+        bank = make_manual_bank()
+        row = np.zeros(32, dtype=np.uint8)
+        row[17] = bad
+        with pytest.raises(ValueError, match="only 0/1"):
+            bank.write_row(0, row)
+        assert not bank.read_row(0).any()
+
+    def test_write_row_rejects_wrong_shape(self):
+        bank = make_manual_bank()
+        with pytest.raises(ValueError, match="shape"):
+            bank.write_row(0, np.zeros((2, 16), dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+    def test_write_row_accepts_bit_rows(self, dtype):
+        bank = make_manual_bank()
+        bits = (np.arange(32) % 3 == 0).astype(dtype)
+        bank.write_row(2, bits)
+        assert np.array_equal(bank.read_row(2), bits.astype(np.uint8))
+        bank.write_row(3, np.zeros(32, dtype=dtype))
+        assert not bank.read_row(3).any()
+
     def test_bit_access(self):
         bank = make_manual_bank()
         bank.write_bit(3, 7, 1)

@@ -91,6 +91,25 @@ class TestRunAndReport:
         assert main(["run", "--spec", str(spec_file), "--store", str(tmp_path)]) == 2
         assert "'sed'" in capsys.readouterr().err
 
+    def test_unknown_model_flag_fails_cleanly(self, tmp_path, capsys):
+        assert main([
+            "run", "comparison", "--models", "nosuch", "--store", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid spec: unknown model 'nosuch'")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "submit"])
+    def test_unknown_model_in_spec_file_fails_cleanly(self, tmp_path, capsys, command):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"kind": "comparison", "model_keys": ["nosuch"]}))
+        where = "--store" if command == "run" else "--queue"
+        # submit rejects the spec before it looks for a daemon
+        assert main([command, "--spec", str(spec_file), where, str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid spec: unknown model 'nosuch'")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestBackendChoices:
     @pytest.mark.parametrize("command", ["run", "serve"])

@@ -5,6 +5,7 @@ import pytest
 from repro.dram.chip import DramChip
 from repro.dram.geometry import DramGeometry
 from repro.dram.vulnerability import VulnerabilityParameters
+from repro.faults.patterns import DataPattern, profiling_patterns
 from repro.faults.profiler import ChipProfiler, ProfilingConfig
 from repro.faults.profiles import BitFlipProfile
 
@@ -61,3 +62,43 @@ class TestChipProfiler:
         mapper = chip.address_mapper
         banks_touched = {mapper.to_cell(int(i)).bank for i in profile.flat_indices}
         assert banks_touched <= {1}
+
+
+class TestArrayBuiltProfiles:
+    """The vectorized profiler builds profiles from flip arrays directly;
+    they must equal ``from_flips`` over the reference engine's flips."""
+
+    GEOMETRY = DramGeometry(num_banks=2, rows_per_bank=40, cols_per_row=128)
+    PARAMS = VulnerabilityParameters(rh_density=0.05, rp_density=0.2)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize(
+        "patterns",
+        [(DataPattern.VICTIM_ZEROS,), (DataPattern.VICTIM_ONES,), profiling_patterns()],
+    )
+    @pytest.mark.parametrize("banks", [None, [1]])
+    def test_profile_equals_from_flips_of_the_reference(self, stride, patterns, banks):
+        config = ProfilingConfig(
+            hammer_count=500_000, open_cycles=50_000_000, row_stride=stride,
+            patterns=patterns, banks=banks,
+        )
+        reference = ChipProfiler(
+            DramChip(self.GEOMETRY, vulnerability_parameters=self.PARAMS, seed=3,
+                     engine="reference"),
+            config, engine="reference",
+        )
+        vectorized = ChipProfiler(
+            DramChip(self.GEOMETRY, vulnerability_parameters=self.PARAMS, seed=3), config
+        )
+        for mechanism, profile in (
+            ("rowhammer", vectorized.profile_rowhammer()),
+            ("rowpress", vectorized.profile_rowpress()),
+        ):
+            budget = config.hammer_count if mechanism == "rowhammer" else config.open_cycles
+            expected = BitFlipProfile.from_flips(
+                mechanism, reference._run_mechanism(mechanism), self.GEOMETRY, budget=budget
+            )
+            assert len(expected) > 0
+            assert profile.to_dict() == expected.to_dict()
+            assert profile.flat_indices.dtype == expected.flat_indices.dtype
+            assert profile.directions.dtype == expected.directions.dtype

@@ -1,23 +1,24 @@
 #!/usr/bin/env python
-"""End-to-end smoke test of the timeline kinds (CI `timeline-smoke` job).
+"""End-to-end smoke test of the small DRAM kinds (CI `timeline-smoke` job).
 
-Pushes a tiny refresh-synchronized sweep through the full stack and checks
-the invariants the command-timeline subsystem promises:
+Pushes a tiny ``refsync_sweep``, ``trr_sampling`` and ``chip_profile``
+job each through the full stack and checks the invariants the
+command-timeline and profiling layers promise:
 
-1. a ``refsync_sweep`` job submitted to a real daemon runs to completion
-   and its stored envelope is byte-identical to a serial
-   ``ExperimentRunner`` run of the same spec;
-2. the reference and vectorized engine tiers produce the same grids for
-   that spec (the golden contract, exercised through the spec layer);
-3. the zero-activation cell's sampled fraction survives the store as nan
-   and renders as ``-`` in the report heatmap.
+1. each job submitted to a real daemon runs to completion and its stored
+   envelope is byte-identical to a serial ``ExperimentRunner`` run of the
+   same spec;
+2. a run under ``REPRO_DEFAULT_ENGINE=reference`` stores the same bytes
+   as one on the default tier (the golden contract, exercised through the
+   spec layer);
+3. the refsync grid's zero-activation cell's sampled fraction survives
+   the store as nan and renders as ``-`` in the report heatmap.
 
-Runs in a few seconds: the workload is a 6-window refsync sweep on a
-48-row bank (no DNN training).  Exits non-zero on the first violated
-invariant.
+Runs in a few seconds: the workloads are 6- and 12-window timelines on a
+48-row bank and a 24-row, 2-bank profiling campaign (no DNN training).  Exits
+non-zero when any invariant is violated.
 """
 
-import json
 import math
 import os
 import sys
@@ -30,23 +31,41 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.analysis.figures import render_heatmap
 from repro.dram.geometry import DramGeometry
 from repro.experiments import (
+    ChipProfileSpec,
     ExperimentRunner,
     ExperimentService,
     RefsyncSweepSpec,
     ResultStore,
     ServiceClient,
+    TrrSamplingSpec,
 )
 
+TIMELINE_GEOMETRY = DramGeometry(num_banks=1, rows_per_bank=48, cols_per_row=128)
 
-def _spec():
-    return RefsyncSweepSpec(
-        geometry=DramGeometry(num_banks=1, rows_per_bank=48, cols_per_row=128),
+#: Stored name -> spec of every job the smoke runs.
+SPECS = {
+    "refsync": RefsyncSweepSpec(
+        geometry=TIMELINE_GEOMETRY,
         victim_row=24,
         windows=6,
         act_rates=(0, 48),
         phases=(0, 2),
         decoy_rows=(2, 6),
-    )
+    ),
+    "trr": TrrSamplingSpec(
+        geometry=TIMELINE_GEOMETRY,
+        windows=12,
+        capacities=(0, 1, 4),
+    ),
+    "profile": ChipProfileSpec(
+        geometry=DramGeometry(num_banks=2, rows_per_bank=24, cols_per_row=128),
+        row_stride=1,
+    ),
+}
+
+
+def _stored_bytes(store, name):
+    return store.path_for(name).read_bytes()
 
 
 def main() -> int:
@@ -67,24 +86,37 @@ def main() -> int:
             client = ServiceClient(queue_dir=root / "queue")
             check(client.ping()["ok"], "daemon answers ping")
 
-            submitted = client.submit(_spec().to_dict(), name="refsync")
-            job = client.wait(submitted["job_id"], timeout=120)
-            check(job["state"] == "done", "refsync job completes via the daemon")
+            for name, spec in SPECS.items():
+                submitted = client.submit(spec.to_dict(), name=name)
+                job = client.wait(submitted["job_id"], timeout=120)
+                check(job["state"] == "done", f"{name} job completes via the daemon")
         finally:
             service.stop()
 
         serial_store = ResultStore(root / "serial")
-        serial = ExperimentRunner(store=serial_store).run(_spec(), save_as="refsync")
-        daemon_env = json.loads(service.store.path_for("refsync").read_text())
-        serial_env = json.loads(serial_store.path_for("refsync").read_text())
-        check(daemon_env == serial_env, "daemon result bit-identical to serial")
+        reference_store = ResultStore(root / "reference")
+        for name, spec in SPECS.items():
+            ExperimentRunner(store=serial_store).run(spec, save_as=name)
+            check(
+                _stored_bytes(service.store, name) == _stored_bytes(serial_store, name),
+                f"{name}: daemon result bit-identical to serial",
+            )
+            with mock.patch.dict(os.environ, {"REPRO_DEFAULT_ENGINE": "reference"}):
+                ExperimentRunner(store=reference_store).run(spec, save_as=name)
+            check(
+                _stored_bytes(reference_store, name) == _stored_bytes(serial_store, name),
+                f"{name}: reference engine stores the default tier's bytes",
+            )
 
-        with mock.patch.dict(os.environ, {"REPRO_DEFAULT_ENGINE": "reference"}):
-            reference = ExperimentRunner().run(_spec()).payload
+        # The parity checks above only mean something if the runs flip bits.
         check(
-            serial.payload.flips == reference.flips
-            and serial.payload.nrr_rows == reference.nrr_rows,
-            "reference engine reproduces the vectorized grids",
+            service.store.load("trr").payload.flips_by_capacity()[0] > 0,
+            "undefended trr run latches flips",
+        )
+        profile = service.store.load("profile").payload.pair.statistics()
+        check(
+            profile["rh_cells"] > 0 and profile["rp_cells"] > 0,
+            "profiling finds cells under both mechanisms",
         )
 
         loaded = service.store.load("refsync").payload
@@ -106,7 +138,8 @@ def main() -> int:
     if failures:
         print(f"timeline smoke FAILED ({len(failures)} problem(s))")
         return 1
-    print("timeline smoke passed: daemon parity, engine parity and nan conventions")
+    print("timeline smoke passed: daemon parity, engine parity and nan conventions "
+          f"for {', '.join(SPECS)}")
     return 0
 
 
