@@ -164,7 +164,7 @@ def case_description(name: str, sizes: Dict[str, int]) -> str:
             f"({TIMELINE_ACTS_PER_WINDOW} ACTs/window over "
             f"{len(TIMELINE_AGGRESSORS)} aggressors, capacity-"
             f"{TIMELINE_SAMPLER_CAPACITY} random-policy TRR sampler): "
-            "per-command event loop vs one array pass per tREFI window"
+            "per-command event loop vs one aggregation pass over all tREFI windows"
         )
     if name == "victim_evaluation":
         return (

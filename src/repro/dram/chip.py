@@ -59,6 +59,25 @@ class DramChip:
         self.address_mapper = AddressMapper(self.geometry)
         self._banks: Dict[int, DramBank] = {}
 
+    @classmethod
+    def from_vulnerability_model(
+        cls,
+        model: CellVulnerabilityModel,
+        timings: Optional[DramTimings] = None,
+        engine: str = "vectorized",
+    ) -> "DramChip":
+        """A fresh chip whose banks read ``model``'s already-sampled maps.
+
+        The chip equals ``DramChip(model.geometry, timings,
+        model.parameters, model.seed, engine=engine)``: the model is seeded
+        per bank, so both see the same vulnerable cells (see
+        :meth:`reset`), but this one samples nothing the model already
+        holds.  Bank data and accumulators are the new chip's own.
+        """
+        chip = cls(model.geometry, timings, model.parameters, model.seed, engine=engine)
+        chip.vulnerability_model = model
+        return chip
+
     # ------------------------------------------------------------------
     # Bank access
     # ------------------------------------------------------------------

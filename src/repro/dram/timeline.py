@@ -587,8 +587,21 @@ class TimelineEngine:
         self._row_floors: Dict[Tuple[int, str], np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def run(self, timeline: CommandTimeline, validate: bool = True) -> TimelineResult:
-        """Execute ``timeline`` and return the latched flips and statistics."""
+    def run(
+        self,
+        timeline: CommandTimeline,
+        validate: bool = True,
+        windows: Optional["WindowAggregates"] = None,
+    ) -> TimelineResult:
+        """Execute ``timeline`` and return the latched flips and statistics.
+
+        ``windows`` is ``WindowAggregates(timeline, geometry)`` built once by
+        a caller that runs one timeline on several chips of this geometry;
+        the vectorized strategy builds it itself when it is not given, and
+        the reference strategy never reads it.
+        """
+        if windows is not None and windows.geometry != self.chip.geometry:
+            raise ValueError("window aggregates were built for another geometry")
         if validate:
             timeline.validate(self.chip.timings, self.chip.geometry)
         result = TimelineResult(duration_cycles=timeline.last_cycle)
@@ -596,7 +609,7 @@ class TimelineEngine:
         if self.engine == "reference":
             self._run_reference(timeline, result)
         else:
-            self._run_vectorized(timeline, result)
+            self._run_vectorized(timeline, result, windows)
         if self.sampler is not None:
             result.sampling_histogram = self.sampler.histogram_snapshot()
         return result
@@ -710,9 +723,15 @@ class TimelineEngine:
     # ------------------------------------------------------------------
     # Vectorized strategy: one aggregation pass, then the stateful closes
     # ------------------------------------------------------------------
-    def _run_vectorized(self, timeline: CommandTimeline, result: TimelineResult) -> None:
+    def _run_vectorized(
+        self,
+        timeline: CommandTimeline,
+        result: TimelineResult,
+        windows: Optional["WindowAggregates"],
+    ) -> None:
         """Aggregate every window up front, then close the windows in order."""
-        windows = _WindowAggregates(timeline, self.chip.geometry)
+        if windows is None:
+            windows = WindowAggregates(timeline, self.chip.geometry)
         for window_index in range(windows.count):
             refreshed = window_index < windows.refs
             stats = WindowStats(
@@ -734,7 +753,7 @@ class TimelineEngine:
         self,
         result: TimelineResult,
         stats: WindowStats,
-        windows: "_WindowAggregates",
+        windows: "WindowAggregates",
         group: int,
     ) -> None:
         """The stateful steps of one bank's window close, in canonical order."""
@@ -856,7 +875,7 @@ def _neighbour_sums(
     )
 
 
-class _WindowAggregates:
+class WindowAggregates:
     """Everything the vectorized engine needs of a timeline, aggregated once.
 
     One pass over the command arrays keys every ACT and PRE by (window,
@@ -870,6 +889,7 @@ class _WindowAggregates:
     """
 
     def __init__(self, timeline: CommandTimeline, geometry: DramGeometry):
+        self.geometry = geometry
         ops = timeline.ops
         num_banks = geometry.num_banks
         rows_per_bank = geometry.rows_per_bank

@@ -55,7 +55,13 @@ from repro.defenses.evaluation import DefenseEvaluationResult, evaluate_defense
 from repro.defenses.trr import TRR_SAMPLING_POLICIES, TrrSampler
 from repro.dram.chip import DramChip
 from repro.dram.geometry import DramGeometry
-from repro.dram.timeline import TimelineEngine, TimelineResult
+from repro.dram.timeline import (
+    CommandTimeline,
+    TimelineEngine,
+    TimelineResult,
+    WindowAggregates,
+    build_hammer_timeline,
+)
 from repro.dram.timing import DramTimings
 from repro.dram.vulnerability import CellVulnerabilityModel, VulnerabilityParameters
 from repro.faults.profiler import ChipProfiler, ProfilingConfig
@@ -79,6 +85,28 @@ MECHANISMS: Tuple[str, str] = ("rowhammer", "rowpress")
 #: Payload keys of removed spec fields: accepted on decode and dropped, so
 #: stored results and queued jobs written before the removal still load.
 RETIRED_KEYS = frozenset({"engine"})
+
+
+def _shared_chip(
+    context,
+    geometry: DramGeometry,
+    seed: int,
+    parameters: Optional[VulnerabilityParameters] = None,
+    **chip_options: Any,
+) -> DramChip:
+    """A fresh chip on the job's one sampled vulnerable-cell population.
+
+    A job's work units run back to back on one context, so the
+    :class:`CellVulnerabilityModel` is memoised on (geometry, parameters,
+    seed) and each bank is sampled once per job.  Each unit still gets its
+    own chip and banks; the shared maps are read-only.
+    """
+    parameters = parameters or VulnerabilityParameters()
+    model = context.memo(
+        ("vulnerability", geometry, parameters, seed),
+        lambda: CellVulnerabilityModel(geometry, parameters, seed=seed),
+    )
+    return DramChip.from_vulnerability_model(model, **chip_options)
 
 
 # ----------------------------------------------------------------------
@@ -447,14 +475,13 @@ class DefenseMatrixSpec(ExperimentSpec):
             raise ValueError(f"duplicate defense names in spec: {sorted(names)}")
 
     # -- execution -----------------------------------------------------
-    def build_chip(self) -> DramChip:
+    def build_chip(self, context) -> DramChip:
         """A fresh chip with the spec's seeded vulnerable-cell population."""
-        return DramChip(
+        return _shared_chip(
+            context,
             self.geometry,
-            vulnerability_parameters=VulnerabilityParameters(
-                rh_density=self.rh_density, rp_density=self.rp_density
-            ),
-            seed=self.chip_seed,
+            self.chip_seed,
+            VulnerabilityParameters(rh_density=self.rh_density, rp_density=self.rp_density),
         )
 
     def work_units(self) -> List[Dict[str, Any]]:
@@ -467,7 +494,7 @@ class DefenseMatrixSpec(ExperimentSpec):
     def run_unit(self, unit: Mapping[str, Any], context) -> DefenseEvaluationResult:
         defense = self.defenses[unit["defense_index"]].build()
         return evaluate_defense(
-            self.build_chip(),
+            self.build_chip(context),
             defense,
             unit["mechanism"],
             rowhammer_config=self.rowhammer,
@@ -522,15 +549,15 @@ class FlipSweepSpec(ExperimentSpec):
         object.__setattr__(self, "open_cycles", tuple(int(c) for c in self.open_cycles))
 
     # -- execution -----------------------------------------------------
-    def build_chip(self) -> DramChip:
+    def build_chip(self, context) -> DramChip:
         """A fresh chip with the default vulnerability populations."""
-        return DramChip(self.geometry, seed=self.chip_seed)
+        return _shared_chip(context, self.geometry, self.chip_seed)
 
     def work_units(self) -> List[Dict[str, Any]]:
         return [{"mechanism": mechanism} for mechanism in MECHANISMS]
 
     def run_unit(self, unit: Mapping[str, Any], context) -> FlipCurve:
-        chip = self.build_chip()
+        chip = self.build_chip(context)
         if unit["mechanism"] == "rowhammer":
             return rowhammer_flip_curve(
                 chip, self.hammer_counts, max_rows_per_bank=self.max_rows_per_bank
@@ -582,9 +609,18 @@ class ChipProfileSpec(ExperimentSpec):
             for bank in range(self.geometry.num_banks)
         ]
 
-    def run_unit(self, unit: Mapping[str, Any], context) -> BitFlipProfile:
+    def _budget(self, mechanism: str) -> int:
+        return self.hammer_count if mechanism == "rowhammer" else self.open_cycles
+
+    def _ideal_cells(self, bank_map, mechanism: str) -> int:
+        """Cells of one bank an idealised campaign finds within the budget."""
+        _, _, thresholds, _ = bank_map.arrays_for(mechanism)
+        return int(np.count_nonzero(thresholds <= self._budget(mechanism)))
+
+    def run_unit(self, unit: Mapping[str, Any], context) -> Dict[str, Any]:
+        """The (mechanism, bank) profile and that bank's ideal cell count."""
         engine = default_engine()
-        chip = DramChip(self.geometry, seed=self.chip_seed, engine=engine)
+        chip = _shared_chip(context, self.geometry, self.chip_seed, engine=engine)
         profiler = ChipProfiler(
             chip,
             ProfilingConfig(
@@ -596,40 +632,44 @@ class ChipProfileSpec(ExperimentSpec):
             engine=engine,
         )
         if unit["mechanism"] == "rowhammer":
-            return profiler.profile_rowhammer()
-        return profiler.profile_rowpress()
+            profile = profiler.profile_rowhammer()
+        else:
+            profile = profiler.profile_rowpress()
+        bank_map = chip.vulnerability_model.bank_map(unit["bank"])
+        return {"profile": profile, "ideal_cells": self._ideal_cells(bank_map, unit["mechanism"])}
 
     def combine(
         self, units: Sequence[Mapping[str, Any]], outputs: Sequence[Any]
     ) -> ChipProfileOutcome:
         merged: Dict[str, BitFlipProfile] = {}
-        for mechanism, budget in (
-            ("rowhammer", self.hammer_count),
-            ("rowpress", self.open_cycles),
-        ):
-            parts = [
-                output
-                for unit, output in zip(units, outputs)
-                if unit["mechanism"] == mechanism
-            ]
+        ideal: Dict[str, int] = {}
+        for mechanism in MECHANISMS:
+            parts = []
+            ideal[mechanism] = 0
+            for unit, output in zip(units, outputs):
+                if unit["mechanism"] != mechanism:
+                    continue
+                if isinstance(output, BitFlipProfile):
+                    # A chunk checkpointed by a build whose units returned the
+                    # bare profile: count its bank's ideal cells here instead.
+                    bank_map = CellVulnerabilityModel(
+                        self.geometry, None, seed=self.chip_seed
+                    ).bank_map(unit["bank"])
+                    output = {"profile": output,
+                              "ideal_cells": self._ideal_cells(bank_map, mechanism)}
+                parts.append(output["profile"])
+                ideal[mechanism] += output["ideal_cells"]
             merged[mechanism] = BitFlipProfile(
                 mechanism=mechanism,
                 flat_indices=np.concatenate([part.flat_indices for part in parts]),
                 directions=np.concatenate([part.directions for part in parts]),
                 capacity_bits=self.geometry.total_cells,
-                budget=budget,
+                budget=self._budget(mechanism),
             )
-        vulnerability = CellVulnerabilityModel(self.geometry, None, seed=self.chip_seed)
-        ideal_rh = BitFlipProfile.from_vulnerability_model(
-            vulnerability, "rowhammer", budget=self.hammer_count
-        )
-        ideal_rp = BitFlipProfile.from_vulnerability_model(
-            vulnerability, "rowpress", budget=self.open_cycles
-        )
         return ChipProfileOutcome(
             pair=ProfilePair(rowhammer=merged["rowhammer"], rowpress=merged["rowpress"]),
-            ideal_rowhammer_cells=len(ideal_rh),
-            ideal_rowpress_cells=len(ideal_rp),
+            ideal_rowhammer_cells=ideal["rowhammer"],
+            ideal_rowpress_cells=ideal["rowpress"],
         )
 
 
@@ -774,6 +814,7 @@ def _timeline_vulnerability(rh_density: float, rh_onset: float) -> Vulnerability
 
 
 def _timeline_chip(
+    context,
     geometry: DramGeometry,
     rh_density: float,
     rh_onset: float,
@@ -787,12 +828,9 @@ def _timeline_chip(
     (``ones_rows`` as (bank, row) pairs) are written to all-ones first —
     the victim-zeros data pattern of the per-activation attacks.
     """
-    chip = DramChip(
-        geometry,
-        timings=DramTimings(),
-        vulnerability_parameters=_timeline_vulnerability(rh_density, rh_onset),
-        seed=chip_seed,
-        engine=default_engine(),
+    chip = _shared_chip(
+        context, geometry, chip_seed, _timeline_vulnerability(rh_density, rh_onset),
+        timings=DramTimings(), engine=default_engine(),
     )
     ones = np.ones(geometry.cols_per_row, dtype=np.uint8)
     for bank, row in ones_rows:
@@ -849,27 +887,41 @@ class TrrSamplingSpec(ExperimentSpec):
     def work_units(self) -> List[Dict[str, Any]]:
         return [{"capacity": capacity} for capacity in self.capacities]
 
-    def run_unit(self, unit: Mapping[str, Any], context) -> TimelineResult:
-        from repro.dram.timeline import build_hammer_timeline
-
-        capacity = int(unit["capacity"])
-        chip = _timeline_chip(
-            self.geometry, self.rh_density, self.rh_onset, self.chip_seed,
-            [(self.bank, row) for row in self.aggressor_rows],
-        )
+    def _timeline(self, timings: DramTimings) -> Tuple[CommandTimeline, WindowAggregates]:
+        """The job's one hammer timeline, validated, frozen and aggregated."""
         timeline = build_hammer_timeline(
-            chip.timings,
+            timings,
             bank=self.bank,
             aggressor_rows=self.aggressor_rows,
             windows=self.windows,
             acts_per_window=self.acts_per_window,
+        )
+        timeline.validate(timings, self.geometry)
+        for name in ("ops", "banks", "rows", "cycles", "open_cycles"):
+            getattr(timeline, name).flags.writeable = False
+        return timeline, WindowAggregates(timeline, self.geometry)
+
+    def run_unit(self, unit: Mapping[str, Any], context) -> TimelineResult:
+        capacity = int(unit["capacity"])
+        chip = _timeline_chip(
+            context, self.geometry, self.rh_density, self.rh_onset, self.chip_seed,
+            [(self.bank, row) for row in self.aggressor_rows],
+        )
+        # Every capacity unit runs the same timeline: the job builds,
+        # validates and aggregates it once (the memo's second entry).
+        timeline, windows = context.memo(
+            ("trr_timeline", chip.timings, self.geometry, self.bank,
+             self.aggressor_rows, self.windows, self.acts_per_window),
+            lambda: self._timeline(chip.timings),
         )
         sampler = None
         if capacity > 0:
             sampler = TrrSampler(
                 capacity=capacity, policy=self.policy, seed=self.sampler_seed
             )
-        return TimelineEngine(chip, sampler=sampler, refresh_bins=self.refresh_bins).run(timeline)
+        return TimelineEngine(chip, sampler=sampler, refresh_bins=self.refresh_bins).run(
+            timeline, validate=False, windows=windows
+        )
 
     def combine(
         self, units: Sequence[Mapping[str, Any]], outputs: Sequence[Any]
@@ -964,7 +1016,7 @@ class RefsyncSweepSpec(ExperimentSpec):
         config = self.refsync_config(int(unit["act_rate"]), int(unit["phase"]))
         rows_per_bank = self.geometry.rows_per_bank
         chip = _timeline_chip(
-            self.geometry, self.rh_density, self.rh_onset, self.chip_seed,
+            context, self.geometry, self.rh_density, self.rh_onset, self.chip_seed,
             [(self.bank, row) for row in config.touched_rows(rows_per_bank)],
         )
         timeline = build_refsync_attack(chip.timings, config, rows_per_bank)

@@ -431,13 +431,20 @@ class ResultStore:
         content = {
             "kind": result.kind,
             "spec": result.spec.to_dict(),
-            "payload": _jsonify(encode(result.payload)),
+            "payload": encode(result.payload),
         }
         # Round-trip through JSON before digesting so the checksummed
         # values are exactly what a reader parses back (tuples become
         # lists, numpy scalars become floats) — the digest verifies
-        # identically against the file content forever after.
-        content = json.loads(json.dumps(content, default=float, allow_nan=False))
+        # identically against the file content forever after.  Only a
+        # payload holding a non-finite float fails the strict dump; it is
+        # walked once with _jsonify and dumped again.
+        try:
+            text = json.dumps(content, default=float, allow_nan=False)
+        except ValueError:
+            content["payload"] = _jsonify(content["payload"])
+            text = json.dumps(content, default=float, allow_nan=False)
+        content = json.loads(text)
         return {
             "schema_version": SCHEMA_VERSION,
             **content,

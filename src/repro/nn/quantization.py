@@ -78,11 +78,15 @@ def quantize_array(weights: np.ndarray, num_bits: int = DEFAULT_NUM_BITS) -> Tup
     """Symmetric per-tensor quantization of a float array.
 
     Returns ``(int_weights, scale)`` with ``int_weights`` in the signed
-    ``num_bits`` range.  An all-zero tensor gets a scale of 1.0.
+    ``num_bits`` range.  An all-zero tensor gets a scale of 1.0, and so
+    does one whose largest magnitude is so small (subnormal) that
+    ``max_abs / high`` underflows to zero.
     """
     low, high = int_range(num_bits)
     max_abs = float(np.max(np.abs(weights))) if weights.size else 0.0
-    scale = max_abs / high if max_abs > 0 else 1.0
+    scale = max_abs / high
+    if not scale > 0:
+        scale = 1.0
     int_weights = np.clip(np.round(weights / scale), low, high).astype(np.int32)
     return int_weights, scale
 

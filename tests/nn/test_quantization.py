@@ -89,3 +89,13 @@ class TestQuantizeModel:
         parameter.sync_from_int()
         after = model(x).data
         assert not np.allclose(before, after)
+
+
+def test_subnormal_maximum_keeps_a_nonzero_scale_and_in_range_ints():
+    from repro.nn.quantization import quantize_array
+
+    weights = np.array([5e-324, 0.0, -5e-324])
+    int_weights, scale = quantize_array(weights, 8)
+    assert scale > 0
+    assert int_weights.tolist() == [0, 0, 0]
+    assert int_weights.min() >= -128 and int_weights.max() <= 127

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the small DRAM kinds (CI `timeline-smoke` job).
 
-Pushes a tiny ``refsync_sweep``, ``trr_sampling`` and ``chip_profile``
-job each through the full stack and checks the invariants the
+Pushes a tiny ``refsync_sweep``, two ``trr_sampling`` (two chip seeds,
+back to back), a ``flip_sweep`` and a ``chip_profile`` job through the
+full stack and checks the invariants the
 command-timeline and profiling layers promise:
 
 1. each job submitted to a real daemon runs to completion and its stored
@@ -34,6 +35,7 @@ from repro.experiments import (
     ChipProfileSpec,
     ExperimentRunner,
     ExperimentService,
+    FlipSweepSpec,
     RefsyncSweepSpec,
     ResultStore,
     ServiceClient,
@@ -56,6 +58,19 @@ SPECS = {
         geometry=TIMELINE_GEOMETRY,
         windows=12,
         capacities=(0, 1, 4),
+    ),
+    # Same kind, another chip seed, right after "trr" on the same daemon:
+    # the per-job memo must not serve the first job's population.
+    "trr-seed8": TrrSamplingSpec(
+        geometry=TIMELINE_GEOMETRY,
+        chip_seed=8,
+        windows=12,
+        capacities=(0, 1, 4),
+    ),
+    "sweep": FlipSweepSpec(
+        geometry=DramGeometry(num_banks=2, rows_per_bank=24, cols_per_row=128),
+        hammer_counts=(100_000, 900_000),
+        open_cycles=(10_000_000, 100_000_000),
     ),
     "profile": ChipProfileSpec(
         geometry=DramGeometry(num_banks=2, rows_per_bank=24, cols_per_row=128),
