@@ -934,6 +934,14 @@ class WindowAggregates:
         self._act_rows = timeline.rows[is_act][order].tolist()
         self._act_spans = _group_spans(act_groups[order], groups)
 
+    def freeze(self) -> "WindowAggregates":
+        """Make every aggregate array read-only (for aggregates several runs share)."""
+        sums = (self.acted, self.hammered, self.pressed, self.press_victims)
+        for array in (self.acts, self.opens, self.distinct_rows,
+                      *(part for keyed in sums for part in (keyed.rows, keyed.values))):
+            array.flags.writeable = False
+        return self
+
     def group_span(self, window_index: int) -> Tuple[int, int]:
         """``range`` bounds of the window's touched groups (banks ascending)."""
         return self._window_bounds[window_index], self._window_bounds[window_index + 1]

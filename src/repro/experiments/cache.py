@@ -22,8 +22,9 @@ before mutating weights.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -200,6 +201,11 @@ class ExperimentContext:
     units run back to back and share one build, while a daemon serving
     many specs does not hold every profile pair (tens of MB each) for its
     whole life.
+
+    Artefacts that only one job's units share (a small DRAM job's sampled
+    chip and timeline) go to :meth:`job_memo` instead, which lives only
+    inside :meth:`job`: they never evict the memo's entries, and a job
+    leaves nothing behind.
     """
 
     #: Artefacts the memo keeps, least recently used evicted first.
@@ -209,6 +215,7 @@ class ExperimentContext:
         # ``is None``, not ``or``: an empty cache is falsy (``__len__``).
         self.victims = VictimCache() if victim_cache is None else victim_cache
         self._memo: "OrderedDict[object, object]" = OrderedDict()
+        self._job: Optional[Dict[object, object]] = None
 
     def memo(self, key, builder):
         """Return ``builder()`` memoised under the hashable ``key``."""
@@ -219,6 +226,26 @@ class ExperimentContext:
         while len(self._memo) > self.MEMO_ENTRIES:
             self._memo.popitem(last=False)
         return value
+
+    @contextmanager
+    def job(self) -> Iterator[None]:
+        """Scope :meth:`job_memo` to one job; its artefacts go on exit."""
+        outer, self._job = self._job, {}
+        try:
+            yield
+        finally:
+            self._job = outer
+
+    def job_memo(self, key, builder):
+        """Return ``builder()`` shared by the current job's units.
+
+        Outside a :meth:`job` scope nothing is kept and every call builds.
+        """
+        if self._job is None:
+            return builder()
+        if key not in self._job:
+            self._job[key] = builder()
+        return self._job[key]
 
     def clear(self) -> None:
         """Drop all cached state (victims included)."""

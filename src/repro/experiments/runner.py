@@ -64,7 +64,8 @@ def _execute_chunk(
 ) -> List[Any]:
     """Run a contiguous chunk of units in one worker task, in unit order."""
     spec = spec_from_dict(spec_payload)
-    return [spec.run_unit(unit, _WORKER_CONTEXT) for unit in units]
+    with _WORKER_CONTEXT.job():
+        return [spec.run_unit(unit, _WORKER_CONTEXT) for unit in units]
 
 
 def _victim_states(spec: ExperimentSpec, context: ExperimentContext) -> VictimStates:
@@ -209,9 +210,12 @@ class ExperimentRunner:
 
     The runner owns a long-lived :class:`ExperimentContext`, so victims
     trained for one experiment are reused by the next (Table I, Fig. 7 and
-    the ablation all share surrogates when run through one runner).  An
-    optional :class:`~repro.experiments.store.ResultStore` persists results
-    as they are produced.
+    the ablation all share surrogates when run through one runner).  Each
+    :meth:`run` is one :meth:`ExperimentContext.job` scope, so what a job's
+    units share is dropped when the job ends (a pool worker scopes each
+    chunk it runs the same way).  An optional
+    :class:`~repro.experiments.store.ResultStore` persists results as they
+    are produced.
     """
 
     def __init__(
@@ -243,19 +247,20 @@ class ExperimentRunner:
         chunks = checkpoint_chunks(units)
         outputs = checkpoint.resumable(chunks) if checkpoint is not None else {}
         missing = [index for index in range(len(chunks)) if index not in outputs]
-        results = self.backend.run_chunks(
-            spec, [chunks[index] for index in missing], self.context
-        )
-        try:
-            for index in missing:
-                if deadline is not None:
-                    deadline.check("job")
-                chaos.fault_point("service.chunk")
-                outputs[index] = next(results)
-                if checkpoint is not None:
-                    checkpoint.save_chunk(index, outputs[index])
-        finally:
-            results.close()
+        with self.context.job():
+            results = self.backend.run_chunks(
+                spec, [chunks[index] for index in missing], self.context
+            )
+            try:
+                for index in missing:
+                    if deadline is not None:
+                        deadline.check("job")
+                    chaos.fault_point("service.chunk")
+                    outputs[index] = next(results)
+                    if checkpoint is not None:
+                        checkpoint.save_chunk(index, outputs[index])
+            finally:
+                results.close()
         flat = [output for index in range(len(chunks)) for output in outputs[index]]
         result = ExperimentResult(spec=spec, payload=spec.combine(units, flat))
         if self.store is not None and save_as:

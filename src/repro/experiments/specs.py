@@ -65,7 +65,7 @@ from repro.dram.timeline import (
 from repro.dram.timing import DramTimings
 from repro.dram.vulnerability import CellVulnerabilityModel, VulnerabilityParameters
 from repro.faults.profiler import ChipProfiler, ProfilingConfig
-from repro.faults.profiles import BitFlipProfile, ProfilePair
+from repro.faults.profiles import BitFlipProfile, ProfilePair, reachable_cells
 from repro.faults.refsync import RefsyncConfig, build_refsync_attack
 from repro.faults.rowhammer import RowHammerConfig
 from repro.faults.rowpress import RowPressConfig
@@ -96,13 +96,12 @@ def _shared_chip(
 ) -> DramChip:
     """A fresh chip on the job's one sampled vulnerable-cell population.
 
-    A job's work units run back to back on one context, so the
-    :class:`CellVulnerabilityModel` is memoised on (geometry, parameters,
-    seed) and each bank is sampled once per job.  Each unit still gets its
-    own chip and banks; the shared maps are read-only.
+    The :class:`CellVulnerabilityModel` is kept for the job on (geometry,
+    parameters, seed), so each bank is sampled once per job.  Each unit
+    still gets its own chip and banks; the shared maps are read-only.
     """
     parameters = parameters or VulnerabilityParameters()
-    model = context.memo(
+    model = context.job_memo(
         ("vulnerability", geometry, parameters, seed),
         lambda: CellVulnerabilityModel(geometry, parameters, seed=seed),
     )
@@ -614,8 +613,8 @@ class ChipProfileSpec(ExperimentSpec):
 
     def _ideal_cells(self, bank_map, mechanism: str) -> int:
         """Cells of one bank an idealised campaign finds within the budget."""
-        _, _, thresholds, _ = bank_map.arrays_for(mechanism)
-        return int(np.count_nonzero(thresholds <= self._budget(mechanism)))
+        budget = self._budget(mechanism)
+        return int(np.count_nonzero(reachable_cells(bank_map, mechanism, budget)))
 
     def run_unit(self, unit: Mapping[str, Any], context) -> Dict[str, Any]:
         """The (mechanism, bank) profile and that bank's ideal cell count."""
@@ -899,7 +898,7 @@ class TrrSamplingSpec(ExperimentSpec):
         timeline.validate(timings, self.geometry)
         for name in ("ops", "banks", "rows", "cycles", "open_cycles"):
             getattr(timeline, name).flags.writeable = False
-        return timeline, WindowAggregates(timeline, self.geometry)
+        return timeline, WindowAggregates(timeline, self.geometry).freeze()
 
     def run_unit(self, unit: Mapping[str, Any], context) -> TimelineResult:
         capacity = int(unit["capacity"])
@@ -908,8 +907,8 @@ class TrrSamplingSpec(ExperimentSpec):
             [(self.bank, row) for row in self.aggressor_rows],
         )
         # Every capacity unit runs the same timeline: the job builds,
-        # validates and aggregates it once (the memo's second entry).
-        timeline, windows = context.memo(
+        # validates and aggregates it once.
+        timeline, windows = context.job_memo(
             ("trr_timeline", chip.timings, self.geometry, self.bank,
              self.aggressor_rows, self.windows, self.acts_per_window),
             lambda: self._timeline(chip.timings),

@@ -27,9 +27,19 @@ import numpy as np
 
 from repro.dram.cells import CellFlip
 from repro.dram.geometry import DramGeometry
-from repro.dram.vulnerability import CellVulnerabilityModel, FlipDirection
+from repro.dram.vulnerability import BankVulnerabilityMap, CellVulnerabilityModel, FlipDirection
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive
+
+
+def reachable_cells(bank_map: BankVulnerabilityMap, mechanism: str, budget: float) -> np.ndarray:
+    """Mask of the bank's ``mechanism`` cells whose threshold is within ``budget``.
+
+    These are the cells an idealised exhaustive profiling campaign finds
+    in that bank (see :meth:`BitFlipProfile.from_vulnerability_model`).
+    """
+    check_positive("budget", budget)
+    return bank_map.arrays_for(mechanism)[2] <= budget
 
 
 @dataclass
@@ -221,14 +231,13 @@ class BitFlipProfile:
         for ``"rowpress"``).  This is what an idealised exhaustive profiling
         campaign would discover.
         """
-        check_positive("budget", budget)
         geometry = model.geometry
         row_chunks: List[np.ndarray] = []
         flat_chunks: List[np.ndarray] = []
         direction_chunks: List[np.ndarray] = []
         for bank_map in model.bank_maps():
-            rows, cols, thresholds, dirs = bank_map.arrays_for(mechanism)
-            reachable = thresholds <= budget
+            rows, cols, _, dirs = bank_map.arrays_for(mechanism)
+            reachable = reachable_cells(bank_map, mechanism, budget)
             rows = rows[reachable]
             row_chunks.append(rows)
             # Same layout as AddressMapper.to_flat, vectorised over all cells.
