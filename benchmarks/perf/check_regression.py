@@ -2,16 +2,18 @@
 
 Compares a freshly measured ``BENCH_perf.json`` against the committed
 baseline, printing a per-case speedup diff (fresh minus committed), and
-fails when any case's *speedup* (reference / vectorized, both measured on
-the same machine in the same run) regressed by more than the allowed
-factor.  Comparing speedups rather than absolute times keeps the gate
-meaningful on CI runners of arbitrary speed.
+fails when any case's *speedup* (``reference_seconds / numpy_seconds``:
+the reference tier over the compiled tier on the NumPy kernels, both
+measured on the same machine in the same run) regressed by more than the
+allowed factor.  Comparing speedups rather than absolute times keeps the
+gate meaningful on CI runners of arbitrary speed.
 
-Schema v2 files may carry a third engine column per case —
-``compiled_seconds`` / ``compiled_speedup`` (compiled tier over
-vectorized).  The column is optional (runners without a kernel toolchain
-omit it); when *both* the baseline and the fresh run measured it for a
-case, the compiled speedup is gated by the same regression factor.
+Files may carry a third timing column per case — ``compiled_seconds`` /
+``compiled_speedup`` (the compiled tier on the C kernels, and NumPy over
+C).  The column is optional (runners without a kernel toolchain omit it);
+when *both* the baseline and the fresh run measured it for a case, the
+compiled speedup is gated by the same regression factor.  A file whose
+``schema_version`` is not :data:`SCHEMA_VERSION` is refused.
 
 With ``--check-case-sync`` the gate additionally fails when the committed
 baseline drifts out of sync with ``perf_cases``: a case set differing from
@@ -25,7 +27,7 @@ Usage::
         --fresh BENCH_perf.fresh.json [--max-regression 2.0] [--check-case-sync]
 
 Exit codes: 0 = ok, 1 = regression / drift, 2 = unusable input (malformed
-JSON or schema mismatch).
+JSON or another schema version).
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+#: v3 names the compiled-on-NumPy leg ``numpy_seconds`` (v2 called it
+#: ``vectorized_seconds``); ``run_perf.py`` writes this version.
+SCHEMA_VERSION = 3
 
 #: Optional per-case columns that must appear together or not at all.
 COMPILED_FIELDS = ("compiled_seconds", "compiled_speedup")
@@ -48,6 +54,13 @@ def _load(path: Path, label: str):
         return None
     if not isinstance(payload, dict) or not isinstance(payload.get("cases"), dict):
         print(f"{label} benchmark file {path} is malformed: expected a 'cases' object")
+        return None
+    if payload.get("schema_version") != SCHEMA_VERSION:
+        print(
+            f"{label} benchmark file {path} has schema "
+            f"v{payload.get('schema_version')}, expected v{SCHEMA_VERSION}; "
+            "re-run benchmarks/perf/run_perf.py"
+        )
         return None
     for name, case in payload["cases"].items():
         if not isinstance(case, dict) or not isinstance(case.get("speedup"), (int, float)):
@@ -124,12 +137,6 @@ def main() -> int:
     baseline = _load(args.baseline, "baseline")
     fresh = _load(args.fresh, "fresh")
     if baseline is None or fresh is None:
-        return 2
-    if baseline.get("schema_version") != fresh.get("schema_version"):
-        print(
-            f"schema mismatch: baseline v{baseline.get('schema_version')} vs "
-            f"fresh v{fresh.get('schema_version')}; refusing to compare"
-        )
         return 2
 
     failures = []

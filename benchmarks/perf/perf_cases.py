@@ -1,13 +1,14 @@
-"""Microbenchmark workloads: vectorized hot engines vs their loop references.
+"""Microbenchmark workloads: the compiled tier vs its loop references.
 
 Each case builds one shared workload and exposes a ``reference`` and a
-``vectorized`` callable that perform the *same* computation through the two
-retained engine implementations; the model-forward-bound cases additionally
-expose a ``compiled`` callable running the vectorized algorithm with the
-:mod:`repro.nn.kernels` registry active (``run_perf.py`` only times it when
-a kernel backend is actually available, with the kernel build excluded).
-The golden-equivalence tests under ``tests/`` prove the engines produce
-bit-identical outputs; this module only measures them.
+``numpy`` callable that perform the *same* computation: the ``reference``
+tier's loop oracles and the ``compiled`` tier's array algorithms, both on
+the NumPy kernels.  The model-forward-bound cases additionally expose a
+``compiled`` callable running the compiled algorithms on the
+:mod:`repro.nn.kernels` registry's C kernels (``run_perf.py`` only times it
+when a kernel backend is actually available, with the kernel build
+excluded).  The golden-equivalence tests under ``tests/`` prove every leg
+produces bit-identical outputs; this module only measures them.
 
 The ten cases mirror the perf-critical layers:
 
@@ -16,10 +17,10 @@ The ten cases mirror the perf-critical layers:
 * ``bank_profile`` — a whole-chip RowHammer + RowPress profiling campaign
   (faults + dram layers).
 * ``flip_sweep`` — the Fig. 6 cumulative flip-curve sweeps (faults layer);
-  the vectorized engine evaluates all budget steps in one threshold pass.
+  the compiled engine evaluates all budget steps in one threshold pass.
 * ``dram_timeline_sweep`` — a long multi-aggressor hammer timeline with a
   random-policy TRR sampler (dram timeline layer): the per-command event
-  loop against the one-array-pass-per-tREFI-window engine.
+  loop against one aggregation pass over all tREFI windows.
 * ``victim_evaluation`` — repeated full-test-set victim evaluation with a
   committed flip moving across the network between measurements: the
   full-forward reference against the incremental suffix-re-execution
@@ -204,18 +205,35 @@ def case_description(name: str, sizes: Dict[str, int]) -> str:
 
 @dataclass(frozen=True)
 class PerfCase:
-    """One microbenchmark: two or three engines computing the same workload.
+    """One microbenchmark: two or three legs computing the same workload.
 
-    ``compiled`` is present only on the cases whose hot loop goes through
-    the :mod:`repro.nn.kernels` dispatch layer (model forwards); the
-    chip/runner-flavoured cases have no kernel-accelerated path to measure.
+    ``reference`` runs the loop oracles, ``numpy`` the compiled algorithms
+    on the NumPy kernels and ``compiled`` the same algorithms on the C
+    kernels.  ``compiled`` is present only on the cases whose hot loop goes
+    through the :mod:`repro.nn.kernels` dispatch layer (model forwards);
+    the chip/runner-flavoured cases have no kernel-accelerated path to
+    measure.
     """
 
     name: str
     description: str
     reference: Callable[[], object]
-    vectorized: Callable[[], object]
+    numpy: Callable[[], object]
     compiled: Optional[Callable[[], object]] = None
+
+
+def _on_kernels(backend: str, leg: Callable[[], Any]) -> Callable[[], Any]:
+    """``leg`` run inside ``kernels.use(backend)``.
+
+    The harness's process-wide backend is ``cc``, so the NumPy legs pin
+    their kernels explicitly.
+    """
+
+    def run():
+        with kernels.use(backend):
+            return leg()
+
+    return run
 
 
 def _surrogate(seed: int = 0, epochs: int = 2, depth: int = 8, test_per_class: int = 12):
@@ -261,8 +279,8 @@ def _make_bit_search_case(iterations: int) -> PerfCase:
         name="bit_search_iteration",
         description=case_description("bit_search_iteration", {"iterations": iterations}),
         reference=lambda: propose_all("reference"),
-        vectorized=lambda: propose_all("vectorized"),
-        compiled=lambda: propose_all("compiled"),
+        numpy=_on_kernels("none", lambda: propose_all("compiled")),
+        compiled=_on_kernels("cc", lambda: propose_all("compiled")),
     )
 
 
@@ -283,7 +301,7 @@ def _make_bank_profile_case(rows_per_bank: int) -> PerfCase:
         name="bank_profile",
         description=case_description("bank_profile", {"rows_per_bank": rows_per_bank}),
         reference=lambda: profile("reference"),
-        vectorized=lambda: profile("vectorized"),
+        numpy=lambda: profile("compiled"),
     )
 
 
@@ -312,7 +330,7 @@ def _make_flip_sweep_case(max_rows_per_bank: int) -> PerfCase:
         name="flip_sweep",
         description=case_description("flip_sweep", {"max_rows": max_rows_per_bank}),
         reference=lambda: sweep("reference"),
-        vectorized=lambda: sweep("vectorized"),
+        numpy=lambda: sweep("compiled"),
     )
 
 
@@ -359,7 +377,7 @@ def _make_timeline_sweep_case(windows: int) -> PerfCase:
             "dram_timeline_sweep", {"timeline_windows": windows}
         ),
         reference=lambda: run("reference"),
-        vectorized=lambda: run("vectorized"),
+        numpy=lambda: run("compiled"),
     )
 
 
@@ -380,25 +398,24 @@ def _make_victim_evaluation_case(evaluations: int, test_per_class: int) -> PerfC
         )
         evaluator = None if engine == "reference" else SuffixEvaluator(model)
         accuracies = []
-        with kernels.use(engine):
-            for index in range(evaluations):
-                parameter = parameters[names[index % len(names)]]
-                value = int(parameter.int_repr.flat[0])
-                parameter.int_repr.flat[0] = value + bit_flip_delta(
-                    value, parameter.num_bits - 1, parameter.num_bits
-                )
-                parameter.sync_from_int()
-                if evaluator is not None:
-                    evaluator.invalidate_from(evaluator.stage_of(parameter))
-                accuracies.append(objective.evaluate(model, evaluator=evaluator).accuracy)
+        for index in range(evaluations):
+            parameter = parameters[names[index % len(names)]]
+            value = int(parameter.int_repr.flat[0])
+            parameter.int_repr.flat[0] = value + bit_flip_delta(
+                value, parameter.num_bits - 1, parameter.num_bits
+            )
+            parameter.sync_from_int()
+            if evaluator is not None:
+                evaluator.invalidate_from(evaluator.stage_of(parameter))
+            accuracies.append(objective.evaluate(model, evaluator=evaluator).accuracy)
         return accuracies
 
     return PerfCase(
         name="victim_evaluation",
         description=case_description("victim_evaluation", {"evaluations": evaluations}),
-        reference=lambda: evaluate_with_flips("reference"),
-        vectorized=lambda: evaluate_with_flips("vectorized"),
-        compiled=lambda: evaluate_with_flips("compiled"),
+        reference=_on_kernels("none", lambda: evaluate_with_flips("reference")),
+        numpy=_on_kernels("none", lambda: evaluate_with_flips("compiled")),
+        compiled=_on_kernels("cc", lambda: evaluate_with_flips("compiled")),
     )
 
 
@@ -417,7 +434,7 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
         dataset, attack_batch_size=attack_batch, eval_samples=24, seed=2,
         tolerance=1.0, relative_factor=1.05,
     )
-    attack = BitFlipAttack(model, objective, engine="vectorized")
+    attack = BitFlipAttack(model, objective, engine="compiled")
     objective.attack_loss_and_gradients(model, attack._evaluator)
     proposals = [
         proposal
@@ -451,15 +468,6 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
             losses = attack._score_shortlist(objective, shortlist)
         return losses
 
-    def on_tier(engine: str, leg: Callable[[], Any]) -> Callable[[], Any]:
-        # Each leg pins its kernels: the process default tier is compiled,
-        # and the compiled column is measured against the NumPy kernels.
-        def run():
-            with kernels.use(engine):
-                return leg()
-
-        return run
-
     return PerfCase(
         name="trial_scoring_batched",
         description=case_description(
@@ -467,9 +475,9 @@ def _make_trial_scoring_case(rounds: int, depth: int, attack_batch: int) -> Perf
             {"scoring_rounds": rounds, "scoring_depth": depth,
              "scoring_batch": attack_batch},
         ),
-        reference=on_tier("vectorized", sequential),
-        vectorized=on_tier("vectorized", batched),
-        compiled=on_tier("compiled", batched),
+        reference=_on_kernels("none", sequential),
+        numpy=_on_kernels("none", batched),
+        compiled=_on_kernels("cc", batched),
     )
 
 
@@ -511,32 +519,32 @@ def _make_end_to_end_case(
              "eval_per_class": test_per_class},
         ),
         reference=lambda: attack("reference"),
-        vectorized=lambda: attack("vectorized"),
-        compiled=lambda: attack("compiled"),
+        numpy=_on_kernels("none", lambda: attack("compiled")),
+        compiled=_on_kernels("cc", lambda: attack("compiled")),
     )
 
 
 # ----------------------------------------------------------------------
 # Cases 9 + 10: the experiment and service layers
 # ----------------------------------------------------------------------
-def _on_default_engine(engine: str, leg: Callable[[], Any]) -> Callable[[], Any]:
-    """``leg`` run with ``REPRO_DEFAULT_ENGINE=engine``, restored afterwards.
+def _on_process_numpy(leg: Callable[[], Any]) -> Callable[[], Any]:
+    """``leg`` run with ``REPRO_KERNEL_BACKEND=none``, restored afterwards.
 
     The runner cases' committed ratios were measured on the NumPy
-    kernels, so both legs pin that tier.  Forked pool workers inherit the
+    kernels, so both legs pin them.  Forked pool workers inherit the
     environment but not a ``kernels.use`` scope, hence the variable.
     """
 
     def run():
-        previous = os.environ.get("REPRO_DEFAULT_ENGINE")
-        os.environ["REPRO_DEFAULT_ENGINE"] = engine
+        previous = os.environ.get("REPRO_KERNEL_BACKEND")
+        os.environ["REPRO_KERNEL_BACKEND"] = "none"
         try:
             return leg()
         finally:
             if previous is None:
-                del os.environ["REPRO_DEFAULT_ENGINE"]
+                del os.environ["REPRO_KERNEL_BACKEND"]
             else:
-                os.environ["REPRO_DEFAULT_ENGINE"] = previous
+                os.environ["REPRO_KERNEL_BACKEND"] = previous
 
     return run
 
@@ -576,8 +584,8 @@ def _make_runner_shared_memory_case(repetitions: int) -> PerfCase:
         description=case_description(
             "runner_shared_memory", {"runner_repetitions": repetitions}
         ),
-        reference=_on_default_engine("vectorized", lambda: run(False)),
-        vectorized=_on_default_engine("vectorized", lambda: run(True)),
+        reference=_on_process_numpy(lambda: run(False)),
+        numpy=_on_process_numpy(lambda: run(True)),
     )
 
 
@@ -626,8 +634,8 @@ def _make_runner_service_throughput_case(num_specs: int) -> PerfCase:
         description=case_description(
             "runner_service_throughput", {"service_specs": num_specs}
         ),
-        reference=_on_default_engine("vectorized", cold_runners),
-        vectorized=_on_default_engine("vectorized", warm_service),
+        reference=_on_process_numpy(cold_runners),
+        numpy=_on_process_numpy(warm_service),
     )
 
 

@@ -153,31 +153,29 @@ class BitFlipAttack:
 
     ``engine`` selects the intra-layer proposer implementation:
 
-    * ``"vectorized"`` — scores all (weight, bit) pairs of a
-      tensor with one broadcasted ``grad * delta * scale`` over a cached
-      ``(num_bits, size)`` flip-delta table and a single flat argmax.  The
-      table depends only on the stored bit patterns, so it survives across
-      attack iterations and only the one column of a flipped weight is ever
-      recomputed.
+    * ``"compiled"`` (the built-in default) — scores all (weight, bit)
+      pairs of a tensor with one broadcasted ``grad * delta * scale`` over
+      a cached ``(num_bits, size)`` flip-delta table and a single flat
+      argmax.  The table depends only on the stored bit patterns, so it
+      survives across attack iterations and only the one column of a
+      flipped weight is ever recomputed.
     * ``"reference"`` — the original per-bit Python loop, retained for the
       golden-equivalence tests and the perf benchmarks.  Both engines
       produce bit-identical proposals (same tie-breaking, same IEEE float
       operations).
-    * ``"compiled"`` (the built-in default) — the vectorized algorithms
-      with the registry's C kernels (:mod:`repro.nn.kernels`) active for
-      the duration of :meth:`run`: C conv forwards, fused inference
-      batch-norm and compiled delta-table construction.  Every kernel
-      reproduces the reference bit for bit, so results are identical to
-      both other engines; with no C compiler the attack quietly runs as
-      plain vectorized.
 
-    :meth:`run` pins the kernels of its own tier, so a ``"vectorized"`` or
-    ``"reference"`` attack runs the NumPy kernels even in a process whose
-    default tier is ``compiled``.
+    The tier picks the algorithm; the kernel registry
+    (:mod:`repro.nn.kernels`) picks the kernels.  :meth:`run` pins the
+    NumPy kernels for a ``"reference"`` attack, whatever the process-wide
+    choice, and runs a ``"compiled"`` attack on whichever kernels the
+    enclosing scope chose: the C kernels by default, the NumPy ones under
+    ``kernels.use("none")`` or ``REPRO_KERNEL_BACKEND=none``.  Every
+    kernel reproduces the reference bit for bit, so results are identical
+    on every (tier, kernels) pair.
 
     The engine selector also picks the *evaluation* path.  With
-    ``"vectorized"``/``"compiled"`` and a stage-decomposable model,
-    candidate and convergence evaluations run through an incremental
+    ``"compiled"`` and a stage-decomposable model, candidate and
+    convergence evaluations run through an incremental
     :class:`~repro.nn.inference.SuffixEvaluator` (no-grad suffix
     re-execution from the flipped layer); ``"reference"`` keeps the
     retained full-forward evaluation.  Outputs are bit-identical either
@@ -213,14 +211,14 @@ class BitFlipAttack:
         unknown = [name for name in self.candidates.candidates if name not in self.parameters]
         if unknown:
             raise KeyError(f"candidate set references unknown tensors: {unknown}")
-        #: Per-tensor (num_bits, size) flip-delta tables for the vectorized
+        #: Per-tensor (num_bits, size) flip-delta tables for the compiled
         #: proposer, keyed by tensor name.  Invalidation contract: every
         #: int_repr mutation goes through _apply/_revert, which refresh
         #: exactly the flipped weight's column.
         self._delta_tables: Dict[str, np.ndarray] = {}
         self._delta_tables_f64: Dict[str, np.ndarray] = {}
         self._gain_buffers: Dict[str, np.ndarray] = {}
-        #: Incremental evaluation engine (vectorized/compiled engines): caches
+        #: Incremental evaluation engine (compiled tier): caches
         #: per-batch stage-boundary activations so candidate evaluations
         #: re-run only the flipped layer's suffix.  Built when the model is
         #: stage-decomposable and every quantized tensor maps to a stage.
@@ -439,16 +437,16 @@ class BitFlipAttack:
     # Main loop
     # ------------------------------------------------------------------
     def kernel_scope(self):
-        """Context manager pinning this attack's kernel tier.
+        """Context manager fixing this attack's kernels.
 
-        ``engine="compiled"`` activates the registry's C kernels for the
-        scope (the NumPy kernels when no backend is available); the other
-        engines pin the NumPy kernels, whatever the process default.
+        ``engine="reference"`` pins the NumPy kernels, so the oracle stays
+        NumPy all the way down; ``engine="compiled"`` holds the enclosing
+        choice (a ``kernels.use`` scope, else ``REPRO_KERNEL_BACKEND``).
         :meth:`run` enters this automatically; callers driving internal
-        stages directly (the perf harness times ``_score_shortlist``
-        standalone) wrap them in it to measure the same tier ``run`` uses.
+        stages directly (the perf harness times ``_propose_for_tensor``
+        standalone) wrap them in it to measure the kernels ``run`` uses.
         """
-        return kernels.use(self.engine)
+        return kernels.use("none") if self.engine == "reference" else kernels.hold()
 
     def run(self) -> AttackResult:
         """Execute the attack until the objective is met or budgets run out.
@@ -459,7 +457,7 @@ class BitFlipAttack:
         (convergence), so targeted and stealthy objectives run on the same
         vectorized delta-table fast path as the paper's untargeted one.
 
-        With the vectorized engine the attack passes its incremental
+        With the compiled engine the attack passes its incremental
         :class:`~repro.nn.inference.SuffixEvaluator` to every objective
         call: the gradient pass records stage-boundary activations, the whole
         inter-layer shortlist is scored in one batched ``peek_many``

@@ -37,7 +37,7 @@ from repro.nn.module import Module
 from repro.nn.quantization import DEFAULT_NUM_BITS, precision_num_bits, quantize_model
 from repro.nn.training import evaluate_on_dataset, train
 from repro.utils.rng import mix_seed
-from repro.utils.validation import check_engine, check_positive
+from repro.utils.validation import check_positive
 
 #: Attack budgets used when thresholding the vulnerability model into the
 #: deployment profiles.  They correspond to the paper's fair-comparison
@@ -97,17 +97,12 @@ class ComparisonConfig:
     seed: int = 0
     objective: ObjectiveConfig = ObjectiveConfig()
     victim_precision: str = "float32"
-    #: Engine tier for every attack in the comparison (``None`` = process
-    #: default).  All tiers are bit-identical, so this only moves runtime.
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive("repetitions", self.repetitions)
         check_positive("attack_batch_size", self.attack_batch_size)
         check_positive("eval_samples", self.eval_samples)
         precision_num_bits(self.victim_precision)  # validate the name
-        if self.engine is not None:
-            check_engine(self.engine)
 
     @property
     def num_bits(self) -> int:
@@ -280,7 +275,6 @@ def run_single_attack(
         config=ProfileAwareConfig(
             search=config.search,
             placement_seed=repetition_seed,
-            engine=config.engine,
         ),
         tensor_infos=tensor_infos,
         model_name=model_name,

@@ -30,9 +30,9 @@ per trial on the reference path) to rank candidate flips and
 :meth:`~AttackObjective.evaluate` / :meth:`~AttackObjective.is_satisfied` to
 decide convergence — nothing else.  Adding a new scenario therefore means
 implementing one subclass and registering it with
-:func:`register_objective`; every engine (vectorized, ``"reference"`` and
-the ``"compiled"`` kernel tier), every runner backend and the declarative
-experiment layer pick it up unmodified.
+:func:`register_objective`; both engine tiers (``"reference"`` and
+``"compiled"``) on either kernel backend, every runner backend and the
+declarative experiment layer pick it up unmodified.
 
 Concrete objectives
 -------------------

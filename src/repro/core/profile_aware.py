@@ -39,9 +39,6 @@ class ProfileAwareConfig:
     #: Seed controlling the (random) placement of the model in memory;
     #: ``None`` places the model at offset zero.
     placement_seed: Optional[int] = None
-    #: Engine tier for the inner bit search (``None`` = process default,
-    #: see :func:`repro.utils.validation.default_engine`).
-    engine: Optional[str] = None
 
 
 class DramProfileAwareAttack:
@@ -94,7 +91,6 @@ class DramProfileAwareAttack:
             config=self.config.search,
             model_name=self.model_name,
             mechanism=self.profile.mechanism,
-            engine=self.config.engine,
         )
         return attack.run()
 

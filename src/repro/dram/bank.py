@@ -33,7 +33,7 @@ class DramBank:
 
     ``engine`` selects the flip-evaluation implementation:
 
-    * ``"vectorized"`` (default) — derives the flips of an entire victim-row
+    * ``"compiled"`` (default) — derives the flips of an entire victim-row
       set with one boolean-masked compare over the vulnerability threshold
       arrays; :class:`~repro.dram.cells.CellFlip` objects are materialized
       only at the API boundary.
@@ -49,7 +49,7 @@ class DramBank:
         index: int,
         geometry: DramGeometry,
         vulnerability: BankVulnerabilityMap,
-        engine: str = "vectorized",
+        engine: str = "compiled",
     ):
         check_engine(engine)
         self.index = index

@@ -43,13 +43,13 @@ class DramChip:
         vulnerability_parameters: Optional[VulnerabilityParameters] = None,
         seed: int = 0,
         info: Optional[ChipInfo] = None,
-        engine: str = "vectorized",
+        engine: str = "compiled",
     ):
         self.geometry = geometry or DramGeometry()
         self.timings = timings or DramTimings()
         self.seed = seed
         self.info = info or ChipInfo()
-        #: Flip-engine implementation handed to every bank ("vectorized" or
+        #: Flip-engine implementation handed to every bank ("compiled" or
         #: the loop "reference" kept for golden-equivalence testing).
         check_engine(engine)
         self.engine = engine
@@ -64,7 +64,7 @@ class DramChip:
         cls,
         model: CellVulnerabilityModel,
         timings: Optional[DramTimings] = None,
-        engine: str = "vectorized",
+        engine: str = "compiled",
     ) -> "DramChip":
         """A fresh chip whose banks read ``model``'s already-sampled maps.
 

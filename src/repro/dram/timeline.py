@@ -20,7 +20,7 @@ frontier at the command level:
   the window closes (at its REF, or at end-of-trace for a trailing partial
   window).  Two implementations are kept under the golden engine contract
   of ``docs/ENGINES.md``: ``engine="reference"`` is a per-command Python
-  event loop; ``engine="vectorized"`` aggregates every window's ACT
+  event loop; ``engine="compiled"`` aggregates every window's ACT
   counts, hammer and press contributions and per-bank ACT sequences in
   one array pass over the timeline, and its per-window loop keeps only
   the stateful steps (accumulate, evaluate flips, sampler NRRs, bin
@@ -82,7 +82,7 @@ class CommandTimeline:
 
     Commands are stored as five parallel numpy arrays (opcode, bank, row,
     issue cycle, recorded open-window cycles for PREs), which is what lets
-    the vectorized engine aggregate every tREFI window in one pass.  REF
+    the compiled engine aggregate every tREFI window in one pass.  REF
     commands target the whole chip and carry ``bank = row = -1``, matching
     the :class:`~repro.dram.commands.DramCommand` convention.
 
@@ -557,11 +557,10 @@ class TimelineEngine:
 
     ``engine`` selects the execution strategy (defaults to the chip's
     engine): ``"reference"`` is a per-command event loop with dict-based
-    window aggregation, ``"vectorized"`` (and ``"compiled"``, which has no
-    dedicated timeline kernels and reuses the vectorized pass) aggregates
-    all tREFI windows with one pass of array operations.  Both strategies apply the
-    identical window-synchronous physics documented in the module
-    docstring and return bit-identical results; the golden differential
+    window aggregation, ``"compiled"`` aggregates all tREFI windows with
+    one pass of array operations.  Both strategies apply the identical
+    window-synchronous physics documented in the module docstring and
+    return bit-identical results; the golden differential
     suite (``tests/dram/test_timeline_golden.py``) enforces it.
 
     ``sampler`` is an optional :class:`~repro.defenses.trr.TrrSampler`
@@ -597,7 +596,7 @@ class TimelineEngine:
 
         ``windows`` is ``WindowAggregates(timeline, geometry)`` built once by
         a caller that runs one timeline on several chips of this geometry;
-        the vectorized strategy builds it itself when it is not given, and
+        the compiled strategy builds it itself when it is not given, and
         the reference strategy never reads it.
         """
         if windows is not None and windows.geometry != self.chip.geometry:
@@ -876,7 +875,7 @@ def _neighbour_sums(
 
 
 class WindowAggregates:
-    """Everything the vectorized engine needs of a timeline, aggregated once.
+    """Everything the compiled engine needs of a timeline, aggregated once.
 
     One pass over the command arrays keys every ACT and PRE by (window,
     bank, row) — window ``w`` holds the commands after the ``w``-th REF —

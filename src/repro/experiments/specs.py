@@ -8,9 +8,10 @@ campaign and the profile-density ablation) is described by one of the
 * **declarative** — plain data, JSON round-trippable via
   :meth:`ExperimentSpec.to_dict` / :func:`spec_from_dict`, with every seed
   explicit so a spec fully determines its results.  One codec, driven by
-  the dataclass fields and their type hints, serves every kind; the engine
-  tier is not a field (``REPRO_DEFAULT_ENGINE`` selects it, and tiers are
-  byte-identical), so it never enters :func:`spec_hash`;
+  the dataclass fields and their type hints, serves every kind; neither
+  the engine tier (``REPRO_DEFAULT_ENGINE``) nor the kernels
+  (``REPRO_KERNEL_BACKEND``) is a field, since both are byte-identical,
+  so they never enter :func:`spec_hash`;
 * **decomposable** — :meth:`ExperimentSpec.work_units` splits the
   experiment into independent, JSON-serialisable work units that
   :class:`~repro.experiments.runner.ExperimentRunner` can execute serially

@@ -58,7 +58,7 @@ class ChipProfiler:
 
     ``engine`` selects the sweep implementation:
 
-    * ``"vectorized"`` (default) — derives each bank's flips for the whole
+    * ``"compiled"`` (default) — derives each bank's flips for the whole
       row sweep with boolean-mask operations directly over the bank's
       vulnerability threshold arrays.  Exactness rests on a property of the
       per-row campaign: every run rewrites (and thereby refreshes) all rows
@@ -74,7 +74,7 @@ class ChipProfiler:
         self,
         chip: DramChip,
         config: Optional[ProfilingConfig] = None,
-        engine: str = "vectorized",
+        engine: str = "compiled",
     ):
         check_engine(engine)
         self.chip = chip
@@ -107,9 +107,6 @@ class ChipProfiler:
 
     # ------------------------------------------------------------------
     def _profile(self, mechanism: str, budget: int) -> BitFlipProfile:
-        # Every non-reference tier (vectorized, compiled) takes the masked
-        # whole-bank sweep; the profiler has no registry kernels of its
-        # own, so "compiled" must never fall into the slow loop path.
         geometry = self.chip.geometry
         if self.engine == "reference":
             flips = self._run_mechanism_reference(mechanism)

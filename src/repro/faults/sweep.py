@@ -136,11 +136,11 @@ def rowhammer_flip_curve(
     banks: Optional[Sequence[int]] = None,
     max_rows_per_bank: Optional[int] = 32,
     patterns: Optional[Sequence[DataPattern]] = None,
-    engine: str = "vectorized",
+    engine: str = "compiled",
 ) -> FlipCurve:
     """Cumulative RowHammer flips over the chip as hammer count grows.
 
-    The default ``"vectorized"`` engine evaluates **all budget steps in one
+    The default ``"compiled"`` engine evaluates **all budget steps in one
     pass**: per bank it collects the thresholds of the cells whose data
     pattern and flip direction allow a flip under the written layout
     (:meth:`repro.dram.bank.DramBank.flip_thresholds`) and reads the whole
@@ -218,11 +218,11 @@ def rowpress_flip_curve(
     banks: Optional[Sequence[int]] = None,
     max_rows_per_bank: Optional[int] = 32,
     patterns: Optional[Sequence[DataPattern]] = None,
-    engine: str = "vectorized",
+    engine: str = "compiled",
 ) -> FlipCurve:
     """Cumulative RowPress flips over the chip as the open window grows.
 
-    The default ``"vectorized"`` engine evaluates all budget steps in one
+    The default ``"compiled"`` engine evaluates all budget steps in one
     pass, exactly like :func:`rowhammer_flip_curve`: the open windows of a
     budget (split at ``tREFW``) accumulate additively on the pressed rows'
     neighbours, so the curve is one threshold ``searchsorted`` per bank.

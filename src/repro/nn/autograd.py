@@ -443,8 +443,8 @@ class Tensor:
     def relu(self) -> "Tensor":
         # Multiply-by-mask arithmetic with a bool mask: it upcasts to
         # exactly 0.0/1.0, so signed zeros and NaN come out as with a float
-        # mask, without materialising one.  With the compiled tier active
-        # the forward mask multiply runs as a single C pass.
+        # mask, without materialising one.  On the C kernels the forward
+        # mask multiply runs as a single C pass.
         data = kernels.relu(self.data)
         if not (_GRAD_MODE.enabled and self.requires_grad):
             return Tensor(data)

@@ -146,7 +146,7 @@ def bit_flip_delta_table(
             raise ValueError(f"values out of range for {num_bits}-bit two's complement")
     values = np.asarray(values, dtype=np.int64).ravel()
     # Integer arithmetic is exact in every backend, so the registry
-    # dispatch (compiled table construction when the tier is active)
+    # dispatch (compiled table construction on the C kernels)
     # cannot change a single entry.
     return kernels.delta_table(values, num_bits)
 

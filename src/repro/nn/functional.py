@@ -8,7 +8,7 @@ composed from the :class:`~repro.nn.autograd.Tensor` primitives inside
 the layer classes.
 
 The convolution primitives dispatch through the kernel registry
-(:mod:`repro.nn.kernels`): with the compiled tier active they run the
+(:mod:`repro.nn.kernels`): with its C kernels active they run the
 C backend kernels, otherwise the NumPy reference implementations —
 which are bit-identical by the golden contract, so the dispatch point is
 invisible to every caller.

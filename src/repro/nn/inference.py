@@ -17,13 +17,13 @@ full pass — the property the golden-equivalence tests pin against
 
 The evaluator itself is kernel-agnostic: every stage runs through the op
 layer (:mod:`repro.nn.functional`, the norm layers), which dispatches to
-:mod:`repro.nn.kernels` when the compiled tier is active.  The suffix
+:mod:`repro.nn.kernels` when its C kernels are active.  The suffix
 cascade is the hot loop those kernels accelerate — each ``peek_many`` call
 is dominated by conv forwards and folded inference batch-norms, and the
 no-grad context additionally enables the per-thread im2col scratch reuse
 (:func:`repro.nn.kernels.scratch_buffer`).  Bit-identity of the compiled
 kernels (enforced by :func:`repro.nn.kernels.warmup` self-validation)
-keeps the cached boundary activations interchangeable across tiers.
+keeps the cached boundary activations interchangeable across backends.
 
 Cache-consistency contract (mirrors the PR-2 flip-delta-table contract):
 
@@ -320,7 +320,7 @@ class SuffixEvaluator:
                     # Every run in this group forwards the same prefix
                     # array through the stage — only the flipped weights
                     # differ — so conv columns are shared across trials
-                    # (a no-op outside the compiled tier).
+                    # (a no-op on the NumPy kernels).
                     with kernels.im2col_memo():
                         for position in joining:
                             trial = trials[position]

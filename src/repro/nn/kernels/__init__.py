@@ -7,26 +7,26 @@ Each kernel has two implementations:
 - the **C backend** in :mod:`repro.nn.kernels.cc`, a small shared library
   built once with the system compiler, and
 - the **reference** NumPy implementation in
-  :mod:`repro.nn.kernels.reference`, which is also the vectorized tier's
-  code path.  A kernel the backend fails to provide falls back to it,
-  per kernel.
+  :mod:`repro.nn.kernels.reference`.  A kernel the backend fails to
+  provide falls back to it, per kernel.
 
-Backend kernels run only while the compiled tier is *active* on the
-calling thread: inside a ``kernels.use("compiled")`` scope, or, outside
-any scope, when the process default
-(:func:`repro.utils.validation.default_engine`, ``"compiled"`` unless
-``REPRO_DEFAULT_ENGINE`` says otherwise) is ``compiled``.
-``kernels.use("vectorized")`` or ``use("reference")`` pins the NumPy
-kernels for its scope; :class:`repro.core.bfa.BitFlipAttack` enters
-``use(engine)`` for its own tier.  Activation is thread-local, so a
-thread running a compiled attack never switches kernels under a
-concurrent vectorized one.
+Which kernels run is this registry's choice alone; the engine tier
+(``reference`` or ``compiled``) picks only the algorithm.  The backend
+kernels run while the ``cc`` backend is *active* on the calling thread:
+inside a ``kernels.use("cc")`` scope, or, outside any scope, unless
+``REPRO_KERNEL_BACKEND=none`` (:func:`process_backend`, read on every
+unscoped dispatch, so forked pool workers follow the variable they
+inherit).  ``kernels.use("none")`` pins the NumPy kernels for its scope.
+:class:`repro.core.bfa.BitFlipAttack` pins ``none`` for the ``reference``
+tier and holds the enclosing choice for ``compiled``.  Activation is
+thread-local, so a thread running on the C kernels never switches
+kernels under a concurrent one pinned to NumPy.
 
 Every backend kernel must reproduce the reference bit for bit (the golden
 contract of docs/ENGINES.md); :func:`warmup` self-checks each kernel on
-small inputs and drops any that disagrees.  With no backend available the
-compiled tier quietly runs the reference kernels: the bytes are the same,
-only slower.
+small inputs and drops any that disagrees.  With no backend available,
+``cc`` quietly runs the reference kernels: the bytes are the same, only
+slower.
 """
 
 from __future__ import annotations
@@ -39,13 +39,15 @@ from typing import Callable, ContextManager, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from repro.nn.kernels import reference
-from repro.utils.validation import default_engine
 
 #: Names every backend may implement (reference implements them all).
 KERNEL_NAMES: Tuple[str, ...] = tuple(reference.KERNELS)
 
-#: Backends ``REPRO_KERNEL_BACKEND`` may force; ``none`` forces the fallback.
+#: Loadable backends, in probe order.
 BACKEND_ORDER: Tuple[str, ...] = ("cc",)
+
+#: Values of :func:`use` and ``REPRO_KERNEL_BACKEND``; ``none`` pins NumPy.
+BACKENDS: Tuple[str, ...] = BACKEND_ORDER + ("none",)
 
 _lock = threading.RLock()
 _state: Dict[str, object] = {
@@ -68,14 +70,10 @@ def _probe() -> None:
     with _lock:
         if _state["probed"]:
             return
+        # ``none`` (or an unknown name) when the process first probes
+        # means the library is never built.
         forced = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower()
-        if forced in ("none", "off"):
-            order: Tuple[str, ...] = ()
-        elif forced:
-            order = (forced,) if forced in BACKEND_ORDER else ()
-        else:
-            order = BACKEND_ORDER
-        for name in order:
+        for name in (name for name in BACKEND_ORDER if forced in ("", name)):
             try:
                 kernels = _load_backend(name)
             except Exception:
@@ -135,12 +133,19 @@ class _Activation(threading.local):
 _ACTIVE = _Activation()
 
 
+def process_backend() -> str:
+    """The process-wide kernel backend: ``"none"`` if ``REPRO_KERNEL_BACKEND``
+    says so, else ``"cc"``.  Read live, on every unscoped dispatch."""
+    forced = os.environ.get("REPRO_KERNEL_BACKEND", "")
+    return "none" if forced.strip().lower() == "none" else "cc"
+
+
 def compiled_active() -> bool:
     """Whether compiled kernels dispatch on this thread right now."""
     stack = _ACTIVE.stack
     if stack:
         return stack[-1]
-    return default_engine() == "compiled" and ensure_available()
+    return process_backend() == "cc" and ensure_available()
 
 
 @contextmanager
@@ -152,31 +157,35 @@ def _scope(enabled: bool) -> Iterator[bool]:
         _ACTIVE.stack.pop()
 
 
-def use(engine: Optional[str]) -> ContextManager[bool]:
-    """Activate (or explicitly deactivate) compiled kernels in a scope.
+def use(backend: str) -> ContextManager[bool]:
+    """Pick the kernels for the current thread in a scope.
 
-    ``use("compiled")`` enables the backend kernels for the current thread,
-    or quietly stays on the reference kernels when no backend is
-    available.  Any other value (``"vectorized"``, ``"reference"``,
-    ``None``) pins the reference kernels for the scope, whatever the
-    process default.  Yields whether the compiled tier is actually active.
+    ``use("cc")`` enables the backend kernels, or quietly stays on the
+    reference kernels when no backend is available; ``use("none")`` pins
+    the reference kernels, whatever the process-wide choice.  Any other
+    name raises ``ValueError``.  Yields whether compiled kernels are
+    actually active.
     """
-    return _scope(engine == "compiled" and ensure_available())
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"kernel backend must be one of {', '.join(map(repr, BACKENDS))}, got {backend!r}"
+        )
+    return _scope(backend == "cc" and ensure_available())
 
 
 def hold() -> ContextManager[bool]:
     """Fix this thread's current dispatch decision for a scope.
 
     Inside an enclosing :func:`use` scope the scope's decision carries
-    on; outside any scope the process default is read once here instead
-    of on every dispatch.  Training and evaluation loops, which dispatch
-    thousands of kernels per call, enter this once per call.
+    on; outside any scope the process-wide backend is read once here
+    instead of on every dispatch.  Training and evaluation loops, which
+    dispatch thousands of kernels per call, enter this once per call.
     """
     return _scope(compiled_active())
 
 
 def active(name: str) -> Optional[Callable]:
-    """Backend kernel ``name`` if the compiled tier is active, else ``None``."""
+    """Backend kernel ``name`` if compiled kernels are active, else ``None``."""
     if not compiled_active():
         return None
     kernels: Dict[str, Callable] = _state["kernels"]  # type: ignore[assignment]
@@ -380,7 +389,7 @@ def clear_scratch() -> None:
 
 
 # ----------------------------------------------------------------------
-# im2col memo for repeated same-input forwards (compiled tier only)
+# im2col memo for repeated same-input forwards (compiled kernels only)
 # ----------------------------------------------------------------------
 class _Memo(threading.local):
     def __init__(self):
@@ -408,13 +417,13 @@ def im2col_memo() -> Iterator[Optional[dict]]:
     - the scratch pool is bypassed for memoised columns — a later
       same-shape conv would clobber a shared scratch buffer.
 
-    Active only while the compiled tier dispatches (the cascade's stage
+    Active only while compiled kernels dispatch (the cascade's stage
     loop is a compiled-engine hot path); otherwise a no-op.  Memory is
     bounded at one cols buffer per distinct conv signature and released
     when the scope exits.
     """
     if _MEMO.scope is not None or not compiled_active():
-        # Nested scopes keep the outer memo; the reference tiers skip it.
+        # Nested scopes keep the outer memo; the NumPy kernels skip it.
         yield _MEMO.scope
         return
     _MEMO.scope = {}
@@ -513,7 +522,7 @@ def conv2d_train_forward(x, weight_matrix, bias, kernel, stride, padding, weight
     ``(N, L, K)`` — the operand the weight-gradient GEMM reads — instead
     of the columns; otherwise both halves fall back together to the
     columns and the reference backward.  The pair is fixed here, at
-    forward time, so switching tiers between forward and backward can
+    forward time, so switching kernels between forward and backward can
     never hand one layout to the other's kernel.  Without ``weight_grad``
     nothing is kept and the columns go to the scratch pool.
     """

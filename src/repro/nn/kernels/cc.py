@@ -1,7 +1,7 @@
 """C-compiled kernel backend: a tiny shared library built with the system cc.
 
-This is the only kernel backend: it makes ``engine="compiled"``, the
-default tier, real on any box with a C compiler on ``PATH``.  The
+This is the only kernel backend: it makes the registry's default ``cc``
+choice real on any box with a C compiler on ``PATH``.  The
 embedded C source below is compiled once into a cache directory keyed
 by the source hash (``~/.cache/repro-kernels``; 1–2 s the first time)
 and loaded through :mod:`ctypes` by every later process.  A failed probe
@@ -934,7 +934,7 @@ def load() -> Optional[Dict[str, Callable]]:
     """Build (or reuse) the shared library and return bound kernels.
 
     Returns ``None`` when no compiler is available or the build fails —
-    the registry then falls back to the reference tier.
+    the registry then falls back to the NumPy reference kernels.
     """
     library_path = _build_library()
     if library_path is None:

@@ -7,7 +7,7 @@ substantive modules focused on behaviour rather than defensive boilerplate.
 from __future__ import annotations
 
 import os
-from typing import Dict, Union
+from typing import Union
 
 Number = Union[int, float]
 
@@ -43,17 +43,17 @@ def check_index(name: str, value: int, size: int) -> None:
 
 
 #: Engine tiers accepted everywhere an ``engine=`` selector appears.
-ENGINES = ("vectorized", "reference", "compiled")
+ENGINES = ("reference", "compiled")
 
 
 def check_engine(engine: str) -> None:
-    """Raise ``ValueError`` unless ``engine`` names a known flip-engine.
+    """Raise ``ValueError`` unless ``engine`` names a known engine tier.
 
-    The vectorized hot engines, their retained loop references and the
-    compiled kernel tier share this selector across the attack, bank,
-    profiler and sweep layers.  ``compiled`` runs the vectorized
-    algorithms with the C kernels swapped in (bit-identical, faster) and
-    degrades quietly to plain vectorized when no backend is available.
+    The tier picks the algorithm across the attack, bank, profiler, sweep
+    and timeline layers: ``reference`` runs the retained loop oracles,
+    ``compiled`` the array algorithms (bit-identical, faster).  Which
+    kernels the compiled algorithms dispatch to is the kernel registry's
+    choice alone (:mod:`repro.nn.kernels`).
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -61,24 +61,13 @@ def check_engine(engine: str) -> None:
         )
 
 
-#: Raw ``REPRO_DEFAULT_ENGINE`` values already parsed, mapped to their tier.
-_PARSED_DEFAULTS: Dict[str, str] = {}
-
-
 def default_engine() -> str:
     """The process-wide default engine tier.
 
     ``REPRO_DEFAULT_ENGINE`` overrides the built-in ``"compiled"``
-    default.  Invalid values raise rather than silently running a
-    different tier than requested.  The kernel registry asks this on
-    every dispatch outside an explicit tier scope, so each distinct raw
-    value is parsed once; a call costs one environment lookup, and a
-    value changed in-process takes effect on the next call.
+    default, read on every call.  Invalid values raise rather than
+    silently running a different tier than requested.
     """
-    raw = os.environ.get("REPRO_DEFAULT_ENGINE", "")
-    engine = _PARSED_DEFAULTS.get(raw)
-    if engine is None:
-        engine = raw.strip().lower() or "compiled"
-        check_engine(engine)
-        _PARSED_DEFAULTS[raw] = engine
+    engine = os.environ.get("REPRO_DEFAULT_ENGINE", "").strip().lower() or "compiled"
+    check_engine(engine)
     return engine

@@ -151,13 +151,13 @@ class TestBitFlipAttack:
 
 
 @pytest.mark.skipif(not kernels.available(), reason="no compiled kernel backend on this machine")
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "compiled"])
+@pytest.mark.parametrize("backend", ["none", "cc"])
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
 def test_attack_runs_the_kernels_of_its_own_tier(
-    tiny_quantized_model, objective, monkeypatch, engine
+    tiny_quantized_model, objective, monkeypatch, engine, backend
 ):
-    """Under a compiled process default, only a compiled attack gets C kernels."""
-    monkeypatch.setenv("REPRO_DEFAULT_ENGINE", "compiled")
-    # Start the registry as a fresh process with this default would.
+    """Only a compiled attack follows the enclosing kernel choice; reference pins NumPy."""
+    # Start the registry as a fresh process would.
     kernels._reset_for_tests()
     dispatched = []
     registry_active = kernels.active
@@ -170,6 +170,7 @@ def test_attack_runs_the_kernels_of_its_own_tier(
     monkeypatch.setattr(kernels, "active", spy)
     model, _ = tiny_quantized_model
     config = BitSearchConfig(max_flips=2, top_k_layers=2, eval_batch_size=32)
-    BitFlipAttack(model, objective, config=config, engine=engine).run()
+    with kernels.use(backend):
+        BitFlipAttack(model, objective, config=config, engine=engine).run()
     assert dispatched, "the attack never dispatched through the kernel registry"
-    assert set(dispatched) == {engine == "compiled"}
+    assert set(dispatched) == {engine == "compiled" and backend == "cc"}

@@ -1,9 +1,9 @@
-"""Golden-equivalence tests: vectorized bit-search vs the loop reference.
+"""Golden-equivalence tests: compiled bit-search vs the loop reference.
 
-The vectorized intra-layer proposer (cached flip-delta table + one flat
+The compiled intra-layer proposer (cached flip-delta table + one flat
 argmax) must reproduce the retained per-bit loop proposer bit-for-bit —
 same proposals, same tie-breaking, same committed attack events — across
-seeds, models and restricted candidate sets.
+seeds, models, restricted candidate sets and both kernel backends.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from repro.core.bfa import BitFlipAttack, BitSearchConfig, CandidateSet
 from repro.core.mapping import TensorCandidates
 from repro.core.objective import AttackObjective
+from repro.nn import kernels
 from repro.nn.bitops import bit_flip_delta, bit_flip_delta_table
 from repro.nn.quantization import quantize_model, quantized_parameters
 
@@ -43,7 +44,7 @@ def restricted_candidates(model, seed):
     return CandidateSet.from_tensor_candidates(per_tensor)
 
 
-def run_attack(tiny_trained_model, objective_factory, engine, seed, restrict):
+def run_attack(tiny_trained_model, objective_factory, engine, seed, restrict, backend="none"):
     model, clean_state = tiny_trained_model
     model.load_state_dict(clean_state)
     quantize_model(model)
@@ -55,7 +56,8 @@ def run_attack(tiny_trained_model, objective_factory, engine, seed, restrict):
         config=BitSearchConfig(max_flips=10, top_k_layers=3),
         engine=engine,
     )
-    return attack.run()
+    with kernels.use(backend):
+        return attack.run()
 
 
 class TestDeltaTable:
@@ -72,25 +74,29 @@ class TestDeltaTable:
 
 
 class TestProposerEquivalence:
-    @pytest.mark.parametrize("engine", ["vectorized", "compiled"])
+    @pytest.mark.parametrize("backend", ["none", "cc"])
     @pytest.mark.parametrize("seed", [2, 3, 11])
     def test_unconstrained_events_bit_identical(
-        self, tiny_trained_model, objective_factory, seed, engine
+        self, tiny_trained_model, objective_factory, seed, backend
     ):
         reference = run_attack(tiny_trained_model, objective_factory, "reference", seed, False)
-        result = run_attack(tiny_trained_model, objective_factory, engine, seed, False)
+        result = run_attack(
+            tiny_trained_model, objective_factory, "compiled", seed, False, backend
+        )
         assert reference.events == result.events
         assert reference.accuracy_curve == result.accuracy_curve
         assert reference.loss_curve == result.loss_curve
         assert reference.num_flips == result.num_flips
 
-    @pytest.mark.parametrize("engine", ["vectorized", "compiled"])
+    @pytest.mark.parametrize("backend", ["none", "cc"])
     @pytest.mark.parametrize("seed", [2, 11])
     def test_restricted_events_bit_identical(
-        self, tiny_trained_model, objective_factory, seed, engine
+        self, tiny_trained_model, objective_factory, seed, backend
     ):
         reference = run_attack(tiny_trained_model, objective_factory, "reference", seed, True)
-        result = run_attack(tiny_trained_model, objective_factory, engine, seed, True)
+        result = run_attack(
+            tiny_trained_model, objective_factory, "compiled", seed, True, backend
+        )
         assert reference.events == result.events
         assert reference.accuracy_curve == result.accuracy_curve
 
@@ -103,11 +109,11 @@ class TestProposerEquivalence:
         quantize_model(model)
         objective = objective_factory(5)
         reference = BitFlipAttack(model, objective, engine="reference")
-        vectorized = BitFlipAttack(model, objective, engine="vectorized")
+        compiled = BitFlipAttack(model, objective, engine="compiled")
         objective.attack_loss_and_gradients(model)
         for tensor_name in reference.candidates.tensors():
             ref = reference._propose_for_tensor(tensor_name)
-            vec = vectorized._propose_for_tensor(tensor_name)
+            vec = compiled._propose_for_tensor(tensor_name)
             assert (ref.weight_index, ref.bit_position, ref.int_before, ref.int_after) == (
                 vec.weight_index, vec.bit_position, vec.int_before, vec.int_after,
             )
@@ -120,7 +126,7 @@ class TestProposerEquivalence:
         model, clean_state = tiny_trained_model
         model.load_state_dict(clean_state)
         quantize_model(model)
-        attack = BitFlipAttack(model, objective_factory(7), engine="vectorized")
+        attack = BitFlipAttack(model, objective_factory(7), engine="compiled")
         attack.objective.attack_loss_and_gradients(model)
         name = attack.candidates.tensors()[0]
         proposal = attack._propose_for_tensor(name)

@@ -1,7 +1,7 @@
 """Attack-loop wiring of the incremental evaluation engine.
 
 The golden suites (test_bfa_golden, test_objectives_targeted) already pin
-that ``engine="vectorized"`` runs — which now evaluate through the
+that ``engine="compiled"`` runs — which now evaluate through the
 :class:`SuffixEvaluator` — are bit-identical to ``engine="reference"``.
 These tests cover the wiring itself: evaluator ownership by the attack, the
 multi-batch evaluation path, batched trial scoring and the hoisted batch
@@ -37,8 +37,8 @@ class TestEvaluatorOwnership:
 
     CONFIG = BitSearchConfig(max_flips=3, top_k_layers=2, resample_attack_batch=False)
 
-    def test_vectorized_attack_builds_incremental_engine(self, fresh_model, tiny_dataset):
-        attack = BitFlipAttack(fresh_model, untargeted(tiny_dataset), engine="vectorized")
+    def test_compiled_attack_builds_incremental_engine(self, fresh_model, tiny_dataset):
+        attack = BitFlipAttack(fresh_model, untargeted(tiny_dataset), engine="compiled")
         assert attack._evaluator is not None
         # Every quantized tensor must map to a forward stage.
         assert set(attack._stage_of_tensor) == set(attack.parameters)
@@ -49,13 +49,13 @@ class TestEvaluatorOwnership:
         assert attack._evaluator is None
 
     def campaign(self, tiny_trained_model, objective_for):
-        """Vectorized, reference, then vectorized after an out-of-band weight change."""
+        """Compiled, reference, then compiled after an out-of-band weight change."""
         model, clean_state = tiny_trained_model
         model.load_state_dict(clean_state)
         quantize_model(model)
         results = []
-        for engine in ("vectorized", "reference", "vectorized"):
-            if engine == "vectorized" and results:
+        for engine in ("compiled", "reference", "compiled"):
+            if engine == "compiled" and results:
                 model.head.bias.data[0] += 1.0
             attack = BitFlipAttack(model, objective_for(), config=self.CONFIG, engine=engine)
             results.append(attack.run())
@@ -77,13 +77,13 @@ class TestEvaluatorOwnership:
             model.load_state_dict(clean_state)
             quantize_model(model)
             attack = BitFlipAttack(
-                model, untargeted(tiny_dataset), config=self.CONFIG, engine="vectorized"
+                model, untargeted(tiny_dataset), config=self.CONFIG, engine="compiled"
             )
             attack.run()
             model.head.bias.data[0] += 1.0  # behind the evaluator's back
             if not rerun:
                 attack = BitFlipAttack(
-                    model, untargeted(tiny_dataset), config=self.CONFIG, engine="vectorized"
+                    model, untargeted(tiny_dataset), config=self.CONFIG, engine="compiled"
                 )
             results[rerun] = attack.run()
         assert results[True] == results[False]
@@ -93,7 +93,7 @@ class TestMultiBatchEvaluation:
     def test_small_eval_batches_golden_identical(self, tiny_trained_model, tiny_dataset):
         """Several eval batches mean several cache keys; results must not move."""
         results = {}
-        for engine in ("reference", "vectorized"):
+        for engine in ("reference", "compiled"):
             model, clean_state = tiny_trained_model
             model.load_state_dict(clean_state)
             quantize_model(model)
@@ -107,11 +107,11 @@ class TestMultiBatchEvaluation:
                 engine=engine,
             )
             results[engine] = attack.run()
-        reference, vectorized = results["reference"], results["vectorized"]
-        assert reference.events == vectorized.events
-        assert reference.accuracy_curve == vectorized.accuracy_curve
-        assert reference.asr_curve == vectorized.asr_curve
-        assert reference.loss_curve == vectorized.loss_curve
+        reference, compiled = results["reference"], results["compiled"]
+        assert reference.events == compiled.events
+        assert reference.accuracy_curve == compiled.accuracy_curve
+        assert reference.asr_curve == compiled.asr_curve
+        assert reference.loss_curve == compiled.loss_curve
 
 
 class TestBatchedTrialScoring:
@@ -149,7 +149,7 @@ class TestBatchedTrialScoring:
             objective = StealthyTargeted.from_dataset(
                 tiny_dataset, source_class=0, target_class=1, attack_batch_size=16, seed=4
             )
-        attack = BitFlipAttack(model, objective, engine="vectorized")
+        attack = BitFlipAttack(model, objective, engine="compiled")
         evaluator = attack._evaluator
         shortlist = self.shortlist(attack, objective)
         assert len(shortlist) >= 3
@@ -176,7 +176,7 @@ class TestBatchedTrialScoring:
         model.load_state_dict(clean_state)
         quantize_model(model)
         objective = untargeted(tiny_dataset)
-        attack = BitFlipAttack(model, objective, engine="vectorized")
+        attack = BitFlipAttack(model, objective, engine="compiled")
         shortlist = self.shortlist(attack, objective)
         batched = attack._score_shortlist(objective, shortlist)
         # Reference scoring: full forwards, no evaluator anywhere.

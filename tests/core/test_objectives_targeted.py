@@ -5,7 +5,8 @@ Covers the pluggable-objective contract end to end: validation edge cases
 source-class samples), the :class:`ObjectiveConfig` round trip through the
 spec codec, attack runs driven by the new objectives, and the
 golden-equivalence guarantee that ``engine="reference"`` reproduces the
-vectorized engine bit-for-bit for every objective and victim precision.
+compiled engine on the NumPy kernels bit-for-bit for every objective and
+victim precision.
 """
 
 import json
@@ -25,6 +26,7 @@ from repro.core.objective import (
     UntargetedDegradation,
 )
 from repro.experiments.specs import ComparisonSpec, spec_from_dict
+from repro.nn import kernels
 from repro.nn.quantization import precision_num_bits, quantize_model
 
 
@@ -252,37 +254,39 @@ class TestGoldenEquivalence:
             objective = ObjectiveConfig(
                 kind, params={"source_class": 0, "target_class": 1}
             ).build(tiny_dataset, attack_batch_size=12, eval_samples=24, seed=seed)
-        return BitFlipAttack(
+        attack = BitFlipAttack(
             model,
             objective,
             config=BitSearchConfig(max_flips=6, top_k_layers=3),
             engine=engine,
-        ).run()
+        )
+        with kernels.use("none"):
+            return attack.run()
 
     @pytest.mark.parametrize("kind", ["targeted", "stealthy_targeted"])
     def test_new_objectives_bit_identical(self, tiny_trained_model, tiny_dataset, kind):
         reference = self.run_attack(tiny_trained_model, tiny_dataset, "reference", kind)
-        vectorized = self.run_attack(tiny_trained_model, tiny_dataset, "vectorized", kind)
-        assert reference.events == vectorized.events
-        assert reference.accuracy_curve == vectorized.accuracy_curve
-        assert reference.asr_curve == vectorized.asr_curve
-        assert reference.loss_curve == vectorized.loss_curve
+        compiled = self.run_attack(tiny_trained_model, tiny_dataset, "compiled", kind)
+        assert reference.events == compiled.events
+        assert reference.accuracy_curve == compiled.accuracy_curve
+        assert reference.asr_curve == compiled.asr_curve
+        assert reference.loss_curve == compiled.loss_curve
 
     @pytest.mark.parametrize("kind", ["untargeted", "targeted"])
     def test_int4_victims_bit_identical(self, tiny_trained_model, tiny_dataset, kind):
         reference = self.run_attack(
             tiny_trained_model, tiny_dataset, "reference", kind, num_bits=4
         )
-        vectorized = self.run_attack(
-            tiny_trained_model, tiny_dataset, "vectorized", kind, num_bits=4
+        compiled = self.run_attack(
+            tiny_trained_model, tiny_dataset, "compiled", kind, num_bits=4
         )
-        assert reference.events == vectorized.events
-        assert reference.accuracy_curve == vectorized.accuracy_curve
-        assert reference.num_flips == vectorized.num_flips
+        assert reference.events == compiled.events
+        assert reference.accuracy_curve == compiled.accuracy_curve
+        assert reference.num_flips == compiled.num_flips
 
     def test_int4_flips_respect_narrow_range(self, tiny_trained_model, tiny_dataset):
         result = self.run_attack(
-            tiny_trained_model, tiny_dataset, "vectorized", "untargeted", num_bits=4
+            tiny_trained_model, tiny_dataset, "compiled", "untargeted", num_bits=4
         )
         for event in result.events:
             assert -8 <= event.int_before <= 7

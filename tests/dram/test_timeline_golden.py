@@ -2,8 +2,8 @@
 
 The command-timeline engine keeps two implementations under the golden
 contract of docs/ENGINES.md: ``engine="reference"`` walks the command
-stream one event at a time, ``engine="vectorized"`` evaluates one array
-pass per tREFI window.  These tests pin them bit-for-bit — flips (values
+stream one event at a time, ``engine="compiled"`` aggregates every
+tREFI window in one array pass.  These tests pin them bit-for-bit — flips (values
 *and* order), the windows flips latched in, per-window statistics, TRR
 sampling histograms and the refresh/NRR counters — across seeds, bank
 geometries and aggressor patterns, extending the parametrization style of
@@ -67,9 +67,9 @@ def make_chip(engine, geometry, seed, ones_rows):
 
 
 def run_both(timeline, geometry, seed, ones_rows, sampler_factory=None, refresh_bins=8):
-    """Run ``timeline`` on fresh reference and vectorized chips."""
+    """Run ``timeline`` on fresh reference and compiled chips."""
     results = []
-    for engine in ("reference", "vectorized"):
+    for engine in ("reference", "compiled"):
         chip = make_chip(engine, geometry, seed, ones_rows)
         sampler = sampler_factory() if sampler_factory else None
         results.append(
@@ -80,17 +80,17 @@ def run_both(timeline, geometry, seed, ones_rows, sampler_factory=None, refresh_
     return results
 
 
-def assert_identical(reference, vectorized):
+def assert_identical(reference, compiled):
     """Full bit-identity of two TimelineResult objects."""
-    assert flip_tuples(reference.flips) == flip_tuples(vectorized.flips)
-    assert reference.flip_windows == vectorized.flip_windows
+    assert flip_tuples(reference.flips) == flip_tuples(compiled.flips)
+    assert reference.flip_windows == compiled.flip_windows
     assert [w.to_dict() for w in reference.windows] == [
-        w.to_dict() for w in vectorized.windows
+        w.to_dict() for w in compiled.windows
     ]
-    assert reference.sampling_histogram == vectorized.sampling_histogram
-    assert reference.refs_issued == vectorized.refs_issued
-    assert reference.nrr_rows_issued == vectorized.nrr_rows_issued
-    assert reference.duration_cycles == vectorized.duration_cycles
+    assert reference.sampling_histogram == compiled.sampling_histogram
+    assert reference.refs_issued == compiled.refs_issued
+    assert reference.nrr_rows_issued == compiled.nrr_rows_issued
+    assert reference.duration_cycles == compiled.duration_cycles
 
 
 def merge_timelines(primary, secondary):
@@ -120,10 +120,10 @@ class TestHammerPatterns:
         timeline = build_hammer_timeline(
             TIMINGS, bank=0, aggressor_rows=(23, 25), windows=16, acts_per_window=80
         )
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             timeline, geometry, seed, [(0, 23), (0, 25)]
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
         assert reference.total_flips > 0  # the case must exercise flips
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -132,8 +132,8 @@ class TestHammerPatterns:
         timeline = build_hammer_timeline(
             TIMINGS, bank=0, aggressor_rows=(30,), windows=12, acts_per_window=120
         )
-        reference, vectorized = run_both(timeline, geometry, seed, [(0, 30)])
-        assert_identical(reference, vectorized)
+        reference, compiled = run_both(timeline, geometry, seed, [(0, 30)])
+        assert_identical(reference, compiled)
 
     @pytest.mark.parametrize("seed", [2, 9])
     def test_many_sided_identical(self, seed):
@@ -142,10 +142,10 @@ class TestHammerPatterns:
         timeline = build_hammer_timeline(
             TIMINGS, bank=0, aggressor_rows=aggressors, windows=10, acts_per_window=100
         )
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             timeline, geometry, seed, [(0, row) for row in aggressors]
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_multi_bank_interleaved_identical(self, seed):
@@ -158,10 +158,10 @@ class TestHammerPatterns:
         )
         merged = merge_timelines(bank0, bank1)
         merged.validate(TIMINGS, geometry)
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             merged, geometry, seed, [(0, 20), (0, 22), (1, 8), (1, 10)]
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
 
     @pytest.mark.parametrize("seed", [0, 4])
     def test_trailing_partial_window_identical(self, seed):
@@ -176,8 +176,8 @@ class TestHammerPatterns:
             cycles=full.cycles[:-1], open_cycles=full.open_cycles[:-1],
         )
         truncated.validate(TIMINGS, geometry)
-        reference, vectorized = run_both(truncated, geometry, seed, [(0, 23), (0, 25)])
-        assert_identical(reference, vectorized)
+        reference, compiled = run_both(truncated, geometry, seed, [(0, 23), (0, 25)])
+        assert_identical(reference, compiled)
         assert not reference.windows[-1].refreshed
         assert reference.refs_issued == 11
 
@@ -190,8 +190,8 @@ class TestPressPatterns:
             TIMINGS, bank=0, pressed_rows=(20,), windows=10,
             opens_per_window=3, open_cycles=5_000,
         )
-        reference, vectorized = run_both(timeline, geometry, seed, [(0, 20)])
-        assert_identical(reference, vectorized)
+        reference, compiled = run_both(timeline, geometry, seed, [(0, 20)])
+        assert_identical(reference, compiled)
 
     def test_adjacent_pressed_rows_identical(self):
         # Rows pressing each other (closer than the press_many spacing
@@ -202,10 +202,10 @@ class TestPressPatterns:
             TIMINGS, bank=0, pressed_rows=(20, 21), windows=8,
             opens_per_window=4, open_cycles=4_000,
         )
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             timeline, geometry, 3, [(0, 20), (0, 21)]
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
 
 
 class TestSampledDefense:
@@ -218,12 +218,12 @@ class TestSampledDefense:
             acts_per_window=80, phase=3, decoy_rows=(2, 6, 10),
         )
         ones = [(0, row) for row in (23, 25, 2, 6, 10)]
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             timeline, geometry, seed, ones,
             sampler_factory=lambda: TrrSampler(capacity=2, policy=policy, seed=5),
             refresh_bins=8,
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
         assert reference.nrr_rows_issued > 0
 
     def test_sampler_defeats_unphased_attack_on_both_engines(self):
@@ -231,11 +231,11 @@ class TestSampledDefense:
         timeline = build_hammer_timeline(
             TIMINGS, bank=0, aggressor_rows=(23, 25), windows=16, acts_per_window=80
         )
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             timeline, geometry, 0, [(0, 23), (0, 25)],
             sampler_factory=lambda: TrrSampler(capacity=2, policy="first", seed=0),
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
         # Both aggressors are sampled every window -> victims NRR'd -> no flips.
         assert reference.total_flips == 0
         assert reference.mean_sampled_fraction == 1.0
@@ -248,10 +248,10 @@ class TestRefreshBins:
         timeline = build_hammer_timeline(
             TIMINGS, bank=0, aggressor_rows=(23, 25), windows=20, acts_per_window=80
         )
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             timeline, geometry, 3, [(0, 23), (0, 25)], refresh_bins=refresh_bins
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
 
     def test_full_refresh_every_ref_prevents_flips(self):
         # refresh_bins=1 heals every row at every REF; per-window
@@ -260,23 +260,25 @@ class TestRefreshBins:
         timeline = build_hammer_timeline(
             TIMINGS, bank=0, aggressor_rows=(23, 25), windows=20, acts_per_window=80
         )
-        reference, vectorized = run_both(
+        reference, compiled = run_both(
             timeline, geometry, 3, [(0, 23), (0, 25)], refresh_bins=1
         )
-        assert_identical(reference, vectorized)
+        assert_identical(reference, compiled)
         assert reference.total_flips == 0
 
 
-class TestCompiledTier:
-    def test_compiled_engine_matches_vectorized(self):
-        # The compiled tier has no dedicated timeline kernels; it must take
-        # the vectorized pass and stay on the golden contract.
+class TestEngineOverride:
+    def test_timeline_engine_overrides_the_chip_engine(self):
+        # The timeline engine defaults to its chip's engine; an explicit
+        # compiled engine on a reference chip must take the array pass and
+        # stay on the golden contract.
         geometry = GEOMETRIES[0]
         timeline = build_hammer_timeline(
             TIMINGS, bank=0, aggressor_rows=(23, 25), windows=12, acts_per_window=90
         )
-        chip_v = make_chip("vectorized", geometry, 0, [(0, 23), (0, 25)])
-        chip_c = make_chip("compiled", geometry, 0, [(0, 23), (0, 25)])
-        vectorized = TimelineEngine(chip_v, refresh_bins=8).run(timeline)
-        compiled = TimelineEngine(chip_c, refresh_bins=8, engine="compiled").run(timeline)
-        assert_identical(vectorized, compiled)
+        chip_r = make_chip("reference", geometry, 0, [(0, 23), (0, 25)])
+        chip_o = make_chip("reference", geometry, 0, [(0, 23), (0, 25)])
+        reference = TimelineEngine(chip_r, refresh_bins=8).run(timeline)
+        overridden = TimelineEngine(chip_o, refresh_bins=8, engine="compiled")
+        assert overridden.engine == "compiled"
+        assert_identical(reference, overridden.run(timeline))

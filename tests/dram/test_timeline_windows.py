@@ -1,4 +1,4 @@
-"""Window aggregation of the vectorized timeline engine, beyond the results.
+"""Window aggregation of the compiled timeline engine, beyond the results.
 
 The golden suite compares :class:`TimelineResult` objects.  These cases
 add what it leaves out: the bank state a run leaves behind (data,
@@ -64,8 +64,8 @@ def test_adjacent_aggressors_leave_identical_results_and_state(seed, capacity):
     timeline.validate(TIMINGS, GEOMETRY)
     ones = [(0, 23), (0, 25), (0, 30), (1, 10)]
     reference = run("reference", timeline, seed, ones, capacity)
-    vectorized = run("vectorized", timeline, seed, ones, capacity)
-    assert vectorized == reference
+    compiled = run("compiled", timeline, seed, ones, capacity)
+    assert compiled == reference
     flips = reference[0]["flips"]
     assert flips or capacity  # the undefended run must exercise flips
     assert not [f for f in flips if f["bank"] == 0 and f["row"] in (23, 24, 25)]

@@ -154,7 +154,7 @@ class TestCodec:
         [ComparisonSpec(), ProfileDensitySpec(), TrrSamplingSpec(), RefsyncSweepSpec()],
         ids=lambda spec: spec.kind,
     )
-    @pytest.mark.parametrize("engine", [None, "vectorized", "compiled", "reference"])
+    @pytest.mark.parametrize("engine", [None, "compiled", "reference", "no-such-tier"])
     def test_retired_engine_key_is_ignored(self, spec, engine):
         assert spec_from_dict({**spec.to_dict(), "engine": engine}) == spec
 

@@ -1,6 +1,6 @@
-"""Golden-equivalence tests: vectorized fault engine vs the loop reference.
+"""Golden-equivalence tests: compiled fault engine vs the loop reference.
 
-The vectorized DRAM fault engine (whole-bank masked compares in
+The compiled DRAM fault engine (whole-bank masked compares in
 :class:`~repro.dram.bank.DramBank`, the bank-sweep profiler and the batched
 budget sweeps) must reproduce the retained reference implementations
 flip-for-flip.  These tests pin that contract across seeds, geometries,
@@ -30,16 +30,16 @@ def make_bank_pair(seed):
     """Two banks with identical vulnerability maps but different engines."""
     reference_chip = DramChip(GEOMETRY, vulnerability_parameters=DENSE, seed=seed,
                               engine="reference")
-    vectorized_chip = DramChip(GEOMETRY, vulnerability_parameters=DENSE, seed=seed)
-    return reference_chip.bank(0), vectorized_chip.bank(0)
+    compiled_chip = DramChip(GEOMETRY, vulnerability_parameters=DENSE, seed=seed)
+    return reference_chip.bank(0), compiled_chip.bank(0)
 
 
 class TestBankEngineEquivalence:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_hammer_sequences_identical(self, seed):
-        reference, vectorized = make_bank_pair(seed)
+        reference, compiled = make_bank_pair(seed)
         rng = np.random.default_rng(seed)
-        for bank in (reference, vectorized):
+        for bank in (reference, compiled):
             for row in range(GEOMETRY.rows_per_bank):
                 bank.write_row(row, (np.arange(GEOMETRY.cols_per_row) + row) % 2)
         for _ in range(20):
@@ -47,42 +47,42 @@ class TestBankEngineEquivalence:
             aggressors = [victim - 1, victim + 1]
             count = int(rng.integers(10_000, 400_000))
             ref_flips = reference.hammer(aggressors, count)
-            vec_flips = vectorized.hammer(aggressors, count)
+            vec_flips = compiled.hammer(aggressors, count)
             assert flip_tuples(ref_flips) == flip_tuples(vec_flips)
-        assert np.array_equal(reference.data, vectorized.data)
-        assert np.array_equal(reference.hammer_accumulator, vectorized.hammer_accumulator)
+        assert np.array_equal(reference.data, compiled.data)
+        assert np.array_equal(reference.hammer_accumulator, compiled.hammer_accumulator)
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_press_sequences_identical(self, seed):
-        reference, vectorized = make_bank_pair(seed)
+        reference, compiled = make_bank_pair(seed)
         rng = np.random.default_rng(seed)
-        for bank in (reference, vectorized):
+        for bank in (reference, compiled):
             for row in range(GEOMETRY.rows_per_bank):
                 bank.write_row(row, np.full(GEOMETRY.cols_per_row, row % 2, dtype=np.uint8))
         for _ in range(20):
             row = int(rng.integers(0, GEOMETRY.rows_per_bank))
             cycles = int(rng.integers(100_000, 80_000_000))
             assert flip_tuples(reference.press(row, cycles)) == flip_tuples(
-                vectorized.press(row, cycles)
+                compiled.press(row, cycles)
             )
-        assert np.array_equal(reference.data, vectorized.data)
-        assert np.array_equal(reference.press_accumulator, vectorized.press_accumulator)
+        assert np.array_equal(reference.data, compiled.data)
+        assert np.array_equal(reference.press_accumulator, compiled.press_accumulator)
 
     def test_press_many_matches_sequential_presses(self):
-        reference, vectorized = make_bank_pair(9)
-        for bank in (reference, vectorized):
+        reference, compiled = make_bank_pair(9)
+        for bank in (reference, compiled):
             for row in range(GEOMETRY.rows_per_bank):
                 bank.write_row(row, np.full(GEOMETRY.cols_per_row, 1, dtype=np.uint8))
         pressed = list(range(1, GEOMETRY.rows_per_bank - 1, 3))
         sequential = []
         for row in pressed:
             sequential.extend(reference.press(row, 50_000_000))
-        batched = vectorized.press_many(pressed, 50_000_000)
+        batched = compiled.press_many(pressed, 50_000_000)
         # Batching reorders the returned list (victim rows ascending); the
         # flip sets and the resulting bank state are identical.
         assert sorted(flip_tuples(sequential)) == sorted(flip_tuples(batched))
-        assert np.array_equal(reference.data, vectorized.data)
-        assert np.array_equal(reference.press_accumulator, vectorized.press_accumulator)
+        assert np.array_equal(reference.data, compiled.data)
+        assert np.array_equal(reference.press_accumulator, compiled.press_accumulator)
 
     def test_press_rows_with_defense_matches_sequential(self):
         """With a defense attached the batch falls back to exact sequencing.
@@ -116,21 +116,21 @@ class TestBankEngineEquivalence:
         assert sorted(flip_tuples(run(batched=True))) == sorted(flip_tuples(run(batched=False)))
 
     def test_press_many_rejects_interacting_rows(self):
-        _, vectorized = make_bank_pair(9)
+        _, compiled = make_bank_pair(9)
         # Rows closer than 3 apart share victims (or press each other), where
         # batched evaluation would diverge from sequential physics.
         for rows in ([4, 5], [4, 6]):
             with pytest.raises(ValueError):
-                vectorized.press_many(rows, 1_000_000)
+                compiled.press_many(rows, 1_000_000)
 
     def test_hammer_edge_rows(self):
-        reference, vectorized = make_bank_pair(13)
-        for bank in (reference, vectorized):
+        reference, compiled = make_bank_pair(13)
+        for bank in (reference, compiled):
             bank.write_row(0, np.zeros(GEOMETRY.cols_per_row, dtype=np.uint8))
             bank.write_row(1, np.ones(GEOMETRY.cols_per_row, dtype=np.uint8))
         # Aggressor at the bank edge: the victim set has a single row.
         assert flip_tuples(reference.hammer([1], 900_000)) == flip_tuples(
-            vectorized.hammer([1], 900_000)
+            compiled.hammer([1], 900_000)
         )
 
 
@@ -143,10 +143,10 @@ class TestProfilerEquivalence:
         reference = ChipProfiler(
             DramChip(GEOMETRY, seed=seed, engine="reference"), config, engine="reference"
         )
-        vectorized = ChipProfiler(DramChip(GEOMETRY, seed=seed), config)
+        compiled = ChipProfiler(DramChip(GEOMETRY, seed=seed), config)
         for mechanism in ("rowhammer", "rowpress"):
             assert flip_tuples(reference._run_mechanism(mechanism)) == flip_tuples(
-                vectorized._run_mechanism(mechanism)
+                compiled._run_mechanism(mechanism)
             )
 
     def test_profile_pairs_identical(self):
@@ -154,10 +154,10 @@ class TestProfilerEquivalence:
         reference = ChipProfiler(
             DramChip(GEOMETRY, seed=2, engine="reference"), config, engine="reference"
         ).profile()
-        vectorized = ChipProfiler(DramChip(GEOMETRY, seed=2), config).profile()
+        compiled = ChipProfiler(DramChip(GEOMETRY, seed=2), config).profile()
         for mechanism in ("rowhammer", "rowpress"):
             ref_profile = reference.profile_for(mechanism)
-            vec_profile = vectorized.profile_for(mechanism)
+            vec_profile = compiled.profile_for(mechanism)
             assert np.array_equal(ref_profile.flat_indices, vec_profile.flat_indices)
             assert np.array_equal(ref_profile.directions, vec_profile.directions)
 
@@ -166,10 +166,10 @@ class TestProfilerEquivalence:
         reference = ChipProfiler(
             DramChip(GEOMETRY, seed=4, engine="reference"), config, engine="reference"
         )
-        vectorized = ChipProfiler(DramChip(GEOMETRY, seed=4), config)
+        compiled = ChipProfiler(DramChip(GEOMETRY, seed=4), config)
         for mechanism in ("rowhammer", "rowpress"):
             ref_flips = reference._run_mechanism(mechanism)
-            vec_flips = vectorized._run_mechanism(mechanism)
+            vec_flips = compiled._run_mechanism(mechanism)
             assert flip_tuples(ref_flips) == flip_tuples(vec_flips)
             assert all(f.bank == 1 for f in vec_flips)
 
@@ -185,12 +185,12 @@ class TestSweepEquivalence:
             DramChip(GEOMETRY, vulnerability_parameters=DENSE, seed=seed, engine="reference"),
             self.BUDGETS_RH, max_rows_per_bank=max_rows, engine="reference",
         )
-        vectorized = rowhammer_flip_curve(
+        compiled = rowhammer_flip_curve(
             DramChip(GEOMETRY, vulnerability_parameters=DENSE, seed=seed),
             self.BUDGETS_RH, max_rows_per_bank=max_rows,
         )
-        assert np.array_equal(reference.flips, vectorized.flips)
-        assert np.array_equal(reference.budgets, vectorized.budgets)
+        assert np.array_equal(reference.flips, compiled.flips)
+        assert np.array_equal(reference.budgets, compiled.budgets)
 
     @pytest.mark.parametrize("seed", [0, 6])
     @pytest.mark.parametrize("max_rows", [6, None])
@@ -199,8 +199,8 @@ class TestSweepEquivalence:
             DramChip(GEOMETRY, vulnerability_parameters=DENSE, seed=seed, engine="reference"),
             self.BUDGETS_RP, max_rows_per_bank=max_rows, engine="reference",
         )
-        vectorized = rowpress_flip_curve(
+        compiled = rowpress_flip_curve(
             DramChip(GEOMETRY, vulnerability_parameters=DENSE, seed=seed),
             self.BUDGETS_RP, max_rows_per_bank=max_rows,
         )
-        assert np.array_equal(reference.flips, vectorized.flips)
+        assert np.array_equal(reference.flips, compiled.flips)

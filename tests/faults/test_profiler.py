@@ -65,7 +65,7 @@ class TestChipProfiler:
 
 
 class TestArrayBuiltProfiles:
-    """The vectorized profiler builds profiles from flip arrays directly;
+    """The compiled profiler builds profiles from flip arrays directly;
     they must equal ``from_flips`` over the reference engine's flips."""
 
     GEOMETRY = DramGeometry(num_banks=2, rows_per_bank=40, cols_per_row=128)
@@ -87,12 +87,12 @@ class TestArrayBuiltProfiles:
                      engine="reference"),
             config, engine="reference",
         )
-        vectorized = ChipProfiler(
+        compiled = ChipProfiler(
             DramChip(self.GEOMETRY, vulnerability_parameters=self.PARAMS, seed=3), config
         )
         for mechanism, profile in (
-            ("rowhammer", vectorized.profile_rowhammer()),
-            ("rowpress", vectorized.profile_rowpress()),
+            ("rowhammer", compiled.profile_rowhammer()),
+            ("rowpress", compiled.profile_rowpress()),
         ):
             budget = config.hammer_count if mechanism == "rowhammer" else config.open_cycles
             expected = BitFlipProfile.from_flips(

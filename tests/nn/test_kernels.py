@@ -1,8 +1,8 @@
 """Kernel registry tests: dispatch, bit-identity, fallback, scratch, memo.
 
-The compiled tier's whole contract is "same bits, less time" — these tests
+The C kernels' whole contract is "same bits, less time" — these tests
 pin the registry mechanics (closed kernel set, per-kernel fallback,
-thread-local activation, the process default), byte-level agreement
+thread-local activation, the process-wide backend), byte-level agreement
 between every backend kernel and its reference, the silent
 toolchain-absent fallback, and the correctness guards of the scratch
 pool and the im2col memo used by the stacked suffix cascade.
@@ -67,57 +67,79 @@ class TestRegistry:
         assert set(first) <= set(kernels.KERNEL_NAMES)
 
 
-def pin_default_off(monkeypatch):
-    """Make ``vectorized`` the process default so compiled kernels are off."""
-    monkeypatch.setenv("REPRO_DEFAULT_ENGINE", "vectorized")
+def pin_process_numpy(monkeypatch):
+    """Pin the NumPy kernels process-wide with ``REPRO_KERNEL_BACKEND=none``.
+
+    The backend is probed first: ``none`` at the first probe would keep
+    the C library from loading at all.
+    """
+    kernels.available()
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
 
 
 class TestActivation:
     @needs_backend
     def test_active_by_default(self, fresh_registry):
-        fresh_registry.delenv("REPRO_DEFAULT_ENGINE", raising=False)
+        fresh_registry.delenv("REPRO_KERNEL_BACKEND", raising=False)
         assert kernels.compiled_active()
         assert kernels.active("im2col") is not None
 
-    def test_vectorized_default_turns_kernels_off(self, fresh_registry):
-        pin_default_off(fresh_registry)
+    def test_process_numpy_pin_turns_kernels_off(self, fresh_registry):
+        pin_process_numpy(fresh_registry)
         assert not kernels.compiled_active()
         assert kernels.active("im2col") is None
 
     @needs_backend
     def test_default_follows_in_process_env_changes(self, monkeypatch):
-        # No registry reset between the switches: the registry and
-        # default_engine() read one source, so neither may go stale.
-        for tier in ("compiled", "vectorized", "compiled", "reference"):
-            monkeypatch.setenv("REPRO_DEFAULT_ENGINE", tier)
-            assert kernels.compiled_active() == (tier == "compiled"), tier
+        # No registry reset between the switches: the variable is read on
+        # every unscoped dispatch, so it may never go stale.
+        for backend in ("cc", "none", "cc", "none"):
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
+            assert kernels.compiled_active() == (backend == "cc"), backend
 
     @needs_backend
-    def test_use_compiled_activates_in_scope_only(self, fresh_registry):
-        pin_default_off(fresh_registry)
-        with kernels.use("compiled") as enabled:
+    def test_engine_tier_does_not_pick_the_kernels(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        for tier in ("reference", "compiled"):
+            monkeypatch.setenv("REPRO_DEFAULT_ENGINE", tier)
+            assert kernels.compiled_active(), tier
+
+    @needs_backend
+    def test_use_cc_activates_in_scope_only(self, fresh_registry):
+        pin_process_numpy(fresh_registry)
+        with kernels.use("cc") as enabled:
             assert enabled
             assert kernels.compiled_active()
             assert kernels.active("im2col") is not None
         assert not kernels.compiled_active()
 
-    def test_use_vectorized_pins_reference_tier(self):
-        with kernels.use("vectorized") as enabled:
+    def test_use_none_pins_reference_kernels(self):
+        with kernels.use("none") as enabled:
             assert not enabled
             assert kernels.active("im2col") is None
 
+    def test_use_unknown_backend_raises(self):
+        with pytest.raises(ValueError, match="kernel backend"):
+            kernels.use("bogus")
+
     @needs_backend
     def test_nested_scopes_restore_outer_state(self):
-        with kernels.use("compiled"):
-            with kernels.use("vectorized"):
+        with kernels.use("cc"):
+            with kernels.use("none"):
                 assert not kernels.compiled_active()
             assert kernels.compiled_active()
 
     @needs_backend
-    def test_default_engine_env_enables_process_wide(self, fresh_registry):
-        fresh_registry.setenv("REPRO_DEFAULT_ENGINE", "compiled")
+    def test_hold_keeps_the_enclosing_choice(self):
+        for backend in ("none", "cc"):
+            with kernels.use(backend), kernels.hold() as enabled:
+                assert enabled == (backend == "cc"), backend
+
+    @needs_backend
+    def test_kernel_backend_env_enables_process_wide(self, fresh_registry):
+        fresh_registry.setenv("REPRO_KERNEL_BACKEND", "cc")
         assert kernels.compiled_active()
-        with kernels.use("vectorized"):
+        with kernels.use("none"):
             assert not kernels.compiled_active()
 
 
@@ -337,8 +359,8 @@ class TestFallback:
     """The compiled default with no toolchain: silent, bit-identical."""
 
     def _disable_backends(self, monkeypatch):
+        # ``none`` at the registry's first probe: the library never loads.
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "none")
-        monkeypatch.delenv("REPRO_DEFAULT_ENGINE", raising=False)
 
     def test_backend_absent_reports_unavailable(self, fresh_registry):
         self._disable_backends(fresh_registry)
@@ -350,7 +372,7 @@ class TestFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not kernels.compiled_active()
-            with kernels.use("compiled") as enabled:
+            with kernels.use("cc") as enabled:
                 assert not enabled
 
     def test_fallback_results_are_reference_bit_identical(self, fresh_registry):
@@ -359,7 +381,7 @@ class TestFallback:
         rng = np.random.default_rng(7)
         weight_matrix = rng.standard_normal((5, 3 * 9))
         bias = rng.standard_normal(5)
-        with kernels.use("compiled"):
+        with kernels.use("cc"):
             got_out, got_cols = kernels.conv2d_forward(
                 x, weight_matrix, bias, (3, 3), 1, 1
             )
@@ -417,7 +439,7 @@ class TestIm2colMemo:
         rng = np.random.default_rng(8)
         weights = [rng.standard_normal((5, 3 * 9)) for _ in range(3)]
         want = [reference.conv2d_forward(x, w, None, (3, 3), 1, 1)[0] for w in weights]
-        with kernels.use("compiled"):
+        with kernels.use("cc"):
             with kernels.im2col_memo() as scope:
                 assert scope == {}
                 got = [
@@ -435,7 +457,7 @@ class TestIm2colMemo:
         x1 = rng.standard_normal((2, 3, 5, 5))
         x2 = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3 * 9))
-        with kernels.use("compiled"):
+        with kernels.use("cc"):
             with kernels.im2col_memo():
                 first = kernels.conv2d_forward(x1, w, None, (3, 3), 1, 1)[0]
                 second = kernels.conv2d_forward(x2, w, None, (3, 3), 1, 1)[0]
@@ -459,7 +481,7 @@ class TestIm2colMemo:
         x1 = rng.standard_normal((2, 3, 5, 5))
         x2 = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3 * 9))
-        with kernels.use("compiled"):
+        with kernels.use("cc"):
             with kernels.im2col_memo():
                 kernels.conv2d_forward(x1, w, None, (3, 3), 1, 1, reuse_scratch=True)
                 kernels.conv2d_forward(x2, w, None, (3, 3), 1, 1, reuse_scratch=True)
@@ -469,14 +491,14 @@ class TestIm2colMemo:
             x1, w, None, (3, 3), 1, 1
         )[0].tobytes()
 
-    def test_noop_outside_compiled_tier(self, fresh_registry):
-        pin_default_off(fresh_registry)
+    def test_noop_on_numpy_kernels(self, fresh_registry):
+        pin_process_numpy(fresh_registry)
         with kernels.im2col_memo() as scope:
             assert scope is None
 
     @needs_backend
     def test_nested_scope_keeps_outer_memo(self):
-        with kernels.use("compiled"):
+        with kernels.use("cc"):
             with kernels.im2col_memo() as outer:
                 with kernels.im2col_memo() as inner:
                     assert inner is outer

@@ -302,13 +302,13 @@ class TestConvBackwardPairing:
         rng = np.random.default_rng(22)
         x_data = rng.standard_normal((3, 2, 7, 7))
         weight_data = rng.standard_normal((4, 2, 3, 3))
-        with kernels.use("vectorized"):
+        with kernels.use("none"):
             want = conv_node(x_data, weight_data, 2, 1)
         monkeypatch.setitem(kernels._state, "kernels", {
             name: impl for name, impl in kernels._state["kernels"].items()
             if name != "conv2d_backward"
         })
-        with kernels.use("compiled"):
+        with kernels.use("cc"):
             out, run = kernels.conv2d_train_forward(
                 x_data, weight_data.reshape(4, -1), None, (3, 3), 2, 1, True
             )
@@ -324,15 +324,15 @@ class TestConvBackwardPairing:
             assert g.tobytes() == w.tobytes()
 
     @needs_backend
-    def test_tier_switch_between_forward_and_backward(self):
+    def test_kernel_switch_between_forward_and_backward(self):
         """The backward bound at forward time reads the layout it was given."""
         rng = np.random.default_rng(23)
         x_data = rng.standard_normal((3, 2, 6, 6))
         weight_matrix = rng.standard_normal((4, 18))
         grad = rng.standard_normal((3, 4, 36))
-        with kernels.use("compiled"):
+        with kernels.use("cc"):
             _, run = kernels.conv2d_train_forward(x_data, weight_matrix, None, (3, 3), 1, 1, True)
-        with kernels.use("vectorized"):
+        with kernels.use("none"):
             got = run(grad, True)
         _, cols = reference.conv2d_forward(x_data, weight_matrix, None, (3, 3), 1, 1)
         want = reference.conv2d_backward(grad, cols, weight_matrix, x_data.shape, (3, 3), 1, 1)
@@ -343,8 +343,8 @@ class TestConvBackwardPairing:
         rng = np.random.default_rng(24)
         x_data = rng.standard_normal((2, 2, 5, 5))
         weight_matrix = rng.standard_normal((3, 18))
-        for tier in ("vectorized", "compiled"):
-            with kernels.use(tier):
+        for backend in ("none", "cc"):
+            with kernels.use(backend):
                 _, run = kernels.conv2d_train_forward(
                     x_data, weight_matrix, None, (3, 3), 1, 1, False
                 )
@@ -359,7 +359,7 @@ class TestConvBackwardPairing:
 
 
 # ----------------------------------------------------------------------
-# Training golden test: tiers and oracle agree on the trained bytes
+# Training golden test: kernel backends and oracle agree on the trained bytes
 # ----------------------------------------------------------------------
 def tiny_resnet():
     # depth 8: one block per stage; stages 1 and 2 open with a downsample.
@@ -370,7 +370,7 @@ def tiny_m11():
     return m11(num_classes=3, base_width=4, rng=derive_rng(6))
 
 
-def train_few_batches(model, sample_shape, oracle=False, engine="vectorized", monkeypatch=None):
+def train_few_batches(model, sample_shape, oracle=False, backend="none", monkeypatch=None):
     rng = np.random.default_rng(31)
     # 13 samples in batches of 6: an odd last batch of one sample.
     x = rng.standard_normal((13,) + sample_shape)
@@ -384,7 +384,7 @@ def train_few_batches(model, sample_shape, oracle=False, engine="vectorized", mo
         monkeypatch.setattr(norm, "_layer_norm_node", composed_layer_norm)
     optimizer = Adam(model.parameters(), lr=1e-2)
     model.train()
-    with kernels.use(engine):
+    with kernels.use(backend):
         for _ in range(2):
             for start in range(0, 13, 6):
                 optimizer.zero_grad()
@@ -413,7 +413,7 @@ def tiny_vmamba():
     ids=["resnet_cifar", "m11", "deit_tiny", "vmamba_tiny"],
 )
 class TestTrainingGolden:
-    def test_vectorized_matches_oracle(self, factory, sample_shape, monkeypatch):
+    def test_numpy_kernels_match_oracle(self, factory, sample_shape, monkeypatch):
         want = train_few_batches(factory(), sample_shape, oracle=True, monkeypatch=monkeypatch)
         got = train_few_batches(factory(), sample_shape)
         assert got.keys() == want.keys()
@@ -421,9 +421,9 @@ class TestTrainingGolden:
             assert got[name] == want[name], name
 
     @needs_backend
-    def test_compiled_matches_vectorized(self, factory, sample_shape):
+    def test_cc_kernels_match_numpy(self, factory, sample_shape):
         want = train_few_batches(factory(), sample_shape)
-        got = train_few_batches(factory(), sample_shape, engine="compiled")
+        got = train_few_batches(factory(), sample_shape, backend="cc")
         for name in want:
             assert got[name] == want[name], name
 
@@ -433,9 +433,9 @@ def test_adopted_gradients_never_share_memory():
     model = tiny_resnet()
     model.train()
     rng = np.random.default_rng(32)
-    for engine in ("vectorized", "compiled"):
+    for backend in ("none", "cc"):
         model.zero_grad()
-        with kernels.use(engine):
+        with kernels.use(backend):
             loss = cross_entropy(model(Tensor(rng.standard_normal((4, 3, 8, 8)))), [0, 1, 2, 0])
             loss.backward()
         grads = [p.grad for p in model.parameters()]
@@ -446,14 +446,14 @@ def test_adopted_gradients_never_share_memory():
 
 
 
-TIERS = ("vectorized", pytest.param("compiled", marks=needs_backend))
+BACKENDS = ("none", pytest.param("cc", marks=needs_backend))
 
 
 class TestGradientFreeEvaluate:
     @pytest.mark.parametrize("quantized", [False, True], ids=["float", "int8"])
-    @pytest.mark.parametrize("engine", TIERS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("factory", [tiny_resnet, tiny_deit], ids=["resnet_cifar", "deit_tiny"])
-    def test_logits_equal_graph_mode(self, factory, engine, quantized, monkeypatch):
+    def test_logits_equal_graph_mode(self, factory, backend, quantized, monkeypatch):
         model = factory()
         if quantized:
             quantize_model(model)
@@ -461,7 +461,7 @@ class TestGradientFreeEvaluate:
         rng = np.random.default_rng(33)
         x = rng.standard_normal((13, 3, 8, 8))
         y = rng.integers(0, 3, size=13)
-        with kernels.use(engine):
+        with kernels.use(backend):
             graph = [model(Tensor(x[start:start + 6])) for start in range(0, 13, 6)]
         assert all(logits.requires_grad for logits in graph)
 
@@ -479,7 +479,7 @@ class TestGradientFreeEvaluate:
 
         monkeypatch.setattr(model, "forward", recording_forward)
         monkeypatch.setattr(training, "accuracy", recording_accuracy)
-        with kernels.use(engine):
+        with kernels.use(backend):
             training.evaluate(model, x, y, batch_size=6)
         assert seen["requires_grad"] == [False, False, False]
         want = np.concatenate([logits.data for logits in graph])
@@ -487,24 +487,24 @@ class TestGradientFreeEvaluate:
 
 
 class TestDispatchScope:
-    """Training and evaluation decide the kernel tier once per call."""
+    """Training and evaluation decide the kernels once per call."""
 
     def _model(self, dataset):
         return ResNetCifar(depth=8, num_classes=dataset.num_classes, base_width=4, rng=derive_rng(9))
 
-    def test_default_engine_read_a_bounded_number_of_times(self, tiny_dataset, monkeypatch):
+    def test_process_backend_read_a_bounded_number_of_times(self, tiny_dataset, monkeypatch):
         reads = []
         dispatches = []
-        default_engine = kernels.default_engine
+        process_backend = kernels.process_backend
         active = kernels.active
-        monkeypatch.setattr(kernels, "default_engine", lambda: reads.append(1) or default_engine())
+        monkeypatch.setattr(kernels, "process_backend", lambda: reads.append(1) or process_backend())
         monkeypatch.setattr(kernels, "active", lambda name: dispatches.append(name) or active(name))
         training.train(self._model(tiny_dataset), tiny_dataset, epochs=1, batch_size=16)
         assert len(dispatches) > 100
         assert len(reads) <= 2  # train() and its closing evaluate()
 
-    @pytest.mark.parametrize("engine", TIERS)
-    def test_outer_scope_still_decides(self, tiny_dataset, monkeypatch, engine):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_outer_scope_still_decides(self, tiny_dataset, monkeypatch, backend):
         returned = []
         active = kernels.active
 
@@ -514,10 +514,10 @@ class TestDispatchScope:
             return impl
 
         monkeypatch.setattr(kernels, "active", spy)
-        with kernels.use(engine):
+        with kernels.use(backend):
             training.train(self._model(tiny_dataset), tiny_dataset, epochs=1, batch_size=16)
         assert returned
-        if engine == "vectorized":
+        if backend == "none":
             assert all(impl is None for impl in returned)
         else:
             assert any(impl is not None for impl in returned)

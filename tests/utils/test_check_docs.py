@@ -69,3 +69,15 @@ class TestCheckerCatches:
         monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
         errors = checker.check_links()
         assert len(errors) == 1 and "GHOST.md" in errors[0]
+
+    def test_retired_tier_name_reported(self):
+        checker = load_checker()
+        text = (
+            'runs with engine="compiled" or engine="reference"\n'
+            "set REPRO_DEFAULT_ENGINE=compiled\n"
+            'a stale engine="vectorized" call\n'
+            "and REPRO_DEFAULT_ENGINE=vectorized\n"
+        )
+        errors = checker.tier_name_errors("README.md", text)
+        assert [error.split(":")[:2] for error in errors] == [["README.md", "3"], ["README.md", "4"]]
+        assert all("'vectorized'" in error for error in errors)

@@ -19,20 +19,20 @@ def check_regression():
     return module
 
 
-def payload(cases, schema_version=1, descriptions=None, compiled=None):
+def payload(cases, schema_version=3, descriptions=None, compiled=None):
     """Build a benchmark payload; ``compiled`` maps case name -> compiled secs."""
     built = {}
-    for name, (ref, vec) in cases.items():
+    for name, (ref, numpy) in cases.items():
         case = {
             "description": (descriptions or {}).get(name, name),
             "reference_seconds": ref,
-            "vectorized_seconds": vec,
-            "speedup": ref / vec,
+            "numpy_seconds": numpy,
+            "speedup": ref / numpy,
         }
         comp = (compiled or {}).get(name)
         if comp is not None:
             case["compiled_seconds"] = comp
-            case["compiled_speedup"] = vec / comp
+            case["compiled_speedup"] = numpy / comp
         built[name] = case
     return {"schema_version": schema_version, "cases": built, "profile": "quick"}
 
@@ -94,13 +94,30 @@ class TestRegressionGate:
 
     def test_case_without_speedup_is_unusable(self, check_regression, monkeypatch, tmp_path):
         fresh = payload({"a": (4.0, 1.0)})
-        truncated = {"schema_version": 1, "cases": {"a": {"reference_seconds": 4.0}}}
+        truncated = {"schema_version": 3, "cases": {"a": {"reference_seconds": 4.0}}}
         assert run_gate(check_regression, monkeypatch, tmp_path, truncated, fresh) == 2
 
     def test_schema_mismatch_is_unusable(self, check_regression, monkeypatch, tmp_path):
         baseline = payload({"a": (4.0, 1.0)}, schema_version=1)
         fresh = payload({"a": (4.0, 1.0)}, schema_version=2)
         assert run_gate(check_regression, monkeypatch, tmp_path, baseline, fresh) == 2
+
+    def test_old_column_names_are_refused_not_misread(
+        self, check_regression, monkeypatch, tmp_path, capsys
+    ):
+        """v2 files named the NumPy leg ``vectorized_seconds``: refused even when both agree."""
+        old = payload({"a": (4.0, 1.0)}, schema_version=2)
+        old["cases"]["a"]["vectorized_seconds"] = old["cases"]["a"].pop("numpy_seconds")
+        assert run_gate(check_regression, monkeypatch, tmp_path, old, old) == 2
+        assert f"expected v{check_regression.SCHEMA_VERSION}" in capsys.readouterr().out
+
+    def test_committed_benchmark_has_current_schema(self, check_regression):
+        committed = json.loads((REPO_ROOT / "BENCH_perf.json").read_text())
+        assert committed["schema_version"] == check_regression.SCHEMA_VERSION
+        for case in committed["cases"].values():
+            assert case["speedup"] == case["reference_seconds"] / case["numpy_seconds"]
+            if "compiled_seconds" in case:
+                assert case["compiled_speedup"] == case["numpy_seconds"] / case["compiled_seconds"]
 
     def test_custom_max_regression_factor(self, check_regression, monkeypatch, tmp_path):
         baseline = payload({"a": (4.0, 1.0)})

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checks (CI ``docs`` job; also run by the unit tests).
 
-Four checks keep the markdown suite and the code agreeing:
+Five checks keep the markdown suite and the code agreeing:
 
 1. **Links** — every intra-repo markdown link in the root ``*.md`` files
    and ``docs/*.md`` resolves to an existing file.
@@ -13,6 +13,10 @@ Four checks keep the markdown suite and the code agreeing:
    for classes, every public method that does not override a documented
    base-class method) carries a docstring, so ``help()`` agrees with the
    written reference.
+5. **Tier names** — every ``engine="X"`` and ``REPRO_DEFAULT_ENGINE=X`` in
+   ``README.md`` and ``docs/*.md`` names a tier in
+   ``repro.utils.validation.ENGINES``.  ``CHANGES.md`` and ``ROADMAP.md``
+   are history and are not checked.
 
 Exit status 0 when all checks pass; 1 with a failure listing otherwise.
 Run from anywhere::
@@ -35,6 +39,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: A row of the docs/API.md kind table: ``| `kind` | ... |``.
 KIND_ROW_RE = re.compile(r"^\|\s*`([a-z_]+)`\s*\|")
+
+#: ``engine="X"`` / ``engine='X'`` or ``REPRO_DEFAULT_ENGINE=X``.
+TIER_RE = re.compile(r"""engine=["']([A-Za-z_]+)["']|REPRO_DEFAULT_ENGINE=([A-Za-z_]+)""")
 
 #: Schemes that are not filesystem links.
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
@@ -157,6 +164,26 @@ def check_docstrings() -> List[str]:
     return errors
 
 
+def tier_name_errors(label: str, text: str) -> List[str]:
+    """One error per tier name in ``text`` that is not in ``ENGINES``."""
+    from repro.utils.validation import ENGINES
+
+    return [
+        f"{label}:{number}: {quoted or env!r} is not an engine tier {ENGINES}"
+        for number, line in enumerate(text.splitlines(), start=1)
+        for quoted, env in TIER_RE.findall(line)
+        if (quoted or env) not in ENGINES
+    ]
+
+
+def check_tier_names() -> List[str]:
+    """README.md and docs/*.md name only tiers in ``ENGINES``."""
+    errors = []
+    for path in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        errors.extend(tier_name_errors(str(path.relative_to(REPO_ROOT)), path.read_text()))
+    return errors
+
+
 def main() -> int:
     """Run every check; print failures and return the exit status."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -166,13 +193,14 @@ def main() -> int:
         + check_kinds(api_text)
         + check_exported_symbols(api_text)
         + check_docstrings()
+        + check_tier_names()
     )
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
         for error in errors:
             print(f"  {error}")
         return 1
-    print("docs check passed: links resolve, kinds and exports match the code")
+    print("docs check passed: links resolve, kinds, exports and tier names match the code")
     return 0
 
 

@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Training and evaluation parity of the engine tiers over the Table-I roster.
+"""Training and evaluation parity of the kernel backends over the Table-I roster.
 
-Trains every ``TABLE1_ROSTER`` model for one epoch at seed 3, once
-with the kernel registry pinned to the ``vectorized`` (NumPy reference)
-tier and once with the ``compiled`` tier active, and compares the sha256
-of the two trained state dicts.  The tiers' contract is bit-identity, so
-any difference is a bug in a compiled kernel or in its dispatch (for
-example a GEMM issued with a different shape than ``np.matmul`` issues).
+Trains every ``TABLE1_ROSTER`` model for one epoch at seed 3 under the
+``compiled`` tier, once with the kernel registry pinned to the NumPy
+kernels (``kernels.use("none")``) and once on the C kernels
+(``kernels.use("cc")``), and compares the sha256 of the two trained state
+dicts.  The backends' contract is bit-identity, so any difference is a
+bug in a C kernel or in its dispatch (for example a GEMM issued with a
+different shape than ``np.matmul`` issues).
 
-On each tier it also checks that the gradient-free test-set logits
+On each backend it also checks that the gradient-free test-set logits
 :func:`repro.nn.training.evaluate` scores (:func:`~repro.nn.training.predict`)
 equal a graph-mode forward's byte for byte, on the float victim and on
 its 8-bit quantized deployment image, so a kernel that splits the two
@@ -20,8 +21,8 @@ Usage::
 
 Prints one line per model with both digests and the evaluation check.
 Exits 1 when any model's digests differ or any evaluation check fails,
-and 2 when no compiled kernel backend loads (comparing the reference
-tier with itself would prove nothing).
+and 2 when no C kernel backend loads (comparing the NumPy kernels with
+themselves would prove nothing).
 """
 
 import hashlib
@@ -40,7 +41,7 @@ from repro.nn.autograd import Tensor
 from repro.nn.quantization import quantize_model
 from repro.nn.training import predict
 
-TIERS = ("vectorized", "compiled")
+BACKENDS = ("none", "cc")
 SEED = 3
 EPOCHS = 1
 
@@ -69,9 +70,9 @@ def logits_match(model, x: np.ndarray) -> bool:
     return predict(model, x).tobytes() == graph_logits(model, x).tobytes()
 
 
-def train_and_check(spec, tier: str):
+def train_and_check(spec, backend: str):
     """Trained-state digest, and whether the float and 8-bit logits match."""
-    with kernels.use(tier):
+    with kernels.use(backend):
         model, dataset, state = prepare_victim(spec, seed=SEED, training_epochs=EPOCHS)
         float_match = logits_match(model, dataset.test_x)
         quantize_model(model)
@@ -80,17 +81,17 @@ def train_and_check(spec, tier: str):
 
 def main() -> int:
     if not kernels.ensure_available():
-        print("FAIL no compiled kernel backend loaded; nothing to compare")
+        print("FAIL no C kernel backend loaded; nothing to compare")
         return 2
     print(f"backend {kernels.backend_name()!r}, kernels: {', '.join(kernels.warmup())}")
     mismatches = []
     for spec in TABLE1_ROSTER:
         started = time.perf_counter()
-        digests, logits_equal = zip(*(train_and_check(spec, tier) for tier in TIERS))
+        digests, logits_equal = zip(*(train_and_check(spec, backend) for backend in BACKENDS))
         same = digests[0] == digests[1] and all(logits_equal)
         print(
             f"{'ok  ' if same else 'FAIL'} {spec.key:<12} "
-            + "  ".join(f"{tier} {digest[:12]}" for tier, digest in zip(TIERS, digests))
+            + "  ".join(f"{backend} {digest[:12]}" for backend, digest in zip(BACKENDS, digests))
             + "  eval "
             + "/".join("same" if equal else "DIFF" for equal in logits_equal)
             + f"  ({time.perf_counter() - started:.1f}s)"
@@ -99,7 +100,7 @@ def main() -> int:
             mismatches.append(spec.key)
     if mismatches:
         print(
-            "tiers trained different bytes, or gradient-free logits differ "
+            "kernel backends trained different bytes, or gradient-free logits differ "
             f"from graph-mode ones: {', '.join(mismatches)}"
         )
         return 1
